@@ -5,7 +5,7 @@ GO ?= go
 VERSION ?= $(shell git describe --tags --always --dirty 2>/dev/null || echo dev)
 LDFLAGS := -ldflags "-X main.version=$(VERSION)"
 
-.PHONY: build test vet race verify bench bench-smoke serve-smoke cluster-smoke benchall
+.PHONY: build test vet fmt bench-test race verify bench bench-smoke serve-smoke cluster-smoke benchall
 
 build:
 	$(GO) build $(LDFLAGS) ./...
@@ -15,6 +15,16 @@ test:
 
 vet:
 	$(GO) vet ./...
+
+# fmt fails when gofmt would reformat any Go file in the tree.
+fmt:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l lists:"; echo "$$out"; exit 1; fi
+
+# bench-test vets and tests the benchmark under bench/. It is a module of
+# its own, so ./... above never builds it; its smoke test checks that
+# every metric BENCHMARK.json names is still emitted.
+bench-test:
+	cd bench && $(GO) vet . && $(GO) test .
 
 # race runs the race detector over the packages that own concurrency:
 # the eval worker pool (and, transitively, the shared parsed-harness and
@@ -34,8 +44,9 @@ race:
 	$(GO) test -race -short ./internal/eval/... ./internal/seqcheck/... ./internal/concheck/... ./internal/sem/... ./internal/visited/... ./internal/frontier/... ./internal/coord/...
 	$(GO) test -race ./internal/service/...
 
-# verify is the tier-1 gate: build, vet, full tests, and the race check.
-verify: build vet test race
+# verify is the tier-1 gate: formatting, build, vet, full tests, the
+# benchmark's own tests, and the race check.
+verify: fmt build vet test bench-test race
 
 # bench runs the PR 3 performance suite: the clone/successor
 # microbenchmarks (the copy-on-write win) and a kissbench corpus pass

@@ -24,6 +24,8 @@
 // while the checker runs; -timeout bounds wall time and reports the
 // partial result; -search-workers N runs the state-space search with N
 // workers (verdicts and counters are identical at every worker count).
+// -cpuprofile FILE and -memprofile FILE write a CPU profile of the local
+// check and a heap profile taken after it (runtime/pprof format).
 //
 // Memory knobs (PR 9): -mem-budget-mb M caps search memory — the BFS
 // frontier spills frames to sorted disk runs past its share (results
@@ -62,6 +64,7 @@ import (
 	"time"
 
 	kiss "repro"
+	"repro/internal/profile"
 	"repro/internal/service"
 	"repro/internal/stats"
 )
@@ -153,6 +156,7 @@ type budgetFlags struct {
 	timeout                       *time.Duration
 	progress                      *bool
 	server                        *string
+	cpuProfile, memProfile        *string
 }
 
 func addBudgetFlags(fs *flag.FlagSet) *budgetFlags {
@@ -170,7 +174,23 @@ func addBudgetFlags(fs *flag.FlagSet) *budgetFlags {
 		timeout:       fs.Duration("timeout", 0, "wall-time bound, e.g. 30s (0 = unlimited)"),
 		progress:      fs.Bool("progress", false, "stream search metrics to stderr while running"),
 		server:        fs.String("server", "", "base URL of a running kissd (e.g. http://localhost:8344): submit the check to the daemon instead of checking locally"),
+		cpuProfile:    fs.String("cpuprofile", "", "write a CPU profile of the check to this file (go tool pprof format)"),
+		memProfile:    fs.String("memprofile", "", "write a heap profile, taken after the check, to this file (go tool pprof format)"),
 	}
+}
+
+// profiled runs fn under the -cpuprofile and -memprofile flags: a CPU
+// profile of fn, and a heap profile taken once it returns.
+func (bf *budgetFlags) profiled(fn func() error) error {
+	stop, err := profile.Start(*bf.cpuProfile, *bf.memProfile)
+	if err != nil {
+		return err
+	}
+	err = fn()
+	if serr := stop(); err == nil {
+		err = serr
+	}
+	return err
 }
 
 // options converts the parsed flags into functional options. The returned
@@ -327,8 +347,8 @@ func runCheck(args []string) error {
 	if err != nil {
 		return err
 	}
-	res, err := cfg.Check(prog)
-	if err != nil {
+	var res *kiss.Result
+	if err := bf.profiled(func() (err error) { res, err = cfg.Check(prog); return err }); err != nil {
 		return err
 	}
 	report(res)
@@ -368,8 +388,8 @@ func runRace(args []string) error {
 	if err != nil {
 		return err
 	}
-	res, err := cfg.Check(prog)
-	if err != nil {
+	var res *kiss.Result
+	if err := bf.profiled(func() (err error) { res, err = cfg.Check(prog); return err }); err != nil {
 		return err
 	}
 	fmt.Printf("race check on %s:\n", t)
@@ -415,8 +435,8 @@ func runExplore(args []string) error {
 	opts, cancel := bf.options()
 	defer cancel()
 	opts = append(opts, kiss.WithContextBound(*contextBound))
-	res, err := kiss.Explore(prog, opts...)
-	if err != nil {
+	var res *kiss.Result
+	if err := bf.profiled(func() (err error) { res, err = kiss.Explore(prog, opts...); return err }); err != nil {
 		return err
 	}
 	report(res)

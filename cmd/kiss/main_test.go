@@ -100,6 +100,30 @@ func TestObservabilityFlags(t *testing.T) {
 	}
 }
 
+// TestProfileFlags: check, race, and explore each leave a CPU and a heap
+// profile where -cpuprofile and -memprofile point.
+func TestProfileFlags(t *testing.T) {
+	path := writeTemp(t, racySrc)
+	dir := t.TempDir()
+	for name, run := range map[string]func([]string) error{
+		"check": runCheck, "race": runRace, "explore": runExplore,
+	} {
+		cpu, mem := filepath.Join(dir, name+".cpu"), filepath.Join(dir, name+".mem")
+		args := []string{"-cpuprofile", cpu, "-memprofile", mem, path}
+		if name == "race" {
+			args = append([]string{"-target", "x"}, args...)
+		}
+		if err := run(args); err != nil {
+			t.Fatalf("%s with profile flags: %v", name, err)
+		}
+		for _, p := range []string{cpu, mem} {
+			if fi, err := os.Stat(p); err != nil || fi.Size() == 0 {
+				t.Errorf("%s: no profile at %s (%v)", name, filepath.Base(p), err)
+			}
+		}
+	}
+}
+
 func TestMissingFileErrors(t *testing.T) {
 	if err := runCheck([]string{"/nonexistent/prog.pl"}); err == nil {
 		t.Error("missing file accepted")

@@ -48,7 +48,9 @@
 // reason (see EXPERIMENTS.md, "Reading the metrics"). -progress streams
 // per-field search events to stderr. -timeout D bounds the whole corpus
 // run; on expiry the tables render the completed prefix and unchecked
-// fields are marked canceled.
+// fields are marked canceled. -cpuprofile FILE and -memprofile FILE
+// write a CPU profile of the runs and a heap profile taken after them
+// (runtime/pprof format).
 //
 // -server URL submits the corpus table checks to a running kissd daemon
 // instead of checking in-process: repeated runs of the same table are
@@ -99,6 +101,7 @@ import (
 	"time"
 
 	"repro/internal/eval"
+	"repro/internal/profile"
 )
 
 // benchOutput stages JSON output for -o: everything written to Writer()
@@ -197,6 +200,8 @@ func main() {
 	server := flag.String("server", "", "base URL of a running kissd or kiss-coord: submit corpus-table checks over HTTP instead of checking in-process")
 	batch := flag.Bool("batch", false, "with -server pointing at a kiss-coord coordinator: submit the corpus as one /v1/batch instead of per-field /v1/check calls")
 	showVersion := flag.Bool("version", false, "print the build version and exit")
+	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the runs to this file (go tool pprof format)")
+	memProfile := flag.String("memprofile", "", "write a heap profile, taken after the runs, to this file (go tool pprof format)")
 	flag.Parse()
 
 	if *showVersion {
@@ -264,6 +269,9 @@ func main() {
 	}
 	out := &benchOutput{path: *outFile}
 	exitCode := 0
+	stop, err := profile.Start(*cpuProfile, *memProfile)
+	fatal(err)
+	stopProfile = stop
 
 	var t1 []*eval.DriverResult
 	if *table1 || *table2 {
@@ -412,10 +420,15 @@ func main() {
 		}
 	}
 	fatal(out.Flush())
+	fatal(stopProfile())
 	if exitCode != 0 {
 		os.Exit(exitCode)
 	}
 }
+
+// stopProfile ends the -cpuprofile and -memprofile profiles; fatal runs
+// it too, so a failed run still leaves them behind.
+var stopProfile = func() error { return nil }
 
 func printMismatches(what string, ms []string) {
 	if len(ms) == 0 {
@@ -432,6 +445,7 @@ func printMismatches(what string, ms []string) {
 func fatal(err error) {
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "kissbench: %v\n", err)
+		stopProfile()
 		os.Exit(1)
 	}
 }

@@ -8,8 +8,8 @@ import (
 	"repro/internal/lower"
 	"repro/internal/parser"
 	"repro/internal/sem"
-	"repro/internal/seqcheck"
 	"repro/internal/sema"
+	"repro/internal/seqcheck"
 )
 
 func parseLowered(t *testing.T, src string) *ast.Program {

@@ -207,15 +207,13 @@ func reasonFor(err error) stats.Reason {
 // prefix holds the folded events preceding event, prefixIdx the raw
 // successor index taken at each folded position, and idx the raw index of
 // the final edge — together with ti they spell this state's padded
-// (thread, successor)-path, the per-statement BFS's within-level ordering
-// key (see pathKey). depth is the micro depth: parent.depth +
-// len(prefix) + 1.
+// (thread, successor)-path, the per-statement BFS's within-level order
+// (see cPathLess). pathEntry(ti, idx) alone, one per hop, forms the hop
+// key the macro bucket BFS orders by (see cAppendHopKey). depth is the
+// micro depth: parent.depth + len(prefix) + 1.
 //
-// A node restored from a spilled frontier frame has no parent chain:
-// base holds its full padded path of pathEntry-packed (thread, index)
-// pairs instead (the spill key), which cAppendNodePath counts toward
-// descendants' order keys and cReplayPath turns back into the trace
-// prefix on failure.
+// A node restored from a spilled frontier frame has no parent chain;
+// base holds what it keeps of its ancestry instead.
 type node struct {
 	parent    *node
 	prefix    []sem.Event
@@ -224,7 +222,17 @@ type node struct {
 	idx       int32
 	ti        int32
 	depth     int
-	base      []int32
+	base      *spillBase
+}
+
+// spillBase is the ancestry a node restored from a spilled frame keeps:
+// its hop key (the spill order key), which cAppendHopKey extends for
+// descendants, and its padded path of pathEntry-packed (thread, index)
+// pairs (carried in the spill payload), which cReplayPath turns back
+// into the trace prefix on failure.
+type spillBase struct {
+	key  []byte
+	path []int32
 }
 
 func (n *node) trace() []sem.Event {

@@ -29,9 +29,9 @@ import (
 //   - checkMacroLevel is the bucket-queue BFS used for SearchWorkers >= 1,
 //     mirroring seqcheck's (see internal/seqcheck/macro.go for the
 //     ordering and candidate machinery): the frontier is keyed by micro
-//     depth, buckets sort by the padded (thread, successor-index) path,
-//     and mid-run failures defer as candidates until every shallower
-//     stored state has been expanded.
+//     depth, buckets sort by hop key in the order of the padded (thread,
+//     successor-index) path, and mid-run failures defer as candidates
+//     until every shallower stored state has been expanded.
 
 // cMacroLimit caps a fold by the remaining depth and step budget so that
 // failures and budget trips land on exactly the transition where the
@@ -234,9 +234,9 @@ func pathEntry(ti, idx int32) int32 {
 
 // cPathLess is lexicographic order on padded (thread, successor-index)
 // paths; folded positions use the folding thread's id. The engines
-// compare key-encoded paths with bytes.Compare instead (see
-// cAppendNodePath); cPathLess is the specification the encoding is
-// tested against.
+// compare key-encoded hop keys with bytes.Compare instead (see
+// cAppendHopKey); cPathLess is the specification that order is tested
+// against.
 func cPathLess(a, b []int32) bool {
 	n := len(a)
 	if len(b) < n {
@@ -251,12 +251,15 @@ func cPathLess(a, b []int32) bool {
 }
 
 // cMacroCand is a mid-run failure deferred until every stored state
-// shallower than its micro depth has been expanded. path is the failing
-// state's padded path in the frontier's key encoding — bytes.Compare on
-// it is cPathLess on the entry slices.
+// shallower than its micro depth has been expanded. key is the origin
+// node's hop key plus the failing thread's first folded entry. Only a
+// sole-live item folds, and its failing fold is its only expansion, so
+// nothing at the candidate's depth descends from the origin: the key and
+// a frame's (or another candidate's) first differ under their lowest
+// common ancestor, where the padded paths do.
 type cMacroCand struct {
 	depth  int
-	path   []byte
+	key    []byte
 	nd     *node
 	prefix []sem.Event
 	fail   *sem.Failure
@@ -266,7 +269,7 @@ func cMinCand(cands []cMacroCand) int {
 	h := -1
 	for i := range cands {
 		if h < 0 || cands[i].depth < cands[h].depth ||
-			(cands[i].depth == cands[h].depth && bytes.Compare(cands[i].path, cands[h].path) < 0) {
+			(cands[i].depth == cands[h].depth && bytes.Compare(cands[i].key, cands[h].key) < 0) {
 			h = i
 		}
 	}
@@ -300,12 +303,16 @@ type cmSlot struct {
 	worker  int
 }
 
+// cDrainHook, when set, sees every chunk checkMacroLevel drains, with
+// its order keys; tests use it to check the bucket order.
+var cDrainHook func(depth int, chunk []searchState, keys [][]byte)
+
 // checkMacroLevel is the micro-depth bucket BFS with macro-step
 // compression, serving SearchWorkers >= 1.
 //
 // The bucket queue is a frontier.Queue in ordered mode (see
 // internal/seqcheck/macro.go — the chunking and spilling machinery is
-// shared): buckets stay in padded-path order resident or spilled, fully
+// shared): buckets stay in hop-key order resident or spilled, fully
 // resident buckets stream back as one chunk, and the fold limit and the
 // bucket's competing failure candidate are fixed before the first chunk.
 func checkMacroLevel(c *sem.Compiled, opts Options) *Result {
@@ -377,7 +384,7 @@ func checkMacroLevel(c *sem.Compiled, opts Options) *Result {
 		candHere := -1
 		for i := range cands {
 			if cands[i].depth == depth &&
-				(candHere < 0 || bytes.Compare(cands[i].path, cands[candHere].path) < 0) {
+				(candHere < 0 || bytes.Compare(cands[i].key, cands[candHere].key) < 0) {
 				candHere = i
 			}
 		}
@@ -386,6 +393,9 @@ func checkMacroLevel(c *sem.Compiled, opts Options) *Result {
 			bucket, keys := bkt.Next(frontierChunk)
 			if len(bucket) == 0 {
 				break
+			}
+			if cDrainHook != nil {
+				cDrainHook(depth, bucket, keys)
 			}
 
 			// Expansion round: step (and fold) every schedulable thread of
@@ -505,7 +515,7 @@ func checkMacroLevel(c *sem.Compiled, opts Options) *Result {
 			for i := range bucket {
 				it := bucket[i]
 				sl := &slots[i]
-				if candHere >= 0 && bytes.Compare(cands[candHere].path, keys[i]) < 0 {
+				if candHere >= 0 && bytes.Compare(cands[candHere].key, keys[i]) < 0 {
 					return cFailFromCand(c, res, &cands[candHere])
 				}
 				anyLive, anyProgress := false, false
@@ -530,13 +540,9 @@ func checkMacroLevel(c *sem.Compiled, opts Options) *Result {
 							return res
 						}
 						// keys[i] is reused by the next chunk; copy it.
-						p := append([]byte(nil), keys[i]...)
-						for _, idx := range th.prefixIdx {
-							p = cAppendPathEntry(p, pathEntry(int32(th.ti), idx))
-						}
 						cands = append(cands, cMacroCand{
 							depth:  depth + len(th.prefix),
-							path:   p,
+							key:    cAppendPathEntry(bytes.Clone(keys[i]), pathEntry(int32(th.ti), th.prefixIdx[0])),
 							nd:     it.nd,
 							prefix: th.prefix,
 							fail:   th.fail,

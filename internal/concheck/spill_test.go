@@ -35,6 +35,9 @@ func TestSpillIdenticalToResident(t *testing.T) {
 	}
 	var spilled int64
 	errors := 0
+	replayed := 0
+	cReplayHook = func([]int32) { replayed++ }
+	defer func() { cReplayHook = nil }()
 	for seed := int64(0); seed < 10; seed++ {
 		src := randprog.Generate(seed, randprog.Default)
 		for ei, eng := range engines {
@@ -60,6 +63,56 @@ func TestSpillIdenticalToResident(t *testing.T) {
 	}
 	if errors == 0 {
 		t.Error("no erroring programs; trace identity vacuous")
+	}
+	if replayed == 0 {
+		t.Error("no error trace was rebuilt from a restored frame's padded path; replay identity vacuous")
+	}
+}
+
+// TestHopKeyOrderMatchesPaddedPaths: the macro bucket BFS sorts each
+// micro-depth bucket by hop key, one pathEntry(thread, index) per
+// stored-node hop. Over random two-threaded programs, across scheduling
+// shapes, resident and spilled, every drained chunk must come out in
+// cPathLess order on its frames' padded (thread, index) paths (the
+// per-statement BFS's within-level order), and every padded path must
+// be as long as the bucket is deep.
+func TestHopKeyOrderMatchesPaddedPaths(t *testing.T) {
+	pairs, folded := 0, 0
+	cDrainHook = func(depth int, chunk []searchState, keys [][]byte) {
+		var prev []int32
+		for i, s := range chunk {
+			path, rest := cDecodePaddedPath(cAppendPaddedPath(nil, s.nd))
+			if len(path) != depth || len(rest) != 0 {
+				t.Fatalf("depth %d: padded path %v (%d bytes left over)", depth, path, len(rest))
+			}
+			if len(keys[i]) < 4*len(path) {
+				folded++
+			}
+			if i > 0 {
+				pairs++
+				if !cPathLess(prev, path) {
+					t.Fatalf("depth %d: hop keys %x < %x, but padded paths %v then %v",
+						depth, keys[i-1], keys[i], prev, path)
+				}
+			}
+			prev = path
+		}
+	}
+	defer func() { cDrainHook = nil }()
+	for seed := int64(0); seed < 25; seed++ {
+		src := randprog.GenerateTwoThreaded(seed, randprog.Default)
+		for _, opts := range []Options{
+			{ContextBound: -1, SearchWorkers: 1},
+			{ContextBound: 2, SearchWorkers: 8},
+			{ContextBound: -1, POR: true, SearchWorkers: 1},
+			{ContextBound: -1, SearchWorkers: 1, FrontierBudget: 2048, SpillDir: t.TempDir()},
+		} {
+			opts.MaxStates = 100000
+			Check(compile(t, src), opts)
+		}
+	}
+	if pairs == 0 || folded == 0 {
+		t.Errorf("vacuous: %d ordered pairs, %d frames whose hop key is shorter than their padded path", pairs, folded)
 	}
 }
 

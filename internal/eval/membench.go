@@ -80,10 +80,10 @@ type MemBudgetRow struct {
 
 // MemBudgetReport is the study result.
 type MemBudgetReport struct {
-	MaxStates     int             `json:"max_states"`
-	CeilingStates int             `json:"ceiling_states"`
-	MemBudgetMB   int             `json:"mem_budget_mb"`
-	Rows          []MemBudgetRow  `json:"rows"`
+	MaxStates     int            `json:"max_states"`
+	CeilingStates int            `json:"ceiling_states"`
+	MemBudgetMB   int            `json:"mem_budget_mb"`
+	Rows          []MemBudgetRow `json:"rows"`
 	// Tripped counts fields where arm A hit MaxStates; Improved counts
 	// those arm B completed or pushed >= Multiplier x further.
 	Tripped  int `json:"tripped"`

@@ -13,8 +13,8 @@ import (
 	"repro/internal/lower"
 	"repro/internal/parser"
 	"repro/internal/sem"
-	"repro/internal/seqcheck"
 	"repro/internal/sema"
+	"repro/internal/seqcheck"
 )
 
 // parseCore parses and lowers a source into the core form the cbseq

@@ -10,9 +10,10 @@
 //
 //   - Ordered buckets (the macro engines' micro-depth buckets) sort the
 //     resident frames by key and k-way merge them with the runs, each of
-//     which was sorted before it was written. Keys encode the padded
-//     successor-index path such that bytes.Compare reproduces the
-//     engine's path order, so the merged stream is byte-identical to
+//     which was sorted before it was written. Keys are the engines' hop
+//     keys (one successor index per stored-node hop) such that
+//     bytes.Compare reproduces the order of the frames' padded
+//     successor-index paths, so the merged stream is byte-identical to
 //     sorting the whole bucket in RAM — which is what keeps shortest
 //     traces and first-error-wins bit-identical at every worker count
 //     and every budget.
@@ -49,10 +50,11 @@ type Codec[T any] struct {
 	// keys must be unique within a bucket and bytes.Compare on them must
 	// reproduce the engine's processing order; in FIFO mode the key is
 	// not compared but still spilled and handed back (the engines store
-	// the padded successor-index path here, which trace reconstruction
-	// of a restored frame needs).
+	// the hop key here, which a restored frame's descendants extend).
 	Key func(item T, buf []byte) []byte
-	// Encode appends the frame's payload (everything except the key).
+	// Encode appends the frame's payload (everything except the key; the
+	// engines put the padded path that trace reconstruction of a
+	// restored frame replays here).
 	Encode func(item T, buf []byte) []byte
 	// Decode rebuilds a frame of bucket depth `depth` from its key and
 	// payload. The byte slices are only valid during the call.

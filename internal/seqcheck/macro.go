@@ -29,9 +29,10 @@ import (
 //     deterministic counter). Compressed edges span several micro depths,
 //     so a flat level queue would order states by *decision* depth and
 //     change which failure is "shortest". Instead the frontier is a
-//     bucket queue keyed by micro depth, each bucket sorted by the padded
-//     successor-index path — exactly the per-statement BFS's within-level
-//     order — and a failure discovered mid-run at micro depth F is held
+//     bucket queue keyed by micro depth, each bucket sorted by hop key,
+//     which orders it as the padded successor-index path does — exactly
+//     the per-statement BFS's within-level order — and a failure
+//     discovered mid-run at micro depth F is held
 //     as a candidate until every stored state shallower than F has been
 //     expanded, then reported lex-first among depth-F competitors. That
 //     reproduces the per-statement BFS's first failure bit-for-bit.
@@ -197,8 +198,8 @@ func checkMacroDFS(c *sem.Compiled, opts Options) *Result {
 // index. Two states at the same micro depth have equal-length paths, and
 // the per-statement BFS builds each level in exactly lexicographic path
 // order, so this comparison reproduces its within-level order. The
-// engines compare key-encoded paths with bytes.Compare instead (see
-// appendNodePath); pathLess is the specification the encoding is tested
+// engines compare key-encoded hop keys with bytes.Compare instead (see
+// appendHopKey); pathLess is the specification that order is tested
 // against.
 func pathLess(a, b []int32) bool {
 	n := len(a)
@@ -215,12 +216,14 @@ func pathLess(a, b []int32) bool {
 
 // macroCand is a failure discovered mid-run: the per-statement BFS would
 // report it while processing micro depth `depth`, so it is held until
-// every stored state shallower than that has been expanded. path is the
-// failing state's padded path in the frontier's key encoding —
-// bytes.Compare on it is pathLess on the index slices.
+// every stored state shallower than that has been expanded. key is the
+// origin node's hop key. A failing fold has no children, so nothing at
+// the candidate's depth descends from the origin: its hop key and a
+// frame's (or another candidate's) first differ under their lowest
+// common ancestor, where the failing state's padded path and theirs do.
 type macroCand struct {
 	depth  int
-	path   []byte // padded path of the failing state, key-encoded
+	key    []byte // hop key of the origin item
 	nd     *node  // origin item
 	prefix []sem.Event
 	fail   *sem.Failure
@@ -230,7 +233,7 @@ func minCand(cands []macroCand) int {
 	h := -1
 	for i := range cands {
 		if h < 0 || cands[i].depth < cands[h].depth ||
-			(cands[i].depth == cands[h].depth && bytes.Compare(cands[i].path, cands[h].path) < 0) {
+			(cands[i].depth == cands[h].depth && bytes.Compare(cands[i].key, cands[h].key) < 0) {
 			h = i
 		}
 	}
@@ -255,14 +258,18 @@ type macroSlot struct {
 	done      bool // the item's thread had terminated: nothing stepped
 }
 
+// drainHook, when set, sees every chunk checkMacroBFS drains, with its
+// order keys; tests use it to check the bucket order.
+var drainHook func(depth int, chunk []pframe, keys [][]byte)
+
 // checkMacroBFS is the micro-depth bucket BFS with macro-step compression;
 // SearchWorkers 0 runs it inline, >= 1 expands buckets with the worker
 // pool (the commit loop is single-threaded either way, so every
 // deterministic counter is identical at every worker count).
 //
 // The bucket queue is a frontier.Queue in ordered mode: each bucket is
-// kept in the per-statement BFS's within-level order by padded-path key,
-// resident or spilled. A fully resident bucket streams back as a single
+// kept in the per-statement BFS's within-level order by hop key, resident
+// or spilled. A fully resident bucket streams back as a single
 // chunk — the classic whole-bucket pass — while a spilled one arrives in
 // frontierChunk pieces merged from disk in exactly the same order, so
 // chunking never reorders commits. The fold limit and the bucket's
@@ -338,7 +345,7 @@ func checkMacroBFS(c *sem.Compiled, opts Options) *Result {
 		candHere := -1
 		for i := range cands {
 			if cands[i].depth == depth &&
-				(candHere < 0 || bytes.Compare(cands[i].path, cands[candHere].path) < 0) {
+				(candHere < 0 || bytes.Compare(cands[i].key, cands[candHere].key) < 0) {
 				candHere = i
 			}
 		}
@@ -347,6 +354,9 @@ func checkMacroBFS(c *sem.Compiled, opts Options) *Result {
 			bucket, keys := bkt.Next(frontierChunk)
 			if len(bucket) == 0 {
 				break
+			}
+			if drainHook != nil {
+				drainHook(depth, bucket, keys)
 			}
 
 			// Expansion round (read-only against the visited set).
@@ -427,7 +437,7 @@ func checkMacroBFS(c *sem.Compiled, opts Options) *Result {
 			for i := range bucket {
 				it := bucket[i]
 				sl := &slots[i]
-				if candHere >= 0 && bytes.Compare(cands[candHere].path, keys[i]) < 0 {
+				if candHere >= 0 && bytes.Compare(cands[candHere].key, keys[i]) < 0 {
 					return failFromCand(c, res, &cands[candHere])
 				}
 				if sl.done {
@@ -453,13 +463,9 @@ func checkMacroBFS(c *sem.Compiled, opts Options) *Result {
 					// Failed mid-run at a deeper micro depth: defer — a
 					// shallower or lex-smaller failure may still exist.
 					// keys[i] is reused by the next chunk; copy it.
-					p := append([]byte(nil), keys[i]...)
-					for _, idx := range sl.prefixIdx {
-						p = appendPathIdx(p, idx)
-					}
 					cands = append(cands, macroCand{
 						depth:  depth + len(sl.prefix),
-						path:   p,
+						key:    bytes.Clone(keys[i]),
 						nd:     it.nd,
 						prefix: sl.prefix,
 						fail:   sl.fail,

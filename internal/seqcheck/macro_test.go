@@ -2,6 +2,7 @@ package seqcheck
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/randprog"
@@ -104,6 +105,48 @@ func TestMacroIdenticalAcrossWorkerCounts(t *testing.T) {
 			}
 			if !reflect.DeepEqual(base, got) {
 				t.Errorf("seed %d: workers=1 vs workers=%d:\n  %+v\n  %+v", seed, w, base, got)
+			}
+		}
+	}
+}
+
+// candidateRaces are single-threaded programs where a failure found
+// mid-fold (a deferred candidate) competes with another failure at the
+// same micro depth: a stored frame failing on its first step, before or
+// after the candidate in within-level order, or a second candidate whose
+// origin node is deeper yet lex-smaller. %s pads one branch so that, for
+// some padding, the two failures land on the same depth.
+var candidateRaces = []string{
+	`var x; func main() { choice {
+	   { choice { { assert(x == 1); } [] { x = 5; } } }
+	[] { x = 2; %s assert(x == 0); } } }`,
+	`var x; func main() { choice {
+	   { x = 2; %s assert(x == 0); }
+	[] { choice { { assert(x == 1); } [] { x = 5; } } } } }`,
+	`var x; func main() { choice {
+	   { choice { { x = 7; assert(x == 0); } [] { x = 5; } } }
+	[] { x = 2; %s assert(x == 0); } } }`,
+}
+
+// padded instantiates a candidateRaces program with k padding statements.
+func padded(race string, k int) string {
+	return strings.Replace(race, "%s", strings.Repeat("x = x + 1; ", k), 1)
+}
+
+// TestMacroCandidateOrder: the macro bucket BFS reports the same first
+// failure and trace as the per-statement BFS when a mid-fold candidate,
+// keyed by its origin's hop key, competes with another failure at its
+// depth.
+func TestMacroCandidateOrder(t *testing.T) {
+	for ri, race := range candidateRaces {
+		for k := 0; k < 5; k++ {
+			src := padded(race, k)
+			for _, w := range []int{0, 1} {
+				on := Check(compile(t, src, 0), Options{BFS: true, SearchWorkers: w})
+				off := Check(compile(t, src, 0), Options{BFS: true, SearchWorkers: w, DisableMacroSteps: true})
+				if on.Verdict != Error || !reflect.DeepEqual(on.Failure, off.Failure) || !reflect.DeepEqual(on.Trace, off.Trace) {
+					t.Errorf("race %d pad %d workers %d: macro %v, per-statement %v", ri, k, w, on.Failure, off.Failure)
+				}
 			}
 		}
 	}

@@ -228,13 +228,13 @@ func reasonFor(err error) stats.Reason {
 // folded events preceding event, prefixIdx the raw successor index taken
 // at each folded position, and idx the raw index of the final edge —
 // together they spell this state's padded successor-index path, the
-// uncompressed BFS's within-level ordering key (see pathLess). depth is
-// the micro depth: parent.depth + len(prefix) + 1.
+// uncompressed BFS's within-level order (see pathLess). The idx values
+// alone, one per hop, form the hop key the macro bucket BFS orders by
+// (see appendHopKey). depth is the micro depth: parent.depth +
+// len(prefix) + 1.
 //
-// A node restored from a spilled frontier frame has no parent chain:
-// base holds its full padded path instead (the spill key), which
-// appendNodePath counts toward descendants' order keys and replayPath
-// turns back into the trace prefix on failure.
+// A node restored from a spilled frontier frame has no parent chain;
+// base holds what it keeps of its ancestry instead.
 type node struct {
 	parent    *node
 	prefix    []sem.Event
@@ -242,7 +242,16 @@ type node struct {
 	event     sem.Event
 	idx       int32
 	depth     int
-	base      []int32
+	base      *spillBase
+}
+
+// spillBase is the ancestry a node restored from a spilled frame keeps:
+// its hop key (the spill order key), which appendHopKey extends for
+// descendants, and its padded path (carried in the spill payload), which
+// replayPath turns back into the trace prefix on failure.
+type spillBase struct {
+	key  []byte
+	path []int32
 }
 
 func (n *node) trace() []sem.Event {

@@ -35,6 +35,9 @@ func TestSpillIdenticalToResident(t *testing.T) {
 	}
 	var spilled int64
 	errors := 0
+	replayed := 0
+	replayHook = func([]int32) { replayed++ }
+	defer func() { replayHook = nil }()
 	for seed := int64(0); seed < 12; seed++ {
 		src := randprog.Generate(seed, randprog.Default)
 		for ei, eng := range engines {
@@ -60,6 +63,53 @@ func TestSpillIdenticalToResident(t *testing.T) {
 	}
 	if errors == 0 {
 		t.Error("no erroring programs; trace identity vacuous")
+	}
+	if replayed == 0 {
+		t.Error("no error trace was rebuilt from a restored frame's padded path; replay identity vacuous")
+	}
+}
+
+// TestHopKeyOrderMatchesPaddedPaths: the macro bucket BFS sorts each
+// micro-depth bucket by hop key, one entry per stored-node hop. Over
+// random programs, resident and spilled, every drained chunk must come
+// out in pathLess order on its frames' padded paths (the per-statement
+// BFS's within-level order), and every padded path must be as long as
+// the bucket is deep.
+func TestHopKeyOrderMatchesPaddedPaths(t *testing.T) {
+	pairs, folded := 0, 0
+	drainHook = func(depth int, chunk []pframe, keys [][]byte) {
+		var prev []int32
+		for i, f := range chunk {
+			path, rest := decodePaddedPath(appendPaddedPath(nil, f.nd))
+			if len(path) != depth || len(rest) != 0 {
+				t.Fatalf("depth %d: padded path %v (%d bytes left over)", depth, path, len(rest))
+			}
+			if len(keys[i]) < 4*len(path) {
+				folded++
+			}
+			if i > 0 {
+				pairs++
+				if !pathLess(prev, path) {
+					t.Fatalf("depth %d: hop keys %x < %x, but padded paths %v then %v",
+						depth, keys[i-1], keys[i], prev, path)
+				}
+			}
+			prev = path
+		}
+	}
+	defer func() { drainHook = nil }()
+	for seed := int64(0); seed < 30; seed++ {
+		src := randprog.Generate(seed, randprog.Default)
+		for _, opts := range []Options{
+			{BFS: true},
+			{SearchWorkers: 8, MaxStates: 150},
+			{BFS: true, FrontierBudget: 2048, SpillDir: t.TempDir()},
+		} {
+			Check(compile(t, src, 0), opts)
+		}
+	}
+	if pairs == 0 || folded == 0 {
+		t.Errorf("vacuous: %d ordered pairs, %d frames whose hop key is shorter than their padded path", pairs, folded)
 	}
 }
 
