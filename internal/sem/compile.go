@@ -100,7 +100,7 @@ type CompiledFunc struct {
 	Vars     []string       // parameters first, then locals
 	VarIdx   map[string]int // name -> index into Vars
 	NumParam int
-	nameHash uint64 // FNV of Fn.Name, precomputed for the memo/summary keys
+	nameHash uint64 // hashString(Fn.Name), precomputed for fingerprints and memo/summary keys
 }
 
 // Compiled is a whole program in instruction form, shared immutably by all
@@ -159,7 +159,7 @@ func compileFunc(f *ast.Func) (*CompiledFunc, error) {
 		Fn:       f,
 		VarIdx:   map[string]int{},
 		NumParam: len(f.Params),
-		nameHash: mixString(fnvOffset64, f.Name),
+		nameHash: hashString(f.Name),
 	}
 	for _, p := range f.Params {
 		cf.VarIdx[p] = len(cf.Vars)

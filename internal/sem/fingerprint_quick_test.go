@@ -3,6 +3,8 @@ package sem
 import (
 	"testing"
 	"testing/quick"
+
+	"repro/internal/drivers"
 )
 
 // Property tests for the 64-bit fingerprint encoder: FingerprintHash must
@@ -121,5 +123,121 @@ func TestMix64(t *testing.T) {
 	}
 	if Mix64(Mix64(base, 1), 2) == Mix64(Mix64(base, 2), 1) {
 		t.Error("Mix64 is order-insensitive")
+	}
+}
+
+// harnessStates explores c breadth-first by Step (dropping the branches
+// pruneInfeasible drops) until n distinct states are stored, returning
+// every successor generated on the way — repeats included, so distinct
+// raw states with one canonical form occur.
+func harnessStates(c *Compiled, n int) []*State {
+	init := NewState(c)
+	all := []*State{init}
+	seen := map[string]bool{init.FingerprintString(): true}
+	queue := []*State{init}
+	for len(queue) > 0 && len(seen) < n {
+		s := queue[0]
+		queue = queue[1:]
+		for ti := range s.Threads {
+			sr := Step(s, ti)
+			if sr.Failure != nil || sr.Blocked {
+				continue
+			}
+			outs := sr.Outcomes
+			if len(outs) > 1 {
+				outs, _ = pruneInfeasible(outs, ti)
+			}
+			for _, o := range outs {
+				all = append(all, o.State)
+				if k := o.State.FingerprintString(); !seen[k] {
+					seen[k] = true
+					queue = append(queue, o.State)
+				}
+			}
+		}
+	}
+	return all
+}
+
+// TestHashMatchesStringHarness extends TestQuickHashMatchesString to the
+// states of KISS-transformed driver harnesses and assertion scenarios —
+// heaps, ts entries, and deep call stacks that random programs do not
+// produce: over every state of a breadth-first exploration, states with
+// equal strings hash equal, and distinct strings never share a hash.
+func TestHashMatchesStringHarness(t *testing.T) {
+	subjects := map[string]*Compiled{
+		"tracedrv.StopEvent": harnessCompiled(t, "tracedrv", "StopEvent"),
+		"moufiltr.Flags":     harnessCompiled(t, "moufiltr", "Flags"),
+	}
+	for _, sc := range drivers.Scenarios()[:3] {
+		subjects[sc.Name] = kissCompiled(t, sc.Source, 2)
+	}
+	h := NewFPHasher()
+	for name, c := range subjects {
+		byString := map[string]uint64{}
+		byHash := map[uint64]string{}
+		states := harnessStates(c, 3000)
+		for _, s := range states {
+			str, fp := s.FingerprintString(), h.Hash(s)
+			if prev, ok := byString[str]; ok && prev != fp {
+				t.Fatalf("%s: equal strings hash differently: %s", name, str)
+			}
+			if prev, ok := byHash[fp]; ok && prev != str {
+				t.Fatalf("%s: hash collision:\n%s\n%s", name, prev, str)
+			}
+			byString[str], byHash[fp] = fp, str
+		}
+		if len(states) == len(byString) {
+			t.Errorf("%s: exploration produced no repeated canonical states", name)
+		}
+	}
+}
+
+// TestHashResegmentedNames: strings hash with their length, so names that
+// concatenate to the same bytes — frames ab/c against a/bc, or ts entries
+// likewise — never collide.
+func TestHashResegmentedNames(t *testing.T) {
+	c := compile(t, `func ab() { } func c() { } func a() { } func bc() { } func main() { }`)
+	frames := func(names ...string) *State {
+		s := NewState(c)
+		s.popFrame(0)
+		for _, n := range names {
+			s.pushFrame(0, s.newFrame(c.Funcs[n], nil, ""))
+		}
+		return s
+	}
+	pending := func(names ...string) *State {
+		s := NewState(c)
+		for _, n := range names {
+			s.appendTs(Pending{Fn: n})
+		}
+		return s
+	}
+	for _, pair := range [][2]*State{
+		{frames("ab", "c"), frames("a", "bc")},
+		{pending("ab", "c"), pending("a", "bc")},
+	} {
+		x, y := pair[0], pair[1]
+		if x.FingerprintString() == y.FingerprintString() {
+			t.Fatal("test states are canonically equal")
+		}
+		if x.FingerprintHash() == y.FingerprintHash() {
+			t.Errorf("re-segmented names collide: %s vs %s", x.FingerprintString(), y.FingerprintString())
+		}
+	}
+}
+
+// BenchmarkFPHash measures the fingerprint layer alone: hashing one
+// mid-search state of a Table 1 race harness (moufiltr.Flags, the last
+// state of a 3000-state breadth-first exploration) with a reused hasher,
+// as the searches do.
+func BenchmarkFPHash(b *testing.B) {
+	states := harnessStates(harnessCompiled(b, "moufiltr", "Flags"), 3000)
+	s := states[len(states)-1]
+	h := NewFPHasher()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h.Hash(s)
 	}
 }

@@ -186,6 +186,9 @@ func macroRunSum(s *State, ti, limit int, memo *FoldMemo, sum *SummaryTable, rec
 	ps := prefixPool.Get().(*prefixScratch)
 	evs, pidx := ps.ev[:0], ps.idx[:0]
 	cur := s
+	// owned as in macroRun, and revoked whenever a layer opens on cur or
+	// a summary replay produces it.
+	owned := false
 	for {
 		// Summary fast path: the next instruction is a call. (Sole-
 		// liveness holds inductively: the base is sole-live and the loop
@@ -210,12 +213,17 @@ func macroRunSum(s *State, ti, limit int, memo *FoldMemo, sum *SummaryTable, rec
 						}
 						evs = append(evs, e.events...)
 						pidx = append(pidx, e.idx...)
+						// Only states Step produced are stepped in place;
+						// summary hits are rare, so a replayed state is
+						// stepped by cloning.
 						cur = ns
+						owned = false
 						continue
 					}
 				} else if e == nil && warm && len(rec.layers) < maxOpenLayers {
 					l := layerPool.Get().(*sumLayer)
 					l.reset(cur, ti, fr, len(evs), mr.Stepped)
+					owned = false // l.base keeps cur: step it by cloning
 					rec.layers = append(rec.layers, l)
 					if d := int64(len(rec.layers)); d > sum.maxDepth.Load() {
 						sum.maxDepth.Store(d)
@@ -226,16 +234,11 @@ func macroRunSum(s *State, ti, limit int, memo *FoldMemo, sum *SummaryTable, rec
 				}
 			}
 		}
-		sr := Step(cur, ti)
+		sr, outs, idxs := foldStep(cur, ti, owned)
 		mr.Stepped++
 		if sr.Failure != nil || sr.Blocked {
 			mr.StepResult = sr
 			break
-		}
-		outs := sr.Outcomes
-		var idxs []int32
-		if len(outs) > 1 {
-			outs, idxs = pruneInfeasible(sr.Outcomes, ti)
 		}
 		if len(outs) != 1 || !soleLive(outs[0].State, ti) || mr.Stepped >= limit {
 			if idxs == nil {
@@ -278,6 +281,7 @@ func macroRunSum(s *State, ti, limit int, memo *FoldMemo, sum *SummaryTable, rec
 		evs = append(evs, outs[0].Event)
 		pidx = append(pidx, idx0)
 		cur = outs[0].State
+		owned = true
 	}
 	// Clear the recorder from every state that escapes to the search and
 	// discard layers left open by the fold's end.
@@ -315,21 +319,15 @@ func macroRun(s *State, ti, limit int) MacroResult {
 	ps := prefixPool.Get().(*prefixScratch)
 	evs, pidx := ps.ev[:0], ps.idx[:0]
 	cur := s
+	// owned reports that the fold owns cur outright (see step): true
+	// for every state after the first step, never for the caller's base.
+	owned := false
 	for {
-		sr := Step(cur, ti)
+		sr, outs, idxs := foldStep(cur, ti, owned)
 		mr.Stepped++
 		if sr.Failure != nil || sr.Blocked {
 			mr.StepResult = sr
 			break
-		}
-		outs := sr.Outcomes
-		var idxs []int32
-		if len(outs) > 1 {
-			// Only choice branches are pruned: a deterministic continuation
-			// into a dead assume instead folds to its blocked endpoint, so
-			// the block (and concheck's deadlock accounting) surfaces
-			// exactly as in the per-statement search.
-			outs, idxs = pruneInfeasible(sr.Outcomes, ti)
 		}
 		if len(outs) != 1 || !soleLive(outs[0].State, ti) || mr.Stepped >= limit {
 			if idxs == nil {
@@ -350,6 +348,7 @@ func macroRun(s *State, ti, limit int) MacroResult {
 		evs = append(evs, outs[0].Event)
 		pidx = append(pidx, idx0)
 		cur = outs[0].State
+		owned = true
 	}
 	if len(evs) > 0 {
 		mr.Prefix = make([]Event, len(evs))
@@ -361,6 +360,64 @@ func macroRun(s *State, ti, limit int) MacroResult {
 	ps.ev, ps.idx = evs, pidx
 	prefixPool.Put(ps)
 	return mr
+}
+
+// foldStep takes one micro step of thread ti from cur and, when it has
+// several successors, reduces them to the live branches exactly as
+// pruneInfeasible does. idxs maps the surviving outcomes to their
+// unpruned indices; it is nil when no pruning ran. With owned set the
+// fold owns cur (see step) and a single successor reuses it.
+//
+// Only choice branches are pruned: a deterministic continuation into a
+// dead assume instead folds to its blocked endpoint, so the block (and
+// concheck's deadlock accounting) surfaces exactly as in the
+// per-statement search.
+func foldStep(cur *State, ti int, owned bool) (sr StepResult, outs []Outcome, idxs []int32) {
+	if fr := cur.Threads[ti].Top(); fr != nil && fr.PC < len(fr.CF.Code) {
+		if in := &fr.CF.Code[fr.PC]; in.Op == OpNondetJump && len(in.Targets) > 1 {
+			outs, idxs = stepNondetPruned(cur, ti, owned)
+			return StepResult{Outcomes: outs}, outs, idxs
+		}
+	}
+	sr = step(cur, ti, owned)
+	outs = sr.Outcomes
+	if sr.Failure == nil && !sr.Blocked && len(outs) > 1 {
+		outs, idxs = pruneInfeasible(outs, ti)
+	}
+	return sr, outs, idxs
+}
+
+// stepNondetPruned is Step followed by pruneInfeasible for an
+// OpNondetJump with several targets, without cloning the branches that
+// pruning drops. A jump changes only the stepped frame's PC, so each
+// branch's assume is evaluated on s itself, in branch order (the order
+// in which a fold recorder must observe the reads). Survivors are cloned,
+// except that when the fold owns s the last survivor reuses s itself.
+func stepNondetPruned(s *State, ti int, owned bool) ([]Outcome, []int32) {
+	t := s.Threads[ti]
+	fr := t.Top()
+	in := &fr.CF.Code[fr.PC]
+	ev := Event{Kind: EvStmt, ThreadID: t.ID, Fn: fr.CF.Fn.Name, Pos: in.Pos, Text: in.Text()}
+	// Liveness is untouched by a jump, so the successors are sole-live
+	// exactly when s is.
+	sole := soleLive(s, ti)
+	keep := make([]int32, 0, len(in.Targets))
+	for i, target := range in.Targets {
+		if sole && falseAssumeAt(s, fr, resolvePC(fr.CF.Code, target)) {
+			continue
+		}
+		keep = append(keep, int32(i))
+	}
+	outs := make([]Outcome, len(keep))
+	for k, i := range keep {
+		ns := s
+		if !owned || k < len(keep)-1 {
+			ns = s.Clone()
+		}
+		ns.MutableTopFrame(ti).PC = resolvePC(fr.CF.Code, in.Targets[i])
+		outs[k] = Outcome{State: ns, Event: ev}
+	}
+	return outs, keep
 }
 
 // othersDone reports whether every thread of s other than ti is done.
@@ -421,10 +478,17 @@ func soleLive(s *State, ti int) bool {
 // surfaces exactly where the per-statement search would report it.
 func nextIsFalseAssume(s *State, ti int) bool {
 	fr := s.Threads[ti].Top()
-	if fr == nil || fr.PC >= len(fr.CF.Code) {
+	return fr != nil && falseAssumeAt(s, fr, fr.PC)
+}
+
+// falseAssumeAt reports whether instruction pc of fr's function is an
+// assume whose condition cleanly evaluates to false in s, with fr's
+// locals in scope (fr.PC itself plays no part in evaluation).
+func falseAssumeAt(s *State, fr *Frame, pc int) bool {
+	if pc >= len(fr.CF.Code) {
 		return false
 	}
-	in := &fr.CF.Code[fr.PC]
+	in := &fr.CF.Code[pc]
 	if in.Op != OpAssume {
 		return false
 	}

@@ -30,7 +30,7 @@ package sem
 // directly — matching is exact, not hashed, so there is no collision
 // channel: a hit replays if and only if the base state agrees with the
 // recording base on every location the run read. (An earlier draft folded
-// the value stream into a 64-bit FNV-1a hash; profiles showed the
+// the value stream into a 64-bit hash; profiles showed the
 // per-candidate re-hashing dominating the search, and direct comparison
 // is both faster — it fails on the first differing value — and strictly
 // sounder.) The audit mode (FoldMemo with audit on, wired to the
@@ -336,21 +336,6 @@ func (r *foldRecorder) wroteTs() {
 	}
 }
 
-// Hash mixing helpers over the shared FNV-1a constants.
-
-func mixByte(h uint64, b byte) uint64 {
-	h ^= uint64(b)
-	h *= fnvPrime64
-	return h
-}
-
-func mixString(h uint64, s string) uint64 {
-	for i := 0; i < len(s); i++ {
-		h = mixByte(h, s[i])
-	}
-	return mixByte(h, 0)
-}
-
 // ctrlFrame is one frame of a memo group's control signature.
 type ctrlFrame struct {
 	cf     *CompiledFunc
@@ -361,18 +346,17 @@ type ctrlFrame struct {
 
 // ctrlHash hashes thread ti's control signature (id + frame stack). The
 // function-name component comes precomputed from compile time so a deep
-// stack costs a handful of multiplies, not a string walk per frame.
+// stack costs a few mixing rounds per frame, not a string walk.
 func ctrlHash(s *State, ti int) uint64 {
 	t := s.Threads[ti]
-	h := uint64(fnvOffset64)
-	h = Mix64(h, uint64(t.ID))
+	h := mixWord(hashSeed, uint64(t.ID))
 	for _, fr := range t.Frames {
-		h = Mix64(h, fr.CF.nameHash)
-		h = Mix64(h, uint64(fr.PC))
-		h = Mix64(h, uint64(fr.ID))
-		h = mixString(h, fr.Result)
+		h = mixWord(h, fr.CF.nameHash)
+		h = mixWord(h, uint64(fr.PC))
+		h = mixWord(h, uint64(fr.ID))
+		h = mixWord(h, hashString(fr.Result))
 	}
-	return h
+	return finalize64(h)
 }
 
 // Write-delta representation: everything a fold changed, as raw positions
@@ -976,6 +960,7 @@ func applyDelta(s *State, ti int, d *outcomeDelta) *State {
 		ns.appendObject(&Object{Rec: no.rec, Fields: append([]Value(nil), no.fields...)})
 	}
 	if t := ns.mutableThread(ti); int(d.keepFrames) < len(t.Frames) {
+		clear(t.Frames[d.keepFrames:]) // as popFrame: drop the popped frames
 		t.Frames = t.Frames[:d.keepFrames]
 	}
 	for i := range d.frames {

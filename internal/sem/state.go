@@ -319,11 +319,15 @@ func (s *State) pushFrame(ti int, fr *Frame) {
 	t.Frames = append(t.Frames, fr)
 }
 
-// popFrame removes and returns the top frame of thread ti.
+// popFrame removes and returns the top frame of thread ti. The vacated
+// slot is cleared: the spine is owned, so no other state can see it, and
+// a state that keeps this spine must not keep the popped frame alive.
 func (s *State) popFrame(ti int) *Frame {
 	t := s.mutableThread(ti)
-	fr := t.Frames[len(t.Frames)-1]
-	t.Frames = t.Frames[:len(t.Frames)-1]
+	n := len(t.Frames) - 1
+	fr := t.Frames[n]
+	t.Frames[n] = nil
+	t.Frames = t.Frames[:n]
 	return fr
 }
 

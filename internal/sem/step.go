@@ -92,14 +92,32 @@ const MaxAtomicSteps = 100000
 // resolveJumps slides the frame's PC over consecutive unconditional jumps
 // so that pure control transfers do not surface as scheduling points.
 func resolveJumps(fr *Frame) {
-	for fr.PC < len(fr.CF.Code) && fr.CF.Code[fr.PC].Op == OpJump {
-		fr.PC = fr.CF.Code[fr.PC].Targets[0]
+	fr.PC = resolvePC(fr.CF.Code, fr.PC)
+}
+
+// resolvePC returns the first instruction at or after pc, following
+// unconditional jumps, that is not itself an unconditional jump.
+func resolvePC(code []Instr, pc int) int {
+	for pc < len(code) && code[pc].Op == OpJump {
+		pc = code[pc].Targets[0]
 	}
+	return pc
 }
 
 // Step computes the successors of thread ti in state s. The input state is
 // never mutated. A terminated thread yields an empty result.
 func Step(s *State, ti int) StepResult {
+	return step(s, ti, false)
+}
+
+// step is Step, except that with owned set the caller owns s outright: a
+// fold's own intermediate state, which no search, memo entry, or summary
+// layer references. An instruction with one successor then updates s in
+// place and returns s itself as the outcome, saving the clone and the
+// path-copies of every component the previous step already owned.
+// Instructions with several successors still clone each one. If an owned
+// step fails, s may be left partly updated and must be discarded.
+func step(s *State, ti int, owned bool) StepResult {
 	t := s.Threads[ti]
 	fr := t.Top()
 	if fr == nil {
@@ -109,19 +127,26 @@ func Step(s *State, ti int) StepResult {
 
 	// Implicit bare return at the end of the code.
 	if fr.PC >= len(fr.CF.Code) {
-		return doReturn(s, ti, UnitV(), ast.Pos{}, fr.CF.Fn.Name)
+		return doReturn(s, ti, UnitV(), ast.Pos{}, fr.CF.Fn.Name, owned)
 	}
 
 	in := &fr.CF.Code[fr.PC]
 	ev := Event{Kind: EvStmt, ThreadID: tid, Fn: fr.CF.Fn.Name, Pos: in.Pos, Text: in.Text()}
 
-	// clone returns a COW successor together with its top frame already
-	// owned, so the per-opcode bodies below may mutate the frame in place.
-	// A frame pointer is invalidated by any further Clone of ns (the clone
-	// revokes in-place write rights); none of the bodies clone ns again.
-	clone := func() (*State, *Frame) {
+	// clone returns the successor of a single-successor instruction
+	// together with its top frame already owned, so the per-opcode bodies
+	// below may mutate the frame in place: s itself when the caller owns
+	// it, a COW clone otherwise. fork always clones, for instructions with
+	// several successors. A frame pointer is invalidated by any further
+	// Clone of ns (the clone revokes in-place write rights); none of the
+	// bodies clone ns again.
+	fork := func() (*State, *Frame) {
 		ns := s.Clone()
 		return ns, ns.MutableTopFrame(ti)
+	}
+	clone := fork
+	if owned {
+		clone = func() (*State, *Frame) { return s, s.MutableTopFrame(ti) }
 	}
 	fail := func(kind FailKind, pos ast.Pos, msg string) StepResult {
 		return StepResult{Failure: &Failure{Kind: kind, Pos: pos, Msg: msg, ThreadID: tid, Fn: fr.CF.Fn.Name}}
@@ -188,7 +213,7 @@ func Step(s *State, ti int) StepResult {
 	case OpNondetJump:
 		var outs []Outcome
 		for _, target := range in.Targets {
-			ns, nfr := clone()
+			ns, nfr := fork()
 			nfr.PC = target
 			resolveJumps(nfr)
 			outs = append(outs, Outcome{State: ns, Event: ev})
@@ -275,10 +300,10 @@ func Step(s *State, ti int) StepResult {
 			}
 			rv = v
 		}
-		return doReturn(s, ti, rv, in.Pos, fr.CF.Fn.Name)
+		return doReturn(s, ti, rv, in.Pos, fr.CF.Fn.Name, owned)
 
 	case OpAtomic:
-		return stepAtomic(s, ti, in, ev)
+		return stepAtomic(s, ti, in, ev, owned)
 
 	case OpTsPut:
 		ns, nfr := clone()
@@ -327,7 +352,7 @@ func Step(s *State, ti int) StepResult {
 				continue
 			}
 			seen[key] = true
-			ns, nfr := clone()
+			ns, nfr := fork()
 			p := ns.removeTs(i)
 			callee, ok := ns.C.Funcs[p.Fn]
 			if !ok {
@@ -347,10 +372,13 @@ func Step(s *State, ti int) StepResult {
 }
 
 // doReturn pops the top frame of thread ti, delivering the return value to
-// the caller's result variable if any.
-func doReturn(s *State, ti int, rv Value, pos ast.Pos, fnName string) StepResult {
+// the caller's result variable if any. An owned s is updated in place.
+func doReturn(s *State, ti int, rv Value, pos ast.Pos, fnName string, owned bool) StepResult {
 	tid := s.Threads[ti].ID
-	ns := s.Clone()
+	ns := s
+	if !owned {
+		ns = s.Clone()
+	}
 	if ns.rec != nil {
 		// The return event's text embeds rv raw ("return " + rv.String());
 		// summary layers must reject values naming instance-specific frames.
@@ -377,15 +405,19 @@ func doReturn(s *State, ti int, rv Value, pos ast.Pos, fnName string) StepResult
 // paths block, the whole atomic blocks and the thread retries later, which
 // gives atomic{assume(*l == 0); *l = 1} the intended test-and-set
 // semantics. A path that fails an assert or goes wrong dynamically
-// surfaces as the step's Failure.
-func stepAtomic(s *State, ti int, in *Instr, ev Event) StepResult {
+// surfaces as the step's Failure. An owned s becomes the first path's
+// state; further paths clone it when they branch.
+func stepAtomic(s *State, ti int, in *Instr, ev Event, owned bool) StepResult {
 	tid := s.Threads[ti].ID
 	fnName := s.Threads[ti].Top().CF.Fn.Name
 	type workItem struct {
 		st *State
 		pc int
 	}
-	start := s.Clone()
+	start := s
+	if !owned {
+		start = s.Clone()
+	}
 	work := []workItem{{st: start, pc: 0}}
 	var outs []Outcome
 	var failure *Failure

@@ -91,11 +91,9 @@ type sumSite struct {
 }
 
 func siteHash(tid int, cf *CompiledFunc, pc int) uint64 {
-	h := uint64(fnvOffset64)
-	h = Mix64(h, cf.nameHash)
-	h = Mix64(h, uint64(pc))
-	h = Mix64(h, uint64(tid))
-	return h
+	h := mixWord(hashSeed, cf.nameHash)
+	h = mixWord(h, uint64(pc))
+	return Mix64(h, uint64(tid))
 }
 
 // deepFrameWrite is a write delta against a pre-existing frame below the

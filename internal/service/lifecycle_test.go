@@ -4,6 +4,7 @@ import (
 	"context"
 	"net/http/httptest"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -211,5 +212,52 @@ func waitDone(t *testing.T, cl *Client, id string) *CheckResponse {
 			t.Fatalf("job %s stuck in %s", id, st.State)
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestPanickingCheckFailsOnlyItsJob: a check that panics must fail its
+// own job with an internal error, count in kissd_jobs_panicked_total,
+// stay out of the cache, and leave the worker serving: with one worker,
+// the next job — and a resubmission of the panicked program — complete.
+func TestPanickingCheckFailsOnlyItsJob(t *testing.T) {
+	checkHook = func(j *job) {
+		if strings.Contains(j.prog.Source(), "boom") {
+			panic("injected check failure")
+		}
+	}
+	t.Cleanup(func() { checkHook = nil })
+	s, cl := newTestServer(t, Config{Workers: 1})
+	ctx := context.Background()
+	const boomSrc = "var boom;\nfunc main() { boom = 1; }\n"
+
+	bad, err := cl.Check(ctx, boomSrc, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bad.State != StateFailed || !strings.HasPrefix(bad.Error, "internal error: check panicked: injected check failure") {
+		t.Fatalf("panicking job: state %q error %q, want failed with an internal error", bad.State, bad.Error)
+	}
+	if got := s.jobsPanicked.Value(); got != 1 {
+		t.Errorf("kissd_jobs_panicked_total = %v, want 1", got)
+	}
+	if text, err := cl.Metrics(ctx); err != nil || !strings.Contains(text, "kissd_jobs_panicked_total 1") {
+		t.Errorf("/metrics lacks kissd_jobs_panicked_total 1 (err %v)", err)
+	}
+
+	good, err := cl.Check(ctx, safeSrc, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if good.State != StateDone || good.Result == nil || good.Result.Verdict != "safe" {
+		t.Fatalf("job after the panic: %+v, want done/safe", good)
+	}
+
+	checkHook = nil
+	again, err := cl.Check(ctx, boomSrc, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.Cached || again.State != StateDone || again.Result == nil {
+		t.Fatalf("resubmitted program: %+v, want a fresh completed check", again)
 	}
 }

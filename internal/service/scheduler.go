@@ -1,7 +1,10 @@
 package service
 
 import (
+	"fmt"
+	"os"
 	"runtime"
+	"runtime/debug"
 
 	kiss "repro"
 	"repro/internal/stats"
@@ -45,15 +48,44 @@ func (s *Server) startWorkers() {
 	}
 }
 
+// InternalError is the outcome of a job whose check panicked: a defect
+// in the checker, not a property of the submission. The job fails with
+// this error, the panic is counted in kissd_jobs_panicked_total, and the
+// worker goes on to the next job. It is never cached, so a resubmission
+// runs the check again.
+type InternalError struct {
+	Value any    // the recovered panic value
+	Stack []byte // the panicking worker's stack
+}
+
+func (e *InternalError) Error() string {
+	return fmt.Sprintf("internal error: check panicked: %v", e.Value)
+}
+
 // runJob executes one check and publishes the outcome: result into the
 // job (waking sync waiters), wire form into the cache, counters and
-// phase timings into the metrics registry.
+// phase timings into the metrics registry. A panic anywhere in the check
+// fails only this job, as an InternalError.
 func (s *Server) runJob(j *job) {
 	j.setRunning()
+	defer j.cancel() // release the deadline timer
+	defer func() {
+		v := recover()
+		if v == nil {
+			return
+		}
+		ie := &InternalError{Value: v, Stack: debug.Stack()}
+		s.jobsPanicked.Inc()
+		fmt.Fprintf(os.Stderr, "kissd: job %s: %v\n%s", j.id, ie, ie.Stack)
+		select {
+		case <-j.done: // the panic came after the job was published
+		default:
+			j.finish(nil, ie.Error())
+		}
+	}()
 	if hook := checkHook; hook != nil {
 		hook(j)
 	}
-	defer j.cancel() // release the deadline timer
 
 	res, err := j.cfg.Check(j.prog)
 	if err != nil {
@@ -136,6 +168,8 @@ func (s *Server) registerMetrics() {
 	}
 	s.jobsFailed = r.Counter("kissd_jobs_total",
 		"Completed jobs by verdict.", map[string]string{"outcome": "failed"})
+	s.jobsPanicked = r.Counter("kissd_jobs_panicked_total",
+		"Jobs whose check panicked, failed with an internal error.", nil)
 	s.jobsRejected = r.Counter("kissd_rejected_total",
 		"Submissions rejected with 429 because the queue was full.", nil)
 

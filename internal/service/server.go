@@ -82,6 +82,7 @@ type Server struct {
 	// metrics (populated by registerMetrics)
 	outcomes          map[string]*stats.Counter
 	jobsFailed        *stats.Counter
+	jobsPanicked      *stats.Counter
 	jobsRejected      *stats.Counter
 	statesTotal       *stats.Counter
 	stepsTotal        *stats.Counter

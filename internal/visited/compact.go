@@ -1,6 +1,9 @@
 package visited
 
-import "sync/atomic"
+import (
+	"math/bits"
+	"sync/atomic"
+)
 
 // The compact visited set: a blocked Bloom filter over the 64-bit state
 // fingerprints, ~8–16 bits per state instead of the exact set's 64-bit
@@ -11,14 +14,19 @@ import "sync/atomic"
 // wrapper quantifies it against a shadow exact set on small runs.
 //
 // Layout: the filter is an array of 512-bit (cache-line) blocks. A
-// fingerprint selects one block with its high bits and derives
-// compactProbes bit positions inside that block from its two 32-bit
-// halves (the Kirsch–Mitzenmacher double-hashing scheme), so one lookup
-// touches one cache line. Inserts happen only on the searches'
-// single-threaded commit paths and lookups either there or during
-// frozen-set expansion rounds, exactly like the exact Set's usage — the
-// rounds' start/finish barriers order every write before every read, so
-// the plain (non-atomic) word operations are race-free.
+// fingerprint selects one block with its high bits and sets compactProbes
+// bits inside that block, so one lookup touches one cache line. The
+// in-block positions are independent 9-bit fields of a re-mixed
+// fingerprint (see probe), so every position bit varies independently of
+// the others and of the block index. (Double hashing — probe i at
+// h1 + i·h2 mod 512 — lets only the low 9 bits of h1 and of h2 choose the
+// whole pattern, about 2^17 patterns per block; at the hard fields' load
+// that made the measured false-positive rate ~10^6× the estimate.)
+// Inserts happen only on the searches' single-threaded commit paths and
+// lookups either there or during frozen-set expansion rounds, exactly
+// like the exact Set's usage — the rounds' start/finish barriers order
+// every write before every read, so the plain (non-atomic) word
+// operations are race-free.
 
 // Store is the visited-set interface the search engines program against;
 // *Set (exact), *Compact, and *Audited implement it.
@@ -77,26 +85,40 @@ func NewCompact(bytes int64) *Compact {
 	}
 }
 
-// probe computes the block base word index and the two 32-bit halves the
-// in-block probe sequence is derived from.
-func (c *Compact) probe(fp uint64) (base uint64, h1, h2 uint32) {
-	// High bits pick the block (low bits drive the in-block sequence);
-	// fold so that filters smaller than 2^32 blocks still see the top
-	// bits.
+// probe returns the base word index of fp's block and the re-mixed word
+// whose 9-bit fields give the first probeFields in-block positions.
+func (c *Compact) probe(fp uint64) (base, r uint64) {
+	// High bits pick the block; fold so that filters smaller than 2^32
+	// blocks still see the top bits.
 	block := (fp >> 32) & c.blockMask
-	h1 = uint32(fp)
-	h2 = uint32(fp>>21)*2654435761 | 1 // odd, so the sequence hits distinct bits
-	return block * blockWords, h1, h2
+	return block * blockWords, remix(fp)
+}
+
+// probeFields is how many 9-bit positions one re-mixed 64-bit word
+// yields; the remaining probes come from re-mixing that word again.
+const probeFields = 64 / 9
+
+// remix is the splitmix64 finalizer: a bijection whose output bits each
+// depend on every input bit, decorrelating the probe positions from the
+// block-index bits and from each other.
+func remix(z uint64) uint64 {
+	z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
+	z = (z ^ z>>27) * 0x94d049bb133111eb
+	return z ^ z>>31
 }
 
 // Seen tests-and-inserts fp. A true return may be a false positive; a
 // false return is always correct (the state really is new).
 func (c *Compact) Seen(fp uint64) bool {
-	base, h1, h2 := c.probe(fp)
+	base, r0 := c.probe(fp)
 	present := true
-	h := h1
+	r := r0
 	for i := 0; i < compactProbes; i++ {
-		bit := uint64(h) & 511
+		if i == probeFields {
+			r = remix(r0)
+		}
+		bit := r & 511
+		r >>= 9
 		w := base + bit>>6
 		mask := uint64(1) << (bit & 63)
 		if c.words[w]&mask == 0 {
@@ -104,7 +126,6 @@ func (c *Compact) Seen(fp uint64) bool {
 			c.words[w] |= mask
 			c.setBits++
 		}
-		h += h2
 	}
 	if present {
 		return true
@@ -115,14 +136,17 @@ func (c *Compact) Seen(fp uint64) bool {
 
 // Contains reports membership without inserting.
 func (c *Compact) Contains(fp uint64) bool {
-	base, h1, h2 := c.probe(fp)
-	h := h1
+	base, r0 := c.probe(fp)
+	r := r0
 	for i := 0; i < compactProbes; i++ {
-		bit := uint64(h) & 511
+		if i == probeFields {
+			r = remix(r0)
+		}
+		bit := r & 511
+		r >>= 9
 		if c.words[base+bit>>6]&(uint64(1)<<(bit&63)) == 0 {
 			return false
 		}
-		h += h2
 	}
 	return true
 }
@@ -152,15 +176,29 @@ func (c *Compact) Occupancy() float64 {
 }
 
 // EstFPRate estimates the false-positive probability of the next lookup
-// as occupancy^k — exact for an ideal Bloom filter, a close upper bound
-// for the blocked layout at the occupancies the budgets produce.
+// of a fresh fingerprint as the mean over blocks of (block occupancy)^k.
+// Probe positions are independent and uniform within a block, so this is
+// the exact expectation; the global occupancy^k would understate it,
+// since fuller-than-average blocks dominate the mean. It scans the whole
+// filter, so callers take it once per run, for stats.
 func (c *Compact) EstFPRate() float64 {
-	p := c.Occupancy()
-	r := 1.0
-	for i := 0; i < compactProbes; i++ {
-		r *= p
+	if len(c.words) == 0 {
+		return 0
 	}
-	return r
+	var sum float64
+	for b := 0; b < len(c.words); b += blockWords {
+		n := 0
+		for _, w := range c.words[b : b+blockWords] {
+			n += bits.OnesCount64(w)
+		}
+		p := float64(n) / (blockWords * 64)
+		r := 1.0
+		for i := 0; i < compactProbes; i++ {
+			r *= p
+		}
+		sum += r
+	}
+	return sum / float64(len(c.words)/blockWords)
 }
 
 // Audited wraps a Compact filter with a shadow exact set and counts real

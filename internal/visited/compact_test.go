@@ -88,3 +88,29 @@ func TestStoreInterface(t *testing.T) {
 		}
 	}
 }
+
+// TestCompactMeasuredFPRateMatchesEstimate inserts random fingerprints at
+// a load where false positives are frequent enough to count (about 16 per
+// block, occupancy ≈ 0.22) and probes with fresh ones: the measured rate
+// must sit within a small factor of EstFPRate. Probe patterns that depend
+// on only a few fingerprint bits fail this by an order of magnitude, since
+// two fingerprints sharing a block and a pattern collide outright.
+func TestCompactMeasuredFPRateMatchesEstimate(t *testing.T) {
+	c := NewCompact(1 << 16) // 1024 blocks
+	rng := rand.New(rand.NewSource(4))
+	for i := 0; i < 16*1024; i++ {
+		c.Seen(rng.Uint64())
+	}
+	const queries = 4_000_000
+	fps := 0
+	for i := 0; i < queries; i++ {
+		if c.Contains(rng.Uint64()) {
+			fps++
+		}
+	}
+	got, est := float64(fps)/queries, c.EstFPRate()
+	t.Logf("occupancy %.3f, measured FP rate %.3g, estimate %.3g", c.Occupancy(), got, est)
+	if got > 2*est || got < est/2 {
+		t.Fatalf("measured FP rate %.3g, EstFPRate %.3g: not within 2x", got, est)
+	}
+}
