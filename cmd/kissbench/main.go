@@ -12,26 +12,18 @@
 //	kissbench -macrobench    macro-step compression ablation (JSON with -json)
 //	kissbench -all        everything
 //
-// -macrobench runs the corpus four ways — per-statement, macro steps,
-// macro steps + fold memoization, and macro steps + memo + call-grained
-// procedure summaries — verifies that verdicts and failure positions are
-// identical at search-workers 0, 1, and 8, and reports stored/stepped
-// state counts, throughput, allocations, and the memo and summary
-// hit/steps-saved totals per arm. It exits non-zero if the arms
+// -macrobench runs the corpus three ways — per-statement, macro steps,
+// and macro steps + fold memoization — verifies that verdicts and
+// failure positions are identical at search-workers 0, 1, and 8, and
+// reports stored/stepped state counts, throughput, allocations, and the
+// memo hit/steps-saved totals per arm. It exits non-zero if the arms
 // disagree; if -min-ratio R is given and the stored-state compression
 // ratio — measured over the fields that completed in both arms, the ones
-// whose runs covered the same state space — falls below R; if
-// -min-hit-ratio H is given and the memo arm's hit ratio falls below H;
-// or if -require-memo-speedup is given and the summary arm's traversal
-// rate (stepped states/sec) does not strictly exceed the memo-off macro
-// arm's — the gate that makes "the memo layer pays for itself" a CI
-// property rather than a claim. -require-summary-parity is the
-// smoke-sized variant: the summary arm must reach 90% of the macro+memo
-// arm (the slack absorbs sub-second-run rate noise).
-// -macro-steps=false, -fold-memo=false, and -call-summaries=false turn
-// the corresponding layer off for the regular table runs (the ablation
-// arms, one at a time); -memo-mb M caps the memo table and -summary-mb M
-// the summary table.
+// whose runs covered the same state space — falls below R; or if
+// -min-hit-ratio H is given and the memo arm's hit ratio falls below H.
+// -macro-steps=false and -fold-memo=false turn the corresponding layer
+// off for the regular table runs (the ablation arms, one at a time);
+// -memo-mb M caps the memo table.
 //
 // Optional: -drivers a,b,c restricts the corpus tables to named drivers;
 // -max-states N overrides the per-field state budget (spelled like the
@@ -180,13 +172,9 @@ func main() {
 	outFile := flag.String("o", "", "write JSON output to this file atomically (temp + rename); exits non-zero on an empty payload")
 	minRatio := flag.Float64("min-ratio", 0, "with -macrobench: fail unless the stored-state compression ratio reaches this value (0 = no check)")
 	minHitRatio := flag.Float64("min-hit-ratio", 0, "with -macrobench: fail unless the memo arm's hit ratio reaches this value (0 = no check)")
-	requireMemoSpeedup := flag.Bool("require-memo-speedup", false, "with -macrobench: fail unless the summary arm's stepped-states/sec strictly exceeds the memo-off macro arm's")
-	requireSummaryParity := flag.Bool("require-summary-parity", false, "with -macrobench: fail unless the summary arm's stepped-states/sec reaches 90% of the macro+memo arm's (the smoke-sized gate)")
 	macroSteps := flag.Bool("macro-steps", true, "collapse deterministic runs into single transitions (-macro-steps=false reproduces the per-statement search)")
 	foldMemo := flag.Bool("fold-memo", true, "replay previously recorded folds from the read-footprint memo table (-fold-memo=false re-executes every fold)")
 	memoMB := flag.Int("memo-mb", 0, "fold-memo table byte budget in MiB (0 = default)")
-	callSummaries := flag.Bool("call-summaries", true, "replay whole procedure calls from the call-summary table (-call-summaries=false re-executes every call)")
-	summaryMB := flag.Int("summary-mb", 0, "call-summary table byte budget in MiB (0 = default)")
 	all := flag.Bool("all", false, "run everything")
 	driversFlag := flag.String("drivers", "", "comma-separated driver subset for the tables")
 	maxStates := flag.Int("max-states", 0, "per-field state budget override (0 = default)")
@@ -219,7 +207,6 @@ func main() {
 	opts := eval.Options{
 		Workers: *workers, SearchWorkers: *searchWorkers, Server: *server, Batch: *batch,
 		DisableMacroSteps: !*macroSteps, DisableFoldMemo: !*foldMemo, MemoMB: *memoMB,
-		DisableCallSummaries: !*callSummaries, SummaryMB: *summaryMB,
 		VisitedMode: *visitedMode, MemBudgetMB: *memBudgetMB, AuditVisited: *auditVisited,
 		Sequentialization: *seqMode, ContextSwitches: *contextSwitches,
 	}
@@ -336,7 +323,6 @@ func main() {
 			Drivers:   opts.Drivers,
 			Workers:   *workers,
 			MemoMB:    *memoMB,
-			SummaryMB: *summaryMB,
 		})
 		fatal(err)
 		if *jsonOut {
@@ -356,20 +342,6 @@ func main() {
 		}
 		if *minHitRatio > 0 && rep.Memo.MemoHitRatio < *minHitRatio {
 			fmt.Fprintf(os.Stderr, "kissbench: macrobench: memo hit ratio %.3f below required %.3f\n", rep.Memo.MemoHitRatio, *minHitRatio)
-			exitCode = 1
-		}
-		if *requireMemoSpeedup && rep.Sum.SteppedPerSec <= rep.On.SteppedPerSec {
-			fmt.Fprintf(os.Stderr, "kissbench: macrobench: summary arm traversal rate %.0f/s does not exceed the memo-off macro arm's %.0f/s\n",
-				rep.Sum.SteppedPerSec, rep.On.SteppedPerSec)
-			exitCode = 1
-		}
-		// The parity bound carries 10% measurement slack: smoke-sized arms
-		// run well under a second each, where run-to-run rate noise swamps
-		// the layer's true (near-zero) cost. The slack still trips on a
-		// summary layer that grossly costs more than it saves.
-		if *requireSummaryParity && rep.Sum.SteppedPerSec < 0.9*rep.Memo.SteppedPerSec {
-			fmt.Fprintf(os.Stderr, "kissbench: macrobench: summary arm traversal rate %.0f/s below 90%% of the macro+memo arm's %.0f/s\n",
-				rep.Sum.SteppedPerSec, rep.Memo.SteppedPerSec)
 			exitCode = 1
 		}
 	}

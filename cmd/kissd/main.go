@@ -23,9 +23,8 @@
 // the daemon twice, require verdicts and counters identical to local
 // checking, a >=90% warm-pass cache-hit rate, and a nonzero fold-memo
 // steps-saved total on /metrics; then re-run the slice under a shifted
-// state budget (result-cache miss, persistent summary-table hit) and
-// require the warm re-check to beat the cold pass on wall time; then
-// drain cleanly.
+// state budget, require every submission to miss the result cache and
+// every verdict to match local checking; then drain cleanly.
 package main
 
 import (
@@ -55,7 +54,6 @@ func main() {
 	workers := flag.Int("workers", 0, "concurrent checks (0 = sized from the core count and -search-workers)")
 	searchWorkers := flag.Int("search-workers", 0, "parallel search workers per check (0 = sequential; verdicts identical at every count)")
 	cacheMB := flag.Int64("cache-mb", 64, "result-cache byte budget in MiB")
-	summaryMB := flag.Int64("summary-mb", 0, "persistent call-summary store byte budget in MiB (0 = default, negative disables cross-check summary reuse)")
 	memBudgetMB := flag.Int("mem-budget-mb", 0, "per-job search memory ceiling in MiB: jobs asking for more (or for no budget) are clamped; run one value fleet-wide behind a coordinator (0 = no ceiling)")
 	timeout := flag.Duration("timeout", 0, "default per-job wall-time bound when the request sets no timeout_ms (0 = unlimited)")
 	drainTimeout := flag.Duration("drain-timeout", time.Minute, "bound on running accepted jobs to completion at shutdown")
@@ -75,12 +73,8 @@ func main() {
 		Workers:        *workers,
 		SearchWorkers:  *searchWorkers,
 		CacheBytes:     *cacheMB << 20,
-		SummaryBytes:   *summaryMB << 20,
 		DefaultTimeout: *timeout,
 		MemBudgetMB:    *memBudgetMB,
-	}
-	if *summaryMB < 0 {
-		cfg.SummaryBytes = -1
 	}
 	var err error
 	if *smoke {
@@ -138,7 +132,8 @@ func serve(cfg service.Config, addr string, drainTimeout time.Duration) error {
 }
 
 // runSmoke is the in-process acceptance loop: local baseline, cold
-// service pass, warm service pass, cache-hit assertion, clean drain.
+// service pass, warm service pass, cache-hit assertion, budget-shifted
+// pass, clean drain.
 func runSmoke(cfg service.Config, driverList string, drainTimeout time.Duration) error {
 	sel := map[string]bool{}
 	for _, d := range strings.Split(driverList, ",") {
@@ -162,9 +157,7 @@ func runSmoke(cfg service.Config, driverList string, drainTimeout time.Duration)
 	url := "http://" + ln.Addr().String()
 	fmt.Fprintf(os.Stderr, "kissd smoke: serving on %s, drivers %s\n", url, driverList)
 
-	coldStart := time.Now()
 	cold, err := eval.RunCorpus(eval.Options{Drivers: sel, Server: url})
-	coldDur := time.Since(coldStart)
 	if err != nil {
 		return fmt.Errorf("cold pass: %w", err)
 	}
@@ -198,8 +191,7 @@ func runSmoke(cfg service.Config, driverList string, drainTimeout time.Duration)
 	// The cold pass ran real checks with fold memoization on (the
 	// default); the exported memo metrics must show the replay cache
 	// engaging, end to end through /metrics.
-	m, err := scrapeMetrics(url, "kissd_memo_hit_ratio", "kissd_memo_steps_saved_total",
-		"kissd_summary_hits_total", "kissd_summary_steps_saved_total")
+	m, err := scrapeMetrics(url, "kissd_memo_hit_ratio", "kissd_memo_steps_saved_total")
 	if err != nil {
 		return fmt.Errorf("memo metrics: %w", err)
 	}
@@ -212,14 +204,9 @@ func runSmoke(cfg service.Config, driverList string, drainTimeout time.Duration)
 
 	// Third pass: the same corpus under a shifted state budget. The
 	// canonical config changes, so every submission misses the result
-	// cache and runs a real check — but the shaping config (and hence
-	// the program key) does not change, so those checks replay from the
-	// summary tables the cold pass populated. That is the warm-service
-	// pattern the persistent store exists for, and it must show up as
-	// wall time: the re-check beats the cold pass.
-	budgetStart := time.Now()
+	// cache and runs a real check whose verdict must still match local
+	// checking.
 	shifted, err := eval.RunCorpus(eval.Options{Drivers: sel, Server: url, MaxStates: eval.DefaultMaxStates + 1})
-	budgetDur := time.Since(budgetStart)
 	if err != nil {
 		return fmt.Errorf("budget pass: %w", err)
 	}
@@ -230,20 +217,7 @@ func runSmoke(cfg service.Config, driverList string, drainTimeout time.Duration)
 	if d := h3.Cache.Hits - h2.Cache.Hits; d != 0 {
 		return fmt.Errorf("budget pass: %d submissions served from the result cache; the shifted budget should miss it", d)
 	}
-	m2, err := scrapeMetrics(url, "kissd_summary_hits_total", "kissd_summary_steps_saved_total")
-	if err != nil {
-		return fmt.Errorf("summary metrics: %w", err)
-	}
-	sumHits := m2["kissd_summary_hits_total"] - m["kissd_summary_hits_total"]
-	sumSaved := m2["kissd_summary_steps_saved_total"] - m["kissd_summary_steps_saved_total"]
-	if sumHits <= 0 || sumSaved <= 0 {
-		return fmt.Errorf("budget pass: summary hits %+v steps-saved %+v; the persistent summary table never engaged", sumHits, sumSaved)
-	}
-	if budgetDur >= coldDur {
-		return fmt.Errorf("budget pass: warm re-check took %v, cold pass took %v; summary reuse must be measurably faster", budgetDur, coldDur)
-	}
-	fmt.Fprintf(os.Stderr, "kissd smoke: budget-shifted re-check %v vs cold %v (%.0f summary hits, %.0f steps replayed)\n",
-		budgetDur.Round(time.Millisecond), coldDur.Round(time.Millisecond), sumHits, sumSaved)
+	fmt.Fprintf(os.Stderr, "kissd smoke: budget-shifted pass missed the result cache; verdicts identical to local\n")
 
 	dctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
 	defer cancel()

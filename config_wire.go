@@ -74,11 +74,15 @@ type wireConfig struct {
 	DisableMacroSteps   bool            `json:"disable_macro_steps"`
 	DisableFoldMemo     bool            `json:"disable_fold_memo"`
 	MemoMB              int             `json:"memo_mb"`
-	DisableCallSum      bool            `json:"disable_call_summaries"`
-	SummaryMB           int             `json:"summary_mb"`
-	SearchWorkers       int             `json:"search_workers"`
-	NumShards           int             `json:"num_shards"`
-	ContextBound        int             `json:"context_bound"`
+	// RetiredCallSum and RetiredSummaryMB are the knobs of the deleted
+	// call-summary table. Decoding accepts and ignores them and encoding
+	// always renders false/0, so older payloads still decode and every
+	// cache key keeps its bytes.
+	RetiredCallSum   bool `json:"disable_call_summaries"`
+	RetiredSummaryMB int  `json:"summary_mb"`
+	SearchWorkers    int  `json:"search_workers"`
+	NumShards        int  `json:"num_shards"`
+	ContextBound     int  `json:"context_bound"`
 	// The memory-budget knobs are omitempty: payloads and cache keys
 	// written before they existed decode and re-render byte-identically,
 	// so the v1 freeze holds without a version bump.
@@ -137,8 +141,6 @@ func (c *Config) MarshalJSON() ([]byte, error) {
 		DisableMacroSteps:   c.DisableMacroSteps,
 		DisableFoldMemo:     c.DisableFoldMemo,
 		MemoMB:              c.MemoMB,
-		DisableCallSum:      c.DisableCallSummaries,
-		SummaryMB:           c.SummaryMB,
 		SearchWorkers:       c.SearchWorkers,
 		NumShards:           c.NumShards,
 		ContextBound:        c.ContextBound,
@@ -195,26 +197,24 @@ func (c *Config) UnmarshalJSON(data []byte) error {
 		return fmt.Errorf("kiss: negative context-switch bound %d", w.ContextSwitches)
 	}
 	*c = Config{
-		MaxTS:                w.MaxTS,
-		DisableAliasElision:  w.DisableAliasElision,
-		Scheduler:            sched,
-		Summaries:            w.Summaries,
-		MaxStates:            w.MaxStates,
-		MaxSteps:             w.MaxSteps,
-		MaxDepth:             w.MaxDepth,
-		BFS:                  w.BFS,
-		DisableMacroSteps:    w.DisableMacroSteps,
-		DisableFoldMemo:      w.DisableFoldMemo,
-		MemoMB:               w.MemoMB,
-		DisableCallSummaries: w.DisableCallSum,
-		SummaryMB:            w.SummaryMB,
-		SearchWorkers:        w.SearchWorkers,
-		NumShards:            w.NumShards,
-		ContextBound:         w.ContextBound,
-		VisitedMode:          w.VisitedMode,
-		MemBudgetMB:          w.MemBudgetMB,
-		Sequentialization:    w.Sequentialization,
-		ContextSwitches:      w.ContextSwitches,
+		MaxTS:               w.MaxTS,
+		DisableAliasElision: w.DisableAliasElision,
+		Scheduler:           sched,
+		Summaries:           w.Summaries,
+		MaxStates:           w.MaxStates,
+		MaxSteps:            w.MaxSteps,
+		MaxDepth:            w.MaxDepth,
+		BFS:                 w.BFS,
+		DisableMacroSteps:   w.DisableMacroSteps,
+		DisableFoldMemo:     w.DisableFoldMemo,
+		MemoMB:              w.MemoMB,
+		SearchWorkers:       w.SearchWorkers,
+		NumShards:           w.NumShards,
+		ContextBound:        w.ContextBound,
+		VisitedMode:         w.VisitedMode,
+		MemBudgetMB:         w.MemBudgetMB,
+		Sequentialization:   w.Sequentialization,
+		ContextSwitches:     w.ContextSwitches,
 	}
 	if w.RaceTarget != nil {
 		c.RaceTarget = &RaceTarget{
@@ -242,10 +242,6 @@ func (c *Config) UnmarshalJSON(data []byte) error {
 //     folds bit-identically (the memo invariant, property-tested against
 //     memo-off runs), so the knobs move only wall time and the
 //     scheduling-dependent Stats.Memo diagnostics.
-//   - DisableCallSummaries, SummaryMB, SummaryTable: call summaries carry
-//     the same bit-identity invariant as the memo (property-tested against
-//     summary-off runs), so the knobs — and any injected persistent table —
-//     move only wall time and Stats.Summary.
 //   - SpillDir and AuditVisited: spill placement and the false-positive
 //     audit never change what a check computes. MemBudgetMB is kept only
 //     under VisitedCompact — frontier spilling is bit-identical (eviction
@@ -285,9 +281,6 @@ func (c *Config) Normalized() Config {
 	n.DisableFoldMemo = false
 	n.MemoMB = 0
 	n.AuditFoldMemo = false
-	n.DisableCallSummaries = false
-	n.SummaryMB = 0
-	n.SummaryTable = nil
 	n.SpillDir = ""
 	n.AuditVisited = false
 	if n.VisitedMode != VisitedCompact {

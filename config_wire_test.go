@@ -76,8 +76,6 @@ func TestConfigWireRoundTrip(t *testing.T) {
 			kiss.WithMacroSteps(false),
 			kiss.WithFoldMemo(false),
 			kiss.WithMemoMB(16),
-			kiss.WithCallSummaries(false),
-			kiss.WithSummaryMB(32),
 			kiss.WithSearchWorkers(8),
 			kiss.WithContextBound(2),
 		),
@@ -100,6 +98,40 @@ func TestConfigWireRoundTrip(t *testing.T) {
 		if string(data) != string(redata) {
 			t.Errorf("case %d: round trip drifted:\n first: %s\nsecond: %s", i, data, redata)
 		}
+	}
+}
+
+// TestConfigWireRetiredCallSummaryFields: the call-summary knobs are
+// gone from Config, but v1 payloads written while they existed still
+// carry them. They decode as no-ops and change neither the canonical
+// form nor the rendered bytes, which always hold false/0.
+func TestConfigWireRetiredCallSummaryFields(t *testing.T) {
+	const with = `{"v":1,"max_states":500,"disable_call_summaries":true,"summary_mb":64}`
+	const without = `{"v":1,"max_states":500}`
+	var a, b kiss.Config
+	if err := json.Unmarshal([]byte(with), &a); err != nil {
+		t.Fatalf("payload with the retired fields rejected: %v", err)
+	}
+	if err := json.Unmarshal([]byte(without), &b); err != nil {
+		t.Fatal(err)
+	}
+	ca, err := a.CanonicalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cb, err := b.CanonicalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(ca) != string(cb) {
+		t.Errorf("retired fields moved the canonical form:\n%s\n%s", ca, cb)
+	}
+	data, err := json.Marshal(&a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(data), `"disable_call_summaries":false,"summary_mb":0`) {
+		t.Errorf("retired fields not rendered as false/0: %s", data)
 	}
 }
 
@@ -175,8 +207,6 @@ func TestConfigCanonicalJSONInvariance(t *testing.T) {
 		kiss.WithContextBound(3),
 		kiss.WithFoldMemo(false),
 		kiss.WithMemoMB(16),
-		kiss.WithCallSummaries(false),
-		kiss.WithSummaryMB(32),
 		kiss.WithProgress(func(kiss.Event) {}),
 		kiss.WithProgressCadence(10, 0),
 	)
@@ -358,4 +388,61 @@ func TestConfigCanonicalJSONSequentialization(t *testing.T) {
 	if cbMaxTS != cb {
 		t.Error("MaxTS split the canonical form under cb, which ignores it")
 	}
+}
+
+// FuzzConfigWire: the config wire decoder never panics; a payload it
+// accepts re-encodes into one it accepts again; and the canonical form
+// is a fixed point of decode-then-canonicalize, so a cache key computed
+// from a decoded key's config is the key itself. Seeded with the
+// configs the golden tests pin and a payload carrying the retired
+// call-summary fields.
+func FuzzConfigWire(f *testing.F) {
+	for _, cfg := range []*kiss.Config{
+		kiss.NewConfig(),
+		kiss.NewConfig(
+			kiss.WithMaxTS(2),
+			kiss.WithRaceTarget(kiss.RaceTarget{Record: "DEVICE_EXTENSION", Field: "stoppingFlag"}),
+			kiss.WithMaxStates(40000),
+			kiss.WithBFS(),
+		),
+		kiss.NewConfig(kiss.WithVisitedMode(kiss.VisitedCompact), kiss.WithMemBudgetMB(256)),
+		kiss.NewConfig(kiss.WithSequentialization(kiss.SeqCB), kiss.WithContextSwitches(3)),
+	} {
+		data, err := json.Marshal(cfg)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Add([]byte(`{"v":1,"max_states":500,"disable_call_summaries":true,"summary_mb":64}`))
+	f.Add([]byte(`{"v":1,"scheduler":"at-calls-only","summaries":true,"race_target":{"global":"g"}}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var c kiss.Config
+		if err := c.UnmarshalJSON(data); err != nil {
+			return
+		}
+		enc, err := c.MarshalJSON()
+		if err != nil {
+			t.Fatalf("accepted payload does not re-encode: %v", err)
+		}
+		var back kiss.Config
+		if err := back.UnmarshalJSON(enc); err != nil {
+			t.Fatalf("re-encoded payload %s rejected: %v", enc, err)
+		}
+		canon, err := c.CanonicalJSON()
+		if err != nil {
+			t.Fatalf("canonical form: %v", err)
+		}
+		var d kiss.Config
+		if err := d.UnmarshalJSON(canon); err != nil {
+			t.Fatalf("canonical form %s rejected: %v", canon, err)
+		}
+		again, err := d.CanonicalJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(again) != string(canon) {
+			t.Fatalf("canonical form is not a fixed point:\n first: %s\nsecond: %s", canon, again)
+		}
+	})
 }

@@ -121,10 +121,6 @@ type Options struct {
 	// engine of this search (sem.MacroStepMemo); see
 	// seqcheck.Options.Memo. Ignored when macro steps are disabled.
 	Memo *sem.FoldMemo
-	// Summaries, when non-nil, is the call-grained procedure-summary table
-	// shared by every engine of this search (sem.MacroStepMemoSum); see
-	// seqcheck.Options.Summaries. Ignored when macro steps are disabled.
-	Summaries *sem.SummaryTable
 	// AuditFingerprints cross-checks the 64-bit visited-set hashes against
 	// the canonical string encodings (see seqcheck.Options); collisions are
 	// counted in Result.HashCollisions.

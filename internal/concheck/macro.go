@@ -168,7 +168,7 @@ func checkMacroSeq(c *sem.Compiled, opts Options) *Result {
 				res.Reason = stats.ReasonSteps
 				return res
 			}
-			mr := sem.MacroStepMemoSum(cur.st, ti, cMacroLimit(opts, cur.nd.depth, res.Steps), opts.Memo, opts.Summaries)
+			mr := sem.MacroStepMemo(cur.st, ti, cMacroLimit(opts, cur.nd.depth, res.Steps), opts.Memo)
 			res.Steps += mr.Stepped
 			res.StatesStepped += len(mr.Prefix)
 			if mr.Failure != nil {
@@ -431,7 +431,7 @@ func checkMacroLevel(c *sem.Compiled, opts Options) *Result {
 							continue
 						}
 					}
-					mr := sem.MacroStepMemoSum(it.st, ti, limit, opts.Memo, opts.Summaries)
+					mr := sem.MacroStepMemo(it.st, ti, limit, opts.Memo)
 					th := cmThread{
 						ti: ti, switches: switches,
 						fail:      mr.Failure,

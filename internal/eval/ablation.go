@@ -10,15 +10,13 @@ import (
 )
 
 // This file holds the macro-step ablation: the driver corpus run across
-// four arms — compression off (the seed's per-statement search),
-// compression on with fold memoization off (the PR 4 configuration),
-// compression + memoization with call summaries off (the PR 6
-// configuration), and compression + memoization + call-grained procedure
-// summaries (the default) — with verdict/position identity verified at
-// several SearchWorkers settings and the stored-state/throughput/
-// allocation deltas measured. kissbench -macrobench is its command-line
-// front end; `make bench` archives its JSON next to the earlier PR
-// benchmark records.
+// three arms — compression off (the seed's per-statement search),
+// compression on with fold memoization off (the PR 4 configuration), and
+// compression + memoization (the default) — with verdict/position
+// identity verified at several SearchWorkers settings and the
+// stored-state/throughput/allocation deltas measured. kissbench
+// -macrobench is its command-line front end; `make bench` archives its
+// JSON next to the earlier PR benchmark records.
 
 // AblationOptions configure RunMacroAblation.
 type AblationOptions struct {
@@ -34,16 +32,12 @@ type AblationOptions struct {
 	WorkerCounts []int
 	// MemoMB overrides the memo arm's table budget in MiB (0: default).
 	MemoMB int
-	// SummaryMB overrides the summary arm's table budget in MiB
-	// (0: default).
-	SummaryMB int
 }
 
 // MacroArm is one measured arm of the ablation.
 type MacroArm struct {
-	MacroSteps    bool `json:"macro_steps"`
-	FoldMemo      bool `json:"fold_memo"`
-	CallSummaries bool `json:"call_summaries"`
+	MacroSteps bool `json:"macro_steps"`
+	FoldMemo   bool `json:"fold_memo"`
 	// StatesStored counts fingerprinted-and-stored states summed over the
 	// corpus; StatesStepped counts executed transitions including the ones
 	// folded inside macro steps. With compression off the two coincide.
@@ -66,13 +60,6 @@ type MacroArm struct {
 	MemoHitRatio   float64 `json:"memo_hit_ratio,omitempty"`
 	MemoStepsSaved int64   `json:"memo_steps_saved,omitempty"`
 	MemoEvictions  int64   `json:"memo_evictions,omitempty"`
-	// Summary table totals summed over the corpus (summary arm only).
-	SumHits       int64   `json:"summary_hits,omitempty"`
-	SumMisses     int64   `json:"summary_misses,omitempty"`
-	SumHitRatio   float64 `json:"summary_hit_ratio,omitempty"`
-	SumStepsSaved int64   `json:"summary_steps_saved,omitempty"`
-	SumComposed   int64   `json:"summary_composed,omitempty"`
-	SumEvictions  int64   `json:"summary_evictions,omitempty"`
 }
 
 // MacroAblation is the full report of RunMacroAblation.
@@ -81,7 +68,6 @@ type MacroAblation struct {
 	Off          MacroArm `json:"off"`
 	On           MacroArm `json:"on"`
 	Memo         MacroArm `json:"memo"`
-	Sum          MacroArm `json:"sum"`
 	// CompressionRatio is off/memo stored states over the fields that
 	// completed (no budget trip) in both runs — the fields whose runs
 	// covered the same state space. Budget-tripped fields store exactly
@@ -107,15 +93,10 @@ func defaultWorkerCounts() []int { return []int{0, 1, 8} }
 
 // runArm runs one corpus arm and folds its results into a MacroArm with
 // wall time and allocation deltas around the run.
-func runArm(opts Options, macroOff, memoOff, sumOff bool) (MacroArm, []*DriverResult, error) {
+func runArm(opts Options, macroOff, memoOff bool) (MacroArm, []*DriverResult, error) {
 	opts.DisableMacroSteps = macroOff
 	opts.DisableFoldMemo = memoOff
-	opts.DisableCallSummaries = sumOff
-	arm := MacroArm{
-		MacroSteps:    !macroOff,
-		FoldMemo:      !macroOff && !memoOff,
-		CallSummaries: !macroOff && !sumOff,
-	}
+	arm := MacroArm{MacroSteps: !macroOff, FoldMemo: !macroOff && !memoOff}
 	runtime.GC()
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
@@ -145,13 +126,6 @@ func runArm(opts Options, macroOff, memoOff, sumOff bool) (MacroArm, []*DriverRe
 				arm.MemoStepsSaved += m.StepsSaved
 				arm.MemoEvictions += m.Evictions
 			}
-			if sm := fr.Stats.Summary; sm != nil {
-				arm.SumHits += sm.Hits
-				arm.SumMisses += sm.Misses
-				arm.SumStepsSaved += sm.StepsSaved
-				arm.SumComposed += sm.Composed
-				arm.SumEvictions += sm.Evictions
-			}
 		}
 	}
 	if arm.Seconds > 0 {
@@ -160,9 +134,6 @@ func runArm(opts Options, macroOff, memoOff, sumOff bool) (MacroArm, []*DriverRe
 	}
 	if total := arm.MemoHits + arm.MemoMisses; total > 0 {
 		arm.MemoHitRatio = float64(arm.MemoHits) / float64(total)
-	}
-	if total := arm.SumHits + arm.SumMisses; total > 0 {
-		arm.SumHitRatio = float64(arm.SumHits) / float64(total)
 	}
 	return arm, results, nil
 }
@@ -185,10 +156,9 @@ func verdictKeys(results []*DriverResult) map[string]string {
 	return out
 }
 
-// RunMacroAblation measures macro-step compression, fold memoization,
-// and call-grained procedure summaries on the driver corpus. The
-// uncompressed arm (run once, sequentially searched) is the reference;
-// the macro, macro+memo, and macro+memo+sum arms run at every
+// RunMacroAblation measures macro-step compression and fold memoization
+// on the driver corpus. The uncompressed arm (run once, sequentially
+// searched) is the reference; the macro and macro+memo arms run at every
 // opts.WorkerCounts setting and each run's per-field verdicts and
 // failure positions must match the reference exactly. (Cross-worker-count
 // identity of the uncompressed search is already enforced by the
@@ -202,13 +172,13 @@ func RunMacroAblation(opts AblationOptions) (*MacroAblation, error) {
 	}
 	base := Options{
 		MaxStates: opts.MaxStates, Drivers: opts.Drivers, Workers: opts.Workers,
-		SearchWorkers: wcs[0], MemoMB: opts.MemoMB, SummaryMB: opts.SummaryMB,
+		SearchWorkers: wcs[0], MemoMB: opts.MemoMB,
 	}
 
 	rep := &MacroAblation{WorkerCounts: wcs, Identical: true}
 	var err error
 	var refResults, memoResults []*DriverResult
-	rep.Off, refResults, err = runArm(base, true, true, true)
+	rep.Off, refResults, err = runArm(base, true, true)
 	if err != nil {
 		return nil, fmt.Errorf("uncompressed arm: %w", err)
 	}
@@ -233,7 +203,7 @@ func RunMacroAblation(opts AblationOptions) (*MacroAblation, error) {
 	for i, sw := range wcs {
 		armOpts := base
 		armOpts.SearchWorkers = sw
-		arm, results, err := runArm(armOpts, false, true, true)
+		arm, results, err := runArm(armOpts, false, true)
 		if err != nil {
 			return nil, fmt.Errorf("macro arm (search-workers=%d): %w", sw, err)
 		}
@@ -242,7 +212,7 @@ func RunMacroAblation(opts AblationOptions) (*MacroAblation, error) {
 		}
 		compare(results, "macro", sw)
 
-		arm, results, err = runArm(armOpts, false, false, true)
+		arm, results, err = runArm(armOpts, false, false)
 		if err != nil {
 			return nil, fmt.Errorf("macro+memo arm (search-workers=%d): %w", sw, err)
 		}
@@ -251,15 +221,6 @@ func RunMacroAblation(opts AblationOptions) (*MacroAblation, error) {
 			memoResults = results
 		}
 		compare(results, "macro+memo", sw)
-
-		arm, results, err = runArm(armOpts, false, false, false)
-		if err != nil {
-			return nil, fmt.Errorf("macro+memo+sum arm (search-workers=%d): %w", sw, err)
-		}
-		if i == 0 {
-			rep.Sum = arm
-		}
-		compare(results, "macro+memo+sum", sw)
 	}
 
 	rep.AggregateRatio = 1
@@ -323,11 +284,9 @@ func FormatMacroAblation(rep *MacroAblation) string {
 	add("Macro-step ablation (search-workers identity set %v)\n", rep.WorkerCounts)
 	add("%-14s %13s %14s %10s %8s %9s %11s %11s %11s\n",
 		"arm", "states-stored", "states-stepped", "steps", "races", "sec", "states/s", "stepped/s", "alloc-MB")
-	for _, arm := range []MacroArm{rep.Off, rep.On, rep.Memo, rep.Sum} {
+	for _, arm := range []MacroArm{rep.Off, rep.On, rep.Memo} {
 		name := "per-statement"
 		switch {
-		case arm.CallSummaries:
-			name = "macro+memo+sum"
 		case arm.MacroSteps && arm.FoldMemo:
 			name = "macro+memo"
 		case arm.MacroSteps:
@@ -342,9 +301,6 @@ func FormatMacroAblation(rep *MacroAblation) string {
 	add("memo: hit ratio %.1f%% (%d hits / %d misses), %d steps saved, %d evictions\n",
 		rep.Memo.MemoHitRatio*100, rep.Memo.MemoHits, rep.Memo.MemoMisses,
 		rep.Memo.MemoStepsSaved, rep.Memo.MemoEvictions)
-	add("summaries: hit ratio %.1f%% (%d hits / %d misses), %d steps saved, %d composed, %d evictions\n",
-		rep.Sum.SumHitRatio*100, rep.Sum.SumHits, rep.Sum.SumMisses,
-		rep.Sum.SumStepsSaved, rep.Sum.SumComposed, rep.Sum.SumEvictions)
 	if rep.Identical {
 		add("verdicts and failure positions identical across arms and worker counts\n")
 	} else {

@@ -128,14 +128,6 @@ type Options struct {
 	DisableFoldMemo bool
 	// MemoMB is the per-field fold-memo byte budget in MiB (0: default).
 	MemoMB int
-	// DisableCallSummaries turns off call-grained procedure summaries for
-	// every field check (ablation arm; see kiss.Config.
-	// DisableCallSummaries). Results are bit-identical either way; only
-	// wall time and the Stats.Summary diagnostics differ.
-	DisableCallSummaries bool
-	// SummaryMB is the per-field summary-table byte budget in MiB
-	// (0: default).
-	SummaryMB int
 	// VisitedMode selects the visited-set representation for every field
 	// check (kiss.Config.VisitedMode): "" or kiss.VisitedExact keeps the
 	// exact fingerprint set; kiss.VisitedCompact stores fingerprints in a
@@ -395,21 +387,19 @@ func RunCorpus(opts Options) ([]*DriverResult, error) {
 // in Section 2.2, we set the size of ts to 0."
 func fieldConfig(f drivers.FieldSpec, opts Options, maxStates int) *kiss.Config {
 	return &kiss.Config{
-		MaxTS:                0,
-		RaceTarget:           &kiss.RaceTarget{Record: "DEVICE_EXTENSION", Field: f.Name},
-		MaxStates:            maxStates,
-		DisableMacroSteps:    opts.DisableMacroSteps,
-		DisableFoldMemo:      opts.DisableFoldMemo,
-		MemoMB:               opts.MemoMB,
-		DisableCallSummaries: opts.DisableCallSummaries,
-		SummaryMB:            opts.SummaryMB,
-		VisitedMode:          opts.VisitedMode,
-		MemBudgetMB:          opts.MemBudgetMB,
-		AuditVisited:         opts.AuditVisited,
-		SearchWorkers:        opts.SearchWorkers,
-		Sequentialization:    opts.Sequentialization,
-		ContextSwitches:      opts.ContextSwitches,
-		Context:              opts.Context,
+		MaxTS:             0,
+		RaceTarget:        &kiss.RaceTarget{Record: "DEVICE_EXTENSION", Field: f.Name},
+		MaxStates:         maxStates,
+		DisableMacroSteps: opts.DisableMacroSteps,
+		DisableFoldMemo:   opts.DisableFoldMemo,
+		MemoMB:            opts.MemoMB,
+		VisitedMode:       opts.VisitedMode,
+		MemBudgetMB:       opts.MemBudgetMB,
+		AuditVisited:      opts.AuditVisited,
+		SearchWorkers:     opts.SearchWorkers,
+		Sequentialization: opts.Sequentialization,
+		ContextSwitches:   opts.ContextSwitches,
+		Context:           opts.Context,
 	}
 }
 

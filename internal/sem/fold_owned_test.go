@@ -16,11 +16,10 @@ import (
 )
 
 // Tests for the fold-ownership rules: a fold steps its own intermediate
-// states in place, never the caller's base, never a state a summary layer
-// keeps as its base, and never a state a summary replay produced. The
-// production folds must match the clone-per-step reference folds
-// (fold_ref_test.go) exactly, leave every state they were handed
-// untouched, and record the same memo and summary entries.
+// states in place, never the caller's base. The production folds must
+// match the clone-per-step reference folds (fold_ref_test.go) exactly,
+// leave every state they were handed untouched, and record the same memo
+// entries.
 
 // compileSource parses, checks and lowers src and, when transform is
 // non-nil, applies it before compiling.
@@ -106,50 +105,28 @@ func foldSubjects(t *testing.T) []foldSubject {
 	return subs
 }
 
-// foldArm is one configuration of the fold entry points: which tables
-// are on and which entry point a search would call.
+// foldArm is one configuration of the fold entry point: with or without
+// the fold memo.
 type foldArm struct {
-	name      string
-	memo, sum bool
-	// memoOnly selects MacroStepMemo instead of MacroStepMemoSum.
-	memoOnly bool
+	name string
+	memo bool
 }
 
-var foldArms = []foldArm{
-	{name: "bare"},
-	{name: "memo", memo: true, memoOnly: true},
-	{name: "memo+sum-entry", memo: true},
-	{name: "sum", sum: true},
-	{name: "memo+sum", memo: true, sum: true},
-}
+var foldArms = []foldArm{{name: "bare"}, {name: "memo", memo: true}}
 
-// foldTables is one side's memo and summary tables.
-type foldTables struct {
-	memo *FoldMemo
-	sum  *SummaryTable
-}
-
-func newFoldTables(a foldArm) foldTables {
-	var ft foldTables
-	if a.memo {
-		ft.memo = NewFoldMemo(0, false)
+// newFoldMemo returns one side's memo table, nil for the bare arm.
+func newFoldMemo(a foldArm) *FoldMemo {
+	if !a.memo {
+		return nil
 	}
-	if a.sum {
-		ft.sum = NewSummaryTable(0, false)
-	}
-	return ft
+	return NewFoldMemo(0, false)
 }
 
-func (ft foldTables) fold(a foldArm, s *State, ti, limit int, ref bool) MacroResult {
-	switch {
-	case a.memoOnly && ref:
-		return refMacroStepMemo(s, ti, limit, ft.memo)
-	case a.memoOnly:
-		return MacroStepMemo(s, ti, limit, ft.memo)
-	case ref:
-		return refMacroStepMemoSum(s, ti, limit, ft.memo, ft.sum)
+func fold(memo *FoldMemo, s *State, ti, limit int, ref bool) MacroResult {
+	if ref {
+		return refMacroStepMemo(s, ti, limit, memo)
 	}
-	return MacroStepMemoSum(s, ti, limit, ft.memo, ft.sum)
+	return MacroStepMemo(s, ti, limit, memo)
 }
 
 // foldLimits cycles the fold limits so limit-cut runs (Limited) are
@@ -160,17 +137,17 @@ var foldLimits = []int{0, 0, 3, 0, 11}
 // at every expansion runs the production fold and the reference fold on
 // the same input, each with its own tables. The results must be equal
 // raw (outcome states, events, Prefix, PrefixIdx, OutIdx, Stepped,
-// Limited, failure), the tables must hold the same entries with the same
-// footprints and deltas, the input must be unchanged after both folds,
+// Limited, failure), the memo tables must hold the same entries with the
+// same footprints and deltas, the input must be unchanged after both folds,
 // and at the end every state handed out or taken in must still equal the
 // deep copy made when it was first seen.
 func TestFoldOwnedMatchesReference(t *testing.T) {
 	const maxStates = 250
-	var memoHits, sumHits int64
+	var memoHits int64
 	for _, sub := range foldSubjects(t) {
 		for _, arm := range foldArms {
 			name := sub.name + "/" + arm.name
-			got, want := newFoldTables(arm), newFoldTables(arm)
+			got, want := newFoldMemo(arm), newFoldMemo(arm)
 			type kept struct {
 				s    *State
 				copy *State
@@ -193,11 +170,11 @@ func TestFoldOwnedMatchesReference(t *testing.T) {
 					limit := foldLimits[calls%len(foldLimits)]
 					calls++
 					before := s.DeepClone()
-					g := got.fold(arm, s, ti, limit, false)
+					g := fold(got, s, ti, limit, false)
 					if !rawStateEqual(s, before) {
 						t.Fatalf("%s: fold changed its input state", name)
 					}
-					w := want.fold(arm, s, ti, limit, true)
+					w := fold(want, s, ti, limit, true)
 					if !rawStateEqual(s, before) {
 						t.Fatalf("%s: reference fold changed its input state", name)
 					}
@@ -225,48 +202,33 @@ func TestFoldOwnedMatchesReference(t *testing.T) {
 					t.Fatalf("%s: state %d changed after it was handed out", name, i)
 				}
 			}
-			compareTables(t, name, got, want)
-			if got.memo != nil {
-				memoHits += got.memo.Stats().Hits
-			}
-			if got.sum != nil {
-				sumHits += got.sum.Stats().Hits
+			if got != nil {
+				compareMemos(t, name, got, want)
+				memoHits += got.Stats().Hits
 			}
 		}
 	}
 	// The table comparisons are only as strong as the traffic they saw.
-	if memoHits == 0 || sumHits == 0 {
-		t.Fatalf("memo hits %d, summary hits %d: the walk never replayed", memoHits, sumHits)
+	if memoHits == 0 {
+		t.Fatal("the walk never replayed a memo entry")
 	}
-	t.Logf("memo hits %d, summary hits %d", memoHits, sumHits)
+	t.Logf("memo hits %d", memoHits)
 }
 
-// compareTables requires both sides' tables to agree on counters and on
-// every entry, in LRU order.
-func compareTables(t *testing.T, name string, got, want foldTables) {
+// compareMemos requires both sides' memo tables to agree on counters and
+// on every entry, in LRU order.
+func compareMemos(t *testing.T, name string, got, want *FoldMemo) {
 	t.Helper()
-	if got.memo != nil {
-		gs, ws := got.memo.Stats(), want.memo.Stats()
-		if gs != ws {
-			t.Fatalf("%s: memo stats %+v, reference %+v", name, gs, ws)
-		}
-		if gs.AuditMismatches != 0 {
-			t.Fatalf("%s: %d memo audit mismatches", name, gs.AuditMismatches)
-		}
-		ge, we := memoEntries(got.memo), memoEntries(want.memo)
-		if !reflect.DeepEqual(ge, we) {
-			t.Fatalf("%s: memo entries differ from the reference's (%d vs %d)", name, len(ge), len(we))
-		}
+	gs, ws := got.Stats(), want.Stats()
+	if gs != ws {
+		t.Fatalf("%s: memo stats %+v, reference %+v", name, gs, ws)
 	}
-	if got.sum != nil {
-		gs, ws := got.sum.Stats(), want.sum.Stats()
-		if gs != ws {
-			t.Fatalf("%s: summary stats %+v, reference %+v", name, gs, ws)
-		}
-		ge, we := sumEntries(got.sum), sumEntries(want.sum)
-		if !reflect.DeepEqual(ge, we) {
-			t.Fatalf("%s: summary entries differ from the reference's (%d vs %d)", name, len(ge), len(we))
-		}
+	if gs.AuditMismatches != 0 {
+		t.Fatalf("%s: %d memo audit mismatches", name, gs.AuditMismatches)
+	}
+	ge, we := memoEntries(got), memoEntries(want)
+	if !reflect.DeepEqual(ge, we) {
+		t.Fatalf("%s: memo entries differ from the reference's (%d vs %d)", name, len(ge), len(we))
 	}
 }
 
@@ -324,35 +286,6 @@ func sortedFields(ws []objFieldWrite) []objFieldWrite {
 		return int(a.field - b.field)
 	})
 	return ws
-}
-
-// sumEntryView is a summary entry without its table bookkeeping.
-type sumEntryView struct {
-	site    sumSite
-	reads   []memoRead
-	ts      []Pending
-	stepped int
-	events  []Event
-	idx     []int32
-	delta   sumDelta
-}
-
-func sumEntries(st *SummaryTable) []sumEntryView {
-	var out []sumEntryView
-	for i := range st.shards {
-		for e := st.shards[i].head; e != nil; e = e.next {
-			d := e.delta
-			d.globals = sortedSlots(d.globals)
-			d.objFields = sortedFields(d.objFields)
-			d.callerSlots = sortedSlots(d.callerSlots)
-			d.deepFrames = append([]deepFrameWrite(nil), d.deepFrames...)
-			for k := range d.deepFrames {
-				d.deepFrames[k].slots = sortedSlots(d.deepFrames[k].slots)
-			}
-			out = append(out, sumEntryView{e.site, e.reads, e.ts, e.stepped, e.events, e.idx, d})
-		}
-	}
-	return out
 }
 
 // TestStepOwnedMatchesStep: at every state reached by the reference

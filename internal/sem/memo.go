@@ -123,13 +123,6 @@ func readEq(a, b memoRead) bool {
 // if the location was not written earlier in the run and does not belong
 // to an object/frame the run itself created — such values are determined
 // by the footprint already taken, not by the base state.
-//
-// The recorder is also the fan-out point for call-summary layers (see
-// summary.go): every hook feeds the whole-fold footprint when foldActive
-// is set AND each open sumLayer, which applies its own baselines and
-// normalization. A recorder may serve layers alone (summaries on, fold
-// memo cold or off), the fold alone (the original MacroStepMemo path),
-// or both.
 type foldRecorder struct {
 	baseHeapLen    int
 	baseNextFrame  int
@@ -146,11 +139,6 @@ type foldRecorder struct {
 	nextFrameSeen  bool
 	nextThreadSeen bool
 	aborted        bool
-
-	// foldActive gates the whole-fold footprint above; layers holds the
-	// open call-summary recording layers, innermost last.
-	foldActive bool
-	layers     []*sumLayer
 }
 
 var recorderPool = sync.Pool{New: func() any {
@@ -171,16 +159,9 @@ func (r *foldRecorder) reset(s *State) {
 	r.tsSeen, r.tsWritten = false, false
 	r.heapLenSeen, r.nextFrameSeen, r.nextThreadSeen = false, false, false
 	r.aborted = false
-	r.foldActive = false
-	r.layers = r.layers[:0]
 }
 
-func (r *foldRecorder) abort() {
-	r.aborted = true
-	for _, l := range r.layers {
-		l.aborted = true
-	}
-}
+func (r *foldRecorder) abort() { r.aborted = true }
 
 // note registers loc as a footprint read with the value observed at the
 // base, unless the run is aborted, the location was written earlier in
@@ -200,141 +181,86 @@ func (r *foldRecorder) note(loc memoLoc, v Value) {
 }
 
 func (r *foldRecorder) readGlobal(idx int, v Value) {
-	if r.foldActive {
-		r.note(memoLoc{k: locGlobal, a: int32(idx)}, v)
-	}
-	for _, l := range r.layers {
-		l.readGlobal(idx, v)
-	}
+	r.note(memoLoc{k: locGlobal, a: int32(idx)}, v)
 }
 
 func (r *foldRecorder) readHeapField(obj, field int, v Value) {
 	// Objects at/after the base heap length were created by this run:
 	// their contents are determined by the footprint already taken.
-	if r.foldActive && obj < r.baseHeapLen {
+	if obj < r.baseHeapLen {
 		r.note(memoLoc{k: locHeapField, a: int32(obj), b: int32(field)}, v)
-	}
-	for _, l := range r.layers {
-		l.readHeapField(obj, field, v)
 	}
 }
 
 func (r *foldRecorder) readHeapRec(obj int, rec string) {
-	if r.foldActive && obj < r.baseHeapLen {
+	if obj < r.baseHeapLen {
 		r.note(memoLoc{k: locHeapRec, a: int32(obj)}, Value{Fn: rec})
-	}
-	for _, l := range r.layers {
-		l.readHeapRec(obj, rec)
 	}
 }
 
 func (r *foldRecorder) readLocal(frameID, slot int, v Value) {
 	// Frames created by this run are determined; skip them.
-	if r.foldActive && frameID < r.baseNextFrame {
+	if frameID < r.baseNextFrame {
 		r.note(memoLoc{k: locLocal, a: int32(frameID), b: int32(slot)}, v)
-	}
-	for _, l := range r.layers {
-		l.readLocal(frameID, slot, v)
 	}
 }
 
 // readDangling records that a load/store addressed a popped frame's local.
 // Replay-side matching checks the frame is popped there too; no value.
 func (r *foldRecorder) readDangling(frameID, slot int) {
-	if r.foldActive && frameID < r.baseNextFrame {
+	if frameID < r.baseNextFrame {
 		r.note(memoLoc{k: locDangling, a: int32(frameID), b: int32(slot)}, Value{})
-	}
-	for _, l := range r.layers {
-		l.readDangling(frameID, slot)
 	}
 }
 
 func (r *foldRecorder) readTs(ts []Pending) {
-	if r.foldActive && !r.aborted && !r.tsSeen && !r.tsWritten {
+	if !r.aborted && !r.tsSeen && !r.tsWritten {
 		r.tsSeen = true
 		r.reads = append(r.reads, memoRead{loc: memoLoc{k: locTsFull}})
 		r.ts = ts
 	}
-	for _, l := range r.layers {
-		l.readTs(ts)
-	}
 }
 
 func (r *foldRecorder) readHeapLen(n int) {
-	if r.foldActive && !r.aborted && !r.heapLenSeen {
+	if !r.aborted && !r.heapLenSeen {
 		r.heapLenSeen = true
 		r.reads = append(r.reads, memoRead{loc: memoLoc{k: locHeapLen, a: int32(n)}})
-	}
-	for _, l := range r.layers {
-		l.readHeapLen(n)
 	}
 }
 
 func (r *foldRecorder) readNextFrameID(n int) {
-	// Layers deliberately do NOT pin the frame-id counter: every call
-	// segment pushes a frame, so an absolute pin would make entries
-	// instance-specific. They store a relative delta instead (sumDiff).
-	if !r.foldActive || r.aborted || r.nextFrameSeen {
-		return
+	if !r.aborted && !r.nextFrameSeen {
+		r.nextFrameSeen = true
+		r.reads = append(r.reads, memoRead{loc: memoLoc{k: locNextFrameID, a: int32(n)}})
 	}
-	r.nextFrameSeen = true
-	r.reads = append(r.reads, memoRead{loc: memoLoc{k: locNextFrameID, a: int32(n)}})
 }
 
 func (r *foldRecorder) readNextThreadID(n int) {
-	if r.foldActive && !r.aborted && !r.nextThreadSeen {
+	if !r.aborted && !r.nextThreadSeen {
 		r.nextThreadSeen = true
 		r.reads = append(r.reads, memoRead{loc: memoLoc{k: locNextThreadID, a: int32(n)}})
-	}
-	// A new thread ends sole-liveness, so the enclosing fold breaks and
-	// any open segment can never close; abort the layers eagerly.
-	for _, l := range r.layers {
-		l.aborted = true
-	}
-}
-
-// noteReturn fans a return value to the open layers (see
-// sumLayer.noteReturn); the whole-fold footprint is raw and needs no
-// check — its events replay only at raw-identical bases.
-func (r *foldRecorder) noteReturn(rv Value) {
-	for _, l := range r.layers {
-		l.noteReturn(rv)
 	}
 }
 
 func (r *foldRecorder) wroteGlobal(idx int) {
-	if r.foldActive && !r.aborted {
+	if !r.aborted {
 		r.written[memoLoc{k: locGlobal, a: int32(idx)}] = struct{}{}
-	}
-	for _, l := range r.layers {
-		l.wroteGlobal(idx)
 	}
 }
 
 func (r *foldRecorder) wroteHeapField(obj, field int) {
-	if r.foldActive && !r.aborted && obj < r.baseHeapLen {
+	if !r.aborted && obj < r.baseHeapLen {
 		r.written[memoLoc{k: locHeapField, a: int32(obj), b: int32(field)}] = struct{}{}
-	}
-	for _, l := range r.layers {
-		l.wroteHeapField(obj, field)
 	}
 }
 
 func (r *foldRecorder) wroteLocal(frameID, slot int) {
-	if r.foldActive && !r.aborted && frameID < r.baseNextFrame {
+	if !r.aborted && frameID < r.baseNextFrame {
 		r.written[memoLoc{k: locLocal, a: int32(frameID), b: int32(slot)}] = struct{}{}
-	}
-	for _, l := range r.layers {
-		l.wroteLocal(frameID, slot)
 	}
 }
 
-func (r *foldRecorder) wroteTs() {
-	r.tsWritten = true
-	for _, l := range r.layers {
-		l.wroteTs()
-	}
-}
+func (r *foldRecorder) wroteTs() { r.tsWritten = true }
 
 // ctrlFrame is one frame of a memo group's control signature.
 type ctrlFrame struct {

@@ -111,8 +111,8 @@ func Step(s *State, ti int) StepResult {
 }
 
 // step is Step, except that with owned set the caller owns s outright: a
-// fold's own intermediate state, which no search, memo entry, or summary
-// layer references. An instruction with one successor then updates s in
+// fold's own intermediate state, which no search or memo entry
+// references. An instruction with one successor then updates s in
 // place and returns s itself as the outcome, saving the clone and the
 // path-copies of every component the previous step already owned.
 // Instructions with several successors still clone each one. If an owned
@@ -378,11 +378,6 @@ func doReturn(s *State, ti int, rv Value, pos ast.Pos, fnName string, owned bool
 	ns := s
 	if !owned {
 		ns = s.Clone()
-	}
-	if ns.rec != nil {
-		// The return event's text embeds rv raw ("return " + rv.String());
-		// summary layers must reject values naming instance-specific frames.
-		ns.rec.noteReturn(rv)
 	}
 	top := ns.popFrame(ti)
 	result := top.Result

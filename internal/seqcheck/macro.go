@@ -152,7 +152,7 @@ func checkMacroDFS(c *sem.Compiled, opts Options) *Result {
 			return res
 		}
 
-		mr := sem.MacroStepMemoSum(cur.st, 0, macroLimit(opts, cur.nd.depth, res.Steps), opts.Memo, opts.Summaries)
+		mr := sem.MacroStepMemo(cur.st, 0, macroLimit(opts, cur.nd.depth, res.Steps), opts.Memo)
 		res.Steps += mr.Stepped
 		res.StatesStepped += len(mr.Prefix)
 		if mr.Failure != nil {
@@ -367,7 +367,7 @@ func checkMacroBFS(c *sem.Compiled, opts Options) *Result {
 					slots[i] = macroSlot{done: true}
 					return
 				}
-				mr := sem.MacroStepMemoSum(it.st, 0, limit, opts.Memo, opts.Summaries)
+				mr := sem.MacroStepMemo(it.st, 0, limit, opts.Memo)
 				sl := macroSlot{
 					prefix:    mr.Prefix,
 					prefixIdx: mr.PrefixIdx,

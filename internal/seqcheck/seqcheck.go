@@ -77,12 +77,6 @@ type Options struct {
 	// memo; only wall time and the memo's own hit/miss statistics differ.
 	// Ignored when macro steps are disabled.
 	Memo *sem.FoldMemo
-	// Summaries, when non-nil, is the call-grained procedure-summary table
-	// shared by every engine of this search (sem.MacroStepMemoSum): calls
-	// whose site and read footprint were seen before replay as one stored
-	// write delta instead of re-executing the callee. Same bit-identity
-	// contract as Memo. Ignored when macro steps are disabled.
-	Summaries *sem.SummaryTable
 	// AuditFingerprints cross-checks the 64-bit visited-set hashes against
 	// the canonical string encodings, counting states whose hash collided
 	// with a structurally different state in Result.HashCollisions. A

@@ -279,3 +279,46 @@ func TestBatchStreamVersionCheck(t *testing.T) {
 		t.Fatalf("wrong-version item: got %v, want a version error", err)
 	}
 }
+
+// oldSummaryStats is a result "stats" object as builds that still had
+// call summaries rendered it: a "summary" record beside "memo".
+const oldSummaryStats = `"stats":{"states":12,"steps":30,` +
+	`"memo":{"hits":1,"misses":2,"hit_ratio":0.33,"stores":2,"evictions":0,"steps_saved":5,"entries":2,"bytes":100},` +
+	`"summary":{"hits":3,"misses":1,"hit_ratio":0.75,"stores":1,"evictions":0,"steps_saved":40,"composed":0,"max_depth":1,"entries":1,"bytes":200}}`
+
+// TestClientDecodesRetiredSummaryStats: a CheckResponse or BatchItem
+// from an older daemon whose stats carry the retired "summary" record
+// still decodes, with the fields this build knows intact.
+func TestClientDecodesRetiredSummaryStats(t *testing.T) {
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		if r.URL.Path == "/v1/batch" {
+			fmt.Fprintln(w, `{"v":1,"index":0,"state":"done","result":{"verdict":"safe",`+oldSummaryStats+`}}`)
+			return
+		}
+		fmt.Fprintln(w, `{"v":1,"state":"done","result":{"verdict":"safe",`+oldSummaryStats+`}}`)
+	}))
+	t.Cleanup(ts.Close)
+	client := NewClient(ts.URL)
+
+	resp, err := client.Check(context.Background(), safeSrc, nil, 0)
+	if err != nil {
+		t.Fatalf("check response with a summary record: %v", err)
+	}
+	if resp.Result == nil || resp.Result.Stats.States != 12 || resp.Result.Stats.Memo == nil || resp.Result.Stats.Memo.Hits != 1 {
+		t.Fatalf("check response decoded wrongly: %+v", resp.Result)
+	}
+
+	stream, err := client.Batch(context.Background(), BatchRequest{Jobs: []BatchJob{{Source: safeSrc}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stream.Close()
+	item, err := stream.Next()
+	if err != nil {
+		t.Fatalf("batch item with a summary record: %v", err)
+	}
+	if item.Result == nil || item.Result.Stats.Steps != 30 {
+		t.Fatalf("batch item decoded wrongly: %+v", item.Result)
+	}
+}

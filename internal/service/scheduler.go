@@ -108,11 +108,6 @@ func (s *Server) runJob(j *job) {
 	}
 
 	s.observe(res)
-	if s.summaries != nil {
-		// Tables only grow while a check runs; re-check the store budget
-		// now that this job's growth is final.
-		s.summaries.trim()
-	}
 	j.finish(wres, "")
 	s.jobsDone.Add(1)
 }
@@ -128,12 +123,6 @@ func (s *Server) observe(res *kiss.Result) {
 		s.memoHits.Add(float64(m.Hits))
 		s.memoMisses.Add(float64(m.Misses))
 		s.memoStepsSaved.Add(float64(m.StepsSaved))
-	}
-	if sm := res.Stats.Summary; sm != nil {
-		s.summaryHits.Add(float64(sm.Hits))
-		s.summaryMisses.Add(float64(sm.Misses))
-		s.summaryStepsSaved.Add(float64(sm.StepsSaved))
-		s.summaryStores.Add(float64(sm.Stores))
 	}
 	if mem := res.Stats.Memory; mem != nil {
 		s.spilledBytes.Add(float64(mem.SpilledBytes))
@@ -205,36 +194,6 @@ func (s *Server) registerMetrics() {
 			return 0
 		})
 
-	s.summaryHits = r.Counter("kissd_summary_hits_total",
-		"Call-summary replay hits across all completed checks.", nil)
-	s.summaryMisses = r.Counter("kissd_summary_misses_total",
-		"Call-summary lookup misses across all completed checks.", nil)
-	s.summaryStepsSaved = r.Counter("kissd_summary_steps_saved_total",
-		"Micro steps replayed from call summaries instead of executing.", nil)
-	s.summaryStores = r.Counter("kissd_summary_stores_total",
-		"Call segments recorded into summary tables.", nil)
-	r.GaugeFunc("kissd_summary_hit_ratio", "Fleet-wide call-summary hits / lookups.", nil,
-		func() float64 {
-			hits, misses := s.summaryHits.Value(), s.summaryMisses.Value()
-			if total := hits + misses; total > 0 {
-				return hits / total
-			}
-			return 0
-		})
-	if s.summaries != nil {
-		r.GaugeFunc("kissd_summary_tables", "Live persistent summary tables (one per program key).", nil,
-			func() float64 { _, tables, _ := s.summaries.stats(); return float64(tables) })
-		r.GaugeFunc("kissd_summary_bytes", "Bytes held by live persistent summary tables.", nil,
-			func() float64 { agg, _, _ := s.summaries.stats(); return float64(agg.Bytes) })
-		r.GaugeFunc("kissd_summary_entries", "Entries across live persistent summary tables.", nil,
-			func() float64 { agg, _, _ := s.summaries.stats(); return float64(agg.Entries) })
-		r.CounterFunc("kissd_summary_entry_evictions_total",
-			"Summary entries dropped by per-table byte-budget LRUs.", nil,
-			func() float64 { agg, _, _ := s.summaries.stats(); return float64(agg.Evictions) })
-		r.CounterFunc("kissd_summary_tables_evicted_total",
-			"Whole summary tables evicted by the store's byte budget.", nil,
-			func() float64 { _, _, ev := s.summaries.stats(); return float64(ev) })
-	}
 	s.spilledBytes = r.Counter("kissd_spilled_bytes_total",
 		"Frontier frame bytes spilled to sorted disk runs under the memory budget.", nil)
 	s.spilledFrames = r.Counter("kissd_spilled_frames_total",

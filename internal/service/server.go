@@ -34,11 +34,6 @@ type Config struct {
 	SearchWorkers int
 	// CacheBytes is the result-cache byte budget. Default 64 MiB.
 	CacheBytes int64
-	// SummaryBytes is the persistent call-summary store's byte budget
-	// (whole-table LRU across programs; see summaries.go). Default
-	// sem.DefaultSummaryBytes. Negative disables cross-check summary
-	// persistence (each check still builds its own per-run table).
-	SummaryBytes int64
 	// DefaultTimeout bounds each job's wall time (from submission,
 	// queue wait included) when the request doesn't set timeout_ms.
 	// 0 means no default deadline.
@@ -63,12 +58,11 @@ type Config struct {
 // result cache, and a metrics registry. Create with New, serve
 // Handler(), stop with Drain.
 type Server struct {
-	cfg       Config
-	cache     *resultCache
-	summaries *summaryStore // nil when SummaryBytes < 0
-	jobs      *jobTable
-	queue     chan *job
-	reg       *stats.Registry
+	cfg   Config
+	cache *resultCache
+	jobs  *jobTable
+	queue chan *job
+	reg   *stats.Registry
 
 	mu       sync.Mutex // guards draining vs. queue close
 	draining bool
@@ -80,27 +74,23 @@ type Server struct {
 	instance string
 
 	// metrics (populated by registerMetrics)
-	outcomes          map[string]*stats.Counter
-	jobsFailed        *stats.Counter
-	jobsPanicked      *stats.Counter
-	jobsRejected      *stats.Counter
-	statesTotal       *stats.Counter
-	stepsTotal        *stats.Counter
-	memoHits          *stats.Counter
-	memoMisses        *stats.Counter
-	memoStepsSaved    *stats.Counter
-	summaryHits       *stats.Counter
-	summaryMisses     *stats.Counter
-	summaryStepsSaved *stats.Counter
-	summaryStores     *stats.Counter
-	spilledBytes      *stats.Counter
-	spilledFrames     *stats.Counter
-	spilledRuns       *stats.Counter
-	mergePasses       *stats.Counter
-	visitedFPs        *stats.Counter
-	phaseParse        *stats.Histogram
-	phaseTransform    *stats.Histogram
-	phaseCheck        *stats.Histogram
+	outcomes       map[string]*stats.Counter
+	jobsFailed     *stats.Counter
+	jobsPanicked   *stats.Counter
+	jobsRejected   *stats.Counter
+	statesTotal    *stats.Counter
+	stepsTotal     *stats.Counter
+	memoHits       *stats.Counter
+	memoMisses     *stats.Counter
+	memoStepsSaved *stats.Counter
+	spilledBytes   *stats.Counter
+	spilledFrames  *stats.Counter
+	spilledRuns    *stats.Counter
+	mergePasses    *stats.Counter
+	visitedFPs     *stats.Counter
+	phaseParse     *stats.Histogram
+	phaseTransform *stats.Histogram
+	phaseCheck     *stats.Histogram
 }
 
 // New builds a Server and starts its worker pool.
@@ -129,9 +119,6 @@ func New(cfg Config) *Server {
 		queue:    make(chan *job, cfg.QueueSize),
 		reg:      stats.NewRegistry(),
 		instance: hex.EncodeToString(inst[:]),
-	}
-	if cfg.SummaryBytes >= 0 {
-		s.summaries = newSummaryStore(cfg.SummaryBytes)
 	}
 	s.registerMetrics()
 	s.startWorkers()
@@ -204,7 +191,7 @@ func (s *Server) submit(j *job) error {
 // context bounds the wait: when it expires, the remaining jobs are
 // canceled through their own contexts instead of abandoned, so each
 // returns a partial ResourceBound result through the normal completion
-// path and its counters still reach the kissd_memo_* / kissd_summary_*
+// path and its counters still reach the kissd_memo_*
 // totals (a job cut off mid-check did real work the fleet metrics must
 // not lose). Drain is idempotent.
 func (s *Server) Drain(ctx context.Context) error {
@@ -287,14 +274,6 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 	// scheduler owns parallelism and deadlines, not the submitter.
 	runCfg := cfg.Normalized()
 	runCfg.SearchWorkers = s.cfg.SearchWorkers
-	// Cross-check summary persistence: hand the job the program's live
-	// summary table. The key excludes budget knobs, so a resubmission
-	// with a changed budget (a result-cache miss) still replays warm.
-	if s.summaries != nil && !runCfg.DisableMacroSteps && !runCfg.DisableCallSummaries && !runCfg.Summaries {
-		if skey, kerr := SummaryKey(prog.Source(), &runCfg); kerr == nil {
-			runCfg.SummaryTable = s.summaries.table(skey)
-		}
-	}
 	timeout := s.cfg.DefaultTimeout
 	if req.TimeoutMS > 0 {
 		timeout = time.Duration(req.TimeoutMS) * time.Millisecond

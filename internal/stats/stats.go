@@ -233,10 +233,6 @@ type Stats struct {
 	// Memo carries the fold-memoization table counters (nil when the
 	// memo is off or never engaged).
 	Memo *Memo `json:"memo,omitempty"`
-	// Summary carries the call-grained procedure-summary table counters
-	// (nil when summaries are off or never engaged). Kept separate from
-	// Memo so the ablation can tell fold hits from summary hits.
-	Summary *Summary `json:"summary,omitempty"`
 	// Memory carries the memory-bounded search diagnostics (nil when
 	// neither the spilling frontier nor the compact visited set engaged).
 	Memory *Memory `json:"memory,omitempty"`
@@ -303,38 +299,6 @@ type Memo struct {
 	AuditMismatches int64 `json:"audit_mismatches,omitempty"`
 }
 
-// Summary reports the call-grained procedure-summary table of a
-// macro-step search: how many calls replayed whole from the table, what
-// the replay saved, and how deep summary composition went. Like Memo,
-// the counters are scheduling-dependent in parallel searches, so
-// StripTiming drops the record. For a persistent table (kissd), the
-// counters are per-check deltas; Entries/Bytes describe the table at
-// check end.
-type Summary struct {
-	// Hits and Misses count summary lookups at call sites inside folds;
-	// HitRatio is Hits/(Hits+Misses).
-	Hits     int64   `json:"hits"`
-	Misses   int64   `json:"misses"`
-	HitRatio float64 `json:"hit_ratio"`
-	// Stores counts recorded call segments; Evictions counts entries
-	// dropped by the byte-budget LRU.
-	Stores    int64 `json:"stores"`
-	Evictions int64 `json:"evictions"`
-	// StepsSaved is the total micro steps replayed from the table.
-	StepsSaved int64 `json:"steps_saved"`
-	// Composed counts hits whose replay was fed into an enclosing
-	// recording (summary composition); MaxDepth is the deepest open-layer
-	// stack seen while recording.
-	Composed int64 `json:"composed"`
-	MaxDepth int64 `json:"max_depth"`
-	// Entries and Bytes are the table's final size.
-	Entries int64 `json:"entries"`
-	Bytes   int64 `json:"bytes"`
-	// AuditMismatches counts replays that failed byte-for-byte
-	// re-execution verification (audit runs only).
-	AuditMismatches int64 `json:"audit_mismatches,omitempty"`
-}
-
 // Parallel reports the diagnostics of a multi-worker frontier search:
 // how the work spread over the workers and how hard they fought over the
 // sharded visited set. The verdict and the search metrics above are
@@ -362,7 +326,6 @@ func (s *Stats) StripTiming() {
 	s.StatesPerSec = 0
 	s.Parallel = nil
 	s.Memo = nil
-	s.Summary = nil
 	s.Memory = nil
 }
 

@@ -215,10 +215,10 @@ type Config struct {
 	// the sequential checker: SeqKISS (the default; "" means kiss) or
 	// SeqCB. The mode changes which interleavings are reachable — it is
 	// verdict-affecting — so it participates in Normalized()/
-	// CanonicalJSON and in persistent summary keys. SeqCB checks
-	// assertions on the scalar-globals fragment only: RaceTarget and the
-	// Summaries engine are rejected, and programs with heap or pointer
-	// operations return an unsupported error (cbseq.IsUnsupported).
+	// CanonicalJSON and in cache keys. SeqCB checks assertions on the
+	// scalar-globals fragment only: RaceTarget and the Summaries engine
+	// are rejected, and programs with heap or pointer operations return
+	// an unsupported error (cbseq.IsUnsupported).
 	Sequentialization string
 	// ContextSwitches is K for SeqCB: how many context switches the
 	// translated program simulates (each one guesses a snapshot of the
@@ -266,32 +266,10 @@ type Config struct {
 	// MemoMB is the fold-memo table byte budget in MiB; 0 selects the
 	// default (sem.DefaultMemoBytes).
 	MemoMB int
-	// DisableCallSummaries turns off call-grained procedure summaries,
-	// the interprocedural replay tier above the fold memo: calls whose
-	// site and read footprint match a recorded segment replay the whole
-	// call (nested calls included, by composition) as one stored write
-	// delta (see WithCallSummaries). Summaries are on by default whenever
-	// macro steps are on; like the memo they change only wall time and
-	// the Stats.Summary diagnostics — the verdict, trace, failure
-	// position, and every deterministic counter are bit-identical either
-	// way and at every SearchWorkers count.
-	DisableCallSummaries bool
-	// SummaryMB is the summary-table byte budget in MiB; 0 selects the
-	// default (sem.DefaultSummaryBytes).
-	SummaryMB int
-	// SummaryTable, when non-nil, injects a persistent summary table that
-	// outlives this check (kissd keys one per program content hash). The
-	// table pins the one compiled program its entries refer to
-	// (sem.SummaryTable.BindCompile), so it must only ever be handed to
-	// checks of the identical source and shaping config. SummaryMB and
-	// AuditFoldMemo are ignored for an injected table (its creator chose
-	// them); Stats.Summary then reports per-check counter deltas.
-	SummaryTable *sem.SummaryTable
-	// AuditFoldMemo re-executes every memo and summary hit and verifies
-	// the replayed result byte-for-byte against execution, counting
-	// divergences in Stats.Memo.AuditMismatches /
-	// Stats.Summary.AuditMismatches and always returning the executed
-	// result. Matching is exact (no footprint hashing), so a
+	// AuditFoldMemo re-executes every fold-memo hit and verifies the
+	// replayed result byte-for-byte against execution, counting
+	// divergences in Stats.Memo.AuditMismatches and always returning the
+	// executed result. Matching is exact (no footprint hashing), so a
 	// mismatch can only mean an implementation bug in the recorder or
 	// delta model; audit exists to detect that and for differential
 	// tests, and costs more than the replay saves.
@@ -429,17 +407,6 @@ func WithFoldMemo(on bool) Option { return func(c *Config) { c.DisableFoldMemo =
 
 // WithMemoMB sets the fold-memo table byte budget in MiB (0: default).
 func WithMemoMB(n int) Option { return func(c *Config) { c.MemoMB = n } }
-
-// WithCallSummaries toggles call-grained procedure summaries (default on
-// whenever macro steps are on): calls whose site and read footprint match
-// a recorded segment replay whole — nested calls included — instead of
-// re-folding per caller state, lifting fold-level replay to the
-// interprocedural level. Results are bit-identical either way; only wall
-// time and Stats.Summary differ.
-func WithCallSummaries(on bool) Option { return func(c *Config) { c.DisableCallSummaries = !on } }
-
-// WithSummaryMB sets the summary-table byte budget in MiB (0: default).
-func WithSummaryMB(n int) Option { return func(c *Config) { c.SummaryMB = n } }
 
 // Visited-set representations (Config.VisitedMode).
 const (
@@ -661,9 +628,6 @@ func (r *Result) String() string {
 	if m := r.Stats.Memo; m != nil {
 		counters += fmt.Sprintf(" memo-hits=%.0f%%", m.HitRatio*100)
 	}
-	if sm := r.Stats.Summary; sm != nil {
-		counters += fmt.Sprintf(" sum-hits=%.0f%%", sm.HitRatio*100)
-	}
 	switch r.Verdict {
 	case Safe:
 		return fmt.Sprintf("no bug found (%s)", counters)
@@ -726,14 +690,12 @@ func (c *Config) Check(p *Program) (*Result, error) {
 	frontierBytes, filterBytes := c.memoryBudget(compactVis)
 
 	col.Start(stats.PhaseCheck)
-	sum := c.newSummaryTable()
-	compiled, err := compileFor(sum, seq.ast)
+	compiled, err := sem.Compile(seq.ast)
 	if err != nil {
 		col.End(stats.PhaseCheck)
 		return nil, err
 	}
 	memo := c.newFoldMemo()
-	sumPrev := summarySnapshot(sum)
 	r := seqcheck.Check(compiled, seqcheck.Options{
 		MaxStates:         c.MaxStates,
 		MaxSteps:          c.MaxSteps,
@@ -741,7 +703,6 @@ func (c *Config) Check(p *Program) (*Result, error) {
 		BFS:               c.BFS,
 		DisableMacroSteps: c.DisableMacroSteps,
 		Memo:              memo,
-		Summaries:         sum,
 		SearchWorkers:     c.SearchWorkers,
 		NumShards:         c.NumShards,
 		VisitedCompact:    compactVis,
@@ -800,7 +761,6 @@ func (c *Config) Check(p *Program) (*Result, error) {
 		Reason:           r.Reason,
 		Parallel:         r.Parallel,
 		Memo:             memoStats(memo),
-		Summary:          summaryStats(sum, sumPrev),
 		Memory:           r.Memory,
 	}
 	col.Finalize(&out.Stats)
@@ -815,63 +775,6 @@ func (c *Config) newFoldMemo() *sem.FoldMemo {
 		return nil
 	}
 	return sem.NewFoldMemo(int64(c.MemoMB)<<20, c.AuditFoldMemo)
-}
-
-// newSummaryTable builds or selects this check's call-summary table: an
-// injected persistent table (kissd) wins; otherwise a fresh table per run,
-// or nil when summaries cannot engage.
-func (c *Config) newSummaryTable() *sem.SummaryTable {
-	if c.DisableMacroSteps || c.DisableCallSummaries {
-		return nil
-	}
-	if c.SummaryTable != nil {
-		return c.SummaryTable
-	}
-	return sem.NewSummaryTable(int64(c.SummaryMB)<<20, c.AuditFoldMemo)
-}
-
-// compileFor compiles the program, routing through the summary table's
-// BindCompile when one is live: summary entries compare compiled-function
-// pointers, so every check sharing a table must run the same Compiled.
-func compileFor(sum *sem.SummaryTable, p *ast.Program) (*sem.Compiled, error) {
-	if sum == nil {
-		return sem.Compile(p)
-	}
-	return sum.BindCompile(func() (*sem.Compiled, error) { return sem.Compile(p) })
-}
-
-// summarySnapshot reads the table counters before a check so persistent
-// tables can report per-check deltas; zero for a nil table.
-func summarySnapshot(sum *sem.SummaryTable) sem.SummaryStats {
-	if sum == nil {
-		return sem.SummaryStats{}
-	}
-	return sum.Stats()
-}
-
-// summaryStats folds a summary table into the Stats record as the delta
-// since prev; a table that never saw a lookup this check reports nil.
-func summaryStats(sum *sem.SummaryTable, prev sem.SummaryStats) *stats.Summary {
-	if sum == nil {
-		return nil
-	}
-	st := sum.Stats().Sub(prev)
-	if st.Hits+st.Misses == 0 && st.Stores == 0 {
-		return nil
-	}
-	return &stats.Summary{
-		Hits:            st.Hits,
-		Misses:          st.Misses,
-		HitRatio:        st.HitRatio(),
-		Stores:          st.Stores,
-		Evictions:       st.Evictions,
-		StepsSaved:      st.StepsSaved,
-		Composed:        st.Composed,
-		MaxDepth:        st.MaxDepth,
-		Entries:         st.Entries,
-		Bytes:           st.Bytes,
-		AuditMismatches: st.AuditMismatches,
-	}
 }
 
 // memoStats snapshots a memo table into the Stats record; a table that
@@ -951,14 +854,12 @@ func (c *Config) Explore(p *Program) (*Result, error) {
 	}
 	frontierBytes, filterBytes := c.memoryBudget(compactVis)
 	col.Start(stats.PhaseCheck)
-	sum := c.newSummaryTable()
-	compiled, err := compileFor(sum, p.ast)
+	compiled, err := sem.Compile(p.ast)
 	if err != nil {
 		col.End(stats.PhaseCheck)
 		return nil, err
 	}
 	memo := c.newFoldMemo()
-	sumPrev := summarySnapshot(sum)
 	r := concheck.Check(compiled, concheck.Options{
 		MaxStates:         c.MaxStates,
 		MaxSteps:          c.MaxSteps,
@@ -966,7 +867,6 @@ func (c *Config) Explore(p *Program) (*Result, error) {
 		ContextBound:      c.ContextBound,
 		DisableMacroSteps: c.DisableMacroSteps,
 		Memo:              memo,
-		Summaries:         sum,
 		SearchWorkers:     c.SearchWorkers,
 		NumShards:         c.NumShards,
 		VisitedCompact:    compactVis,
@@ -997,7 +897,6 @@ func (c *Config) Explore(p *Program) (*Result, error) {
 		Reason:           r.Reason,
 		Parallel:         r.Parallel,
 		Memo:             memoStats(memo),
-		Summary:          summaryStats(sum, sumPrev),
 		Memory:           r.Memory,
 	}
 	col.Finalize(&out.Stats)
