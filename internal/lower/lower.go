@@ -80,6 +80,11 @@ func (fl *funcLowerer) block(b *ast.Block) *ast.Block {
 
 // stmt lowers one statement into a sequence of core statements.
 func (fl *funcLowerer) stmt(s ast.Stmt) []ast.Stmt {
+	if coreLeaf(s) {
+		// Lowering would rebuild it unchanged; keeping the node lets a
+		// caller follow a statement through lowering.
+		return []ast.Stmt{s}
+	}
 	switch s := s.(type) {
 	case *ast.Block:
 		return []ast.Stmt{fl.block(s)}
@@ -350,6 +355,42 @@ func isCallTarget(e ast.Expr) bool {
 		return true
 	}
 	return false
+}
+
+// coreLeaf reports whether s is a leaf statement that lowering leaves
+// exactly as it is.
+func coreLeaf(s ast.Stmt) bool {
+	switch s := s.(type) {
+	case *ast.AssignStmt:
+		switch l := s.Lhs.(type) {
+		case *ast.VarExpr:
+			return isCoreExpr(s.Rhs)
+		case *ast.DerefExpr:
+			return isOperand(l.X) && isOperand(s.Rhs)
+		case *ast.FieldExpr:
+			return isOperand(l.X) && isOperand(s.Rhs)
+		}
+	case *ast.AssertStmt:
+		return isCoreExpr(s.Cond)
+	case *ast.AssumeStmt:
+		return !containsCall(s.Cond)
+	case *ast.CallStmt:
+		return isCallTarget(s.Fn) && allOperands(s.Args)
+	case *ast.AsyncStmt:
+		return isCallTarget(s.Fn) && allOperands(s.Args)
+	case *ast.ReturnStmt:
+		return s.Value == nil || isCoreExpr(s.Value)
+	}
+	return false
+}
+
+func allOperands(es []ast.Expr) bool {
+	for _, e := range es {
+		if !isOperand(e) {
+			return false
+		}
+	}
+	return true
 }
 
 // isCoreExpr reports whether e is a core right-hand-side expression: at

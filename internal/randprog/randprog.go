@@ -14,7 +14,8 @@
 // Programs are deterministic functions of the seed, loop-free (so all
 // state spaces are finite and small), and draw from assignments on a few
 // int-valued globals, if/choice branching, asserts over globals, atomic
-// blocks, assumes, and async/sync calls in a DAG call structure.
+// blocks, assumes, and async/sync calls in a DAG call structure. With
+// Config.Locals set, functions also compute on locals of their own.
 package randprog
 
 import (
@@ -32,11 +33,24 @@ type Config struct {
 	// AssertBias makes asserts plausibly falsifiable: conditions compare
 	// globals against small constants.
 	Depth int // max nesting depth of if/choice
+	// Locals is the number of int locals each function declares (0:
+	// none, and the output is exactly that of the generator before
+	// locals existed). With locals, statements also do straight-line
+	// arithmetic on them, move values between them and globals, branch
+	// and assert on them, and update one through a pointer local lp
+	// (taking its address, which makes it shared for the transform).
+	// The pointer never leaves its frame: a thread that KISS ends by
+	// raise loses its frames, so a pointer to them held by another
+	// thread would dangle in P' but not in P.
+	Locals int
 }
 
 // Default is a configuration that keeps full interleaving exploration
 // under ~10^5 states.
 var Default = Config{Globals: 3, Funcs: 3, MaxStmts: 5, MaxAsyncs: 2, Depth: 2}
+
+// DefaultLocals is Default with two locals per function.
+var DefaultLocals = Config{Globals: 3, Funcs: 3, MaxStmts: 5, MaxAsyncs: 2, Depth: 2, Locals: 2}
 
 // Generate returns the source of a random program for the given seed.
 func Generate(seed int64, cfg Config) string {
@@ -70,6 +84,17 @@ func (g *gen) global(i int) string { return fmt.Sprintf("g%d", i) }
 func (g *gen) fn(i int) string     { return fmt.Sprintf("aux%d", i) }
 
 func (g *gen) randGlobal() string { return g.global(g.rng.Intn(g.cfg.Globals)) }
+func (g *gen) randLocal() string  { return fmt.Sprintf("l%d", g.rng.Intn(g.cfg.Locals)) }
+
+// declareLocals opens a function body with its locals.
+func (g *gen) declareLocals() {
+	for i := 0; i < g.cfg.Locals; i++ {
+		fmt.Fprintf(&g.buf, "  var l%d;\n", i)
+	}
+	if g.cfg.Locals > 0 {
+		g.buf.WriteString("  var lp;\n")
+	}
+}
 
 func (g *gen) program() string {
 	for i := 0; i < g.cfg.Globals; i++ {
@@ -78,6 +103,7 @@ func (g *gen) program() string {
 	// Auxiliary functions form a DAG: aux_i may call aux_j for j > i.
 	for i := 0; i < g.cfg.Funcs; i++ {
 		fmt.Fprintf(&g.buf, "func %s() {\n", g.fn(i))
+		g.declareLocals()
 		n := 1 + g.rng.Intn(g.cfg.MaxStmts)
 		for s := 0; s < n; s++ {
 			g.stmt(1, i, false)
@@ -85,6 +111,7 @@ func (g *gen) program() string {
 		g.buf.WriteString("}\n")
 	}
 	g.buf.WriteString("func main() {\n")
+	g.declareLocals()
 	asyncs := 0
 	if g.cfg.MaxAsyncs > 0 {
 		asyncs = g.rng.Intn(g.cfg.MaxAsyncs + 1)
@@ -113,9 +140,14 @@ func (g *gen) program() string {
 // higher indices so the call graph is acyclic.
 func (g *gen) stmt(depth, callerIdx int, inMain bool) {
 	ind := strings.Repeat("  ", depth)
-	const kinds = 10
+	kinds := 10
+	if g.cfg.Locals > 0 {
+		kinds = 14
+	}
 	k := g.rng.Intn(kinds)
 	switch {
+	case k >= 10:
+		g.localStmt(k, depth, callerIdx, inMain)
 	case k <= 2: // assignment of a constant
 		fmt.Fprintf(&g.buf, "%s%s = %d;\n", ind, g.randGlobal(), g.rng.Intn(3))
 	case k == 3: // increment / copy
@@ -153,6 +185,35 @@ func (g *gen) stmt(depth, callerIdx int, inMain bool) {
 		// interesting without making every run vacuous)
 		fmt.Fprintf(&g.buf, "%sif (%s %s %d) { skip; } else { skip; }\n",
 			ind, g.randGlobal(), g.cmpOp(), g.rng.Intn(3))
+	}
+}
+
+// localStmt emits one of the statements that involve locals.
+func (g *gen) localStmt(k, depth, callerIdx int, inMain bool) {
+	ind := strings.Repeat("  ", depth)
+	switch {
+	case k == 10: // straight-line arithmetic on locals
+		if g.rng.Intn(2) == 0 {
+			fmt.Fprintf(&g.buf, "%s%s = %s + %d;\n", ind, g.randLocal(), g.randLocal(), g.rng.Intn(3))
+		} else {
+			fmt.Fprintf(&g.buf, "%s%s = %d;\n", ind, g.randLocal(), g.rng.Intn(3))
+		}
+	case k == 11: // move between a local and a global
+		if g.rng.Intn(2) == 0 {
+			fmt.Fprintf(&g.buf, "%s%s = %s;\n", ind, g.randLocal(), g.randGlobal())
+		} else {
+			fmt.Fprintf(&g.buf, "%s%s = %s;\n", ind, g.randGlobal(), g.randLocal())
+		}
+	case k == 12 && depth < g.cfg.Depth: // branch on a local
+		fmt.Fprintf(&g.buf, "%sif (%s %s %d) {\n", ind, g.randLocal(), g.cmpOp(), g.rng.Intn(3))
+		g.stmt(depth+1, callerIdx, inMain)
+		fmt.Fprintf(&g.buf, "%s} else {\n", ind)
+		g.stmt(depth+1, callerIdx, inMain)
+		fmt.Fprintf(&g.buf, "%s}\n", ind)
+	case k == 12: // assert over a local
+		fmt.Fprintf(&g.buf, "%sassert(%s %s %d);\n", ind, g.randLocal(), g.cmpOp(), g.rng.Intn(3))
+	default: // update a local through a pointer to it
+		fmt.Fprintf(&g.buf, "%slp = &%s;\n%s*lp = *lp + %d;\n", ind, g.randLocal(), ind, g.rng.Intn(3))
 	}
 }
 

@@ -1,6 +1,8 @@
 package randprog
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"testing"
 	"testing/quick"
 
@@ -14,8 +16,15 @@ import (
 // TestGeneratedProgramsWellFormed: every generated program parses, passes
 // semantic checking, lowers to core form, and compiles.
 func TestGeneratedProgramsWellFormed(t *testing.T) {
+	for _, cfg := range []Config{Default, DefaultLocals} {
+		checkWellFormed(t, cfg)
+	}
+}
+
+func checkWellFormed(t *testing.T, cfg Config) {
+	t.Helper()
 	f := func(seed int64) bool {
-		src := Generate(seed, Default)
+		src := Generate(seed, cfg)
 		p, err := parser.Parse(src)
 		if err != nil {
 			t.Logf("seed %d parse error: %v\n%s", seed, err, src)
@@ -87,5 +96,24 @@ func TestTwoThreadedHasExactlyOneAsync(t *testing.T) {
 		if asyncs != 1 {
 			t.Errorf("seed %d: %d async calls, want 1\n%s", seed, asyncs, src)
 		}
+	}
+}
+
+// TestOutputPinned: the generator's output for the shapes the benchmark
+// and the evaluation draw from is fixed. A change here moves their
+// inputs; new features must stay behind Config fields whose zero value
+// keeps this hash.
+func TestOutputPinned(t *testing.T) {
+	h := sha256.New()
+	shapes := []Config{Default, {Globals: 2, Funcs: 2, MaxStmts: 4, MaxAsyncs: 2, Depth: 2}}
+	for _, cfg := range shapes {
+		for seed := int64(0); seed < 400; seed++ {
+			h.Write([]byte(Generate(seed, cfg)))
+			h.Write([]byte(GenerateTwoThreaded(seed, cfg)))
+		}
+	}
+	const want = "cba47e627702fe8ee59a6bcab71965ae11dcca74792d964cfde44ed8a3f21bc6"
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Errorf("generator output hash %s, want %s", got, want)
 	}
 }
