@@ -101,7 +101,6 @@ bench-smoke:
 	@grep -q '"rows"' .bench-smoke.json && grep -q '"spilled_bytes"' .bench-smoke.json || { echo "bench-smoke: malformed bench artifact"; rm -f .bench-smoke.json; exit 1; }
 	@rm -f .bench-smoke.json
 	@echo "bench-smoke: membench artifact non-empty and well-formed"
-	@rm -f .bench-smoke.json
 	$(GO) run ./cmd/kissbench -seqbench -seq-programs -1 -max-states 50000 -min-cb-only 1 -o .bench-smoke.json
 	@test -s .bench-smoke.json || { echo "bench-smoke: empty seqbench artifact"; rm -f .bench-smoke.json; exit 1; }
 	@grep -q '"cb_only": true' .bench-smoke.json && grep -q '"sound": true' .bench-smoke.json || { echo "bench-smoke: seqbench found no CB-only bug"; rm -f .bench-smoke.json; exit 1; }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/ast"
+	"repro/internal/drivers"
 	"repro/internal/lower"
 	"repro/internal/parser"
 	"repro/internal/randprog"
@@ -93,4 +94,28 @@ func TestBlowupIndependentOfSize(t *testing.T) {
 	if large > small*1.2 {
 		t.Errorf("blowup grows with size: %.2fx at 5 stmts, %.2fx at 500", small, large)
 	}
+}
+
+// TestThinningShrinksDriverModels: on a generated driver model, whose
+// dispatch routines carry runs of local bookkeeping, the thinned
+// transform emits fewer statements than the prefix-everywhere one.
+func TestThinningShrinksDriverModels(t *testing.T) {
+	spec := drivers.FindSpec("fakemodem")
+	m := drivers.Generate(spec)
+	f := spec.Fields[0]
+	p := parseLowered(t, m.HarnessProgram(f.Name, false))
+	target := ast.RaceTarget{Record: "DEVICE_EXTENSION", Field: f.Name}
+	thin, err := TransformRace(p, target, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := (&transformer{opts: Options{}, target: &target, everywhere: true}).run(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, was := Measure(p, thin).StmtBlowup(), Measure(p, ref).StmtBlowup()
+	if got >= was {
+		t.Errorf("statement blowup %.2fx thinned, %.2fx with a prefix everywhere", got, was)
+	}
+	t.Logf("statement blowup %.2fx -> %.2fx", was, got)
 }

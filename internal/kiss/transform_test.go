@@ -104,8 +104,9 @@ func TestRaceTransformAddsChecks(t *testing.T) {
 	}
 }
 
-// TestRaiseChoiceBeforeStatements: Figure 4 inserts
-// choice{skip [] RAISE} before every statement; RAISE is
+// TestRaiseInstrumentationShape: Figure 4 inserts
+// choice{skip [] RAISE} before a statement (here a global write; see
+// TestPrefixOnlyWhereVisible for which ones); RAISE is
 // raise := true; return.
 func TestRaiseInstrumentationShape(t *testing.T) {
 	p := parseLowered(t, `var g; func main() { g = 1; }`)
@@ -296,5 +297,171 @@ func TestTransformedOutputReparses(t *testing.T) {
 	back.RaceTarget = out.RaceTarget
 	if err := sema.Check(back, sema.Transformed); err != nil {
 		t.Fatalf("reparsed output ill-formed: %v", err)
+	}
+}
+
+// isPrefix reports whether s is a prefix's choice: skip, then branches
+// that each end in RAISE.
+func isPrefix(s ast.Stmt) bool {
+	c, ok := s.(*ast.ChoiceStmt)
+	if !ok || len(c.Branches) < 2 || ast.PrintStmt(c.Branches[0]) != "{\n  skip;\n}" {
+		return false
+	}
+	for _, br := range c.Branches[1:] {
+		n := len(br.Stmts)
+		if n < 2 || ast.PrintStmt(br.Stmts[n-2]) != RaiseVar+" = true;" {
+			return false
+		}
+	}
+	return true
+}
+
+// prefixes maps each leaf statement of body, printed, to whether a
+// prefix precedes it, and reports for each iter (in order) how many
+// prefixes open its body.
+func prefixes(body *ast.Block) (before map[string]bool, iterHeads []int) {
+	before = map[string]bool{}
+	var walk func(b *ast.Block)
+	walk = func(b *ast.Block) {
+		prev := false
+		for _, s := range b.Stmts {
+			switch s := s.(type) {
+			case *ast.ChoiceStmt:
+				if isPrefix(s) {
+					prev = true
+					continue
+				}
+				for _, br := range s.Branches {
+					walk(br)
+				}
+			case *ast.IterStmt:
+				n := 0
+				for _, c := range s.Body.Stmts {
+					if !isPrefix(c) {
+						if call, ok := c.(*ast.CallStmt); ok && ast.PrintExpr(call.Fn) == "@"+ScheduleFn {
+							continue
+						}
+						break
+					}
+					n++
+				}
+				iterHeads = append(iterHeads, n)
+				walk(s.Body)
+			case *ast.CallStmt:
+				if ast.PrintExpr(s.Fn) == "@"+ScheduleFn {
+					continue
+				}
+				before[ast.PrintStmt(s)] = prev
+			default:
+				before[ast.PrintStmt(s)] = prev
+			}
+			prev = false
+		}
+	}
+	walk(body)
+	return before, iterHeads
+}
+
+// TestPrefixOnlyWhereVisible: statements over private locals, and skip,
+// get no prefix; everything another thread can tell apart keeps one.
+func TestPrefixOnlyWhereVisible(t *testing.T) {
+	src := `
+record R { f; }
+var g;
+func h() { }
+func k() { }
+func main() {
+  var a;
+  var b;
+  var p;
+  var q;
+  var r;
+  a = 1;
+  b = a + 2;
+  skip;
+  q = &r;
+  g = a;
+  a = g;
+  r = 1;
+  b = r;
+  p = new R;
+  p->f = a;
+  b = *q;
+  assume(a == 1);
+  assert(b == 1);
+  h();
+  atomic { a = 2; }
+  iter { a = a + 1; }
+  iter { g = 1; }
+  async k();
+  return;
+}
+`
+	for _, ts := range []int{0, 1} {
+		for _, race := range []bool{false, true} {
+			p := parseLowered(t, src)
+			var out *ast.Program
+			var err error
+			if race {
+				out, err = TransformRace(p, ast.RaceTarget{Global: "g"}, Options{MaxTS: ts})
+			} else {
+				out, err = Transform(p, Options{MaxTS: ts})
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			before, iterHeads := prefixes(out.FindFunc(TranslatedName("main")).Body)
+			want := map[string]bool{
+				"a = 1;":                          false, // private locals only
+				"b = (a + 2);":                    false,
+				"skip;":                           false,
+				"q = &r;":                         false, // takes an address, reads nothing
+				"g = a;":                          true,  // global write
+				"a = g;":                          true,  // global read
+				"r = 1;":                          true,  // r's address is taken: shared
+				"b = r;":                          true,
+				"p = new R;":                      true, // allocation
+				"p->f = a;":                       true, // heap
+				"b = *q;":                         true, // through a pointer
+				"assume((a == 1));":               true,
+				"assert((b == 1));":               true,
+				"@" + TranslatedName("h") + "();": true,
+				"a = 2;":                          true, // the atomic's prefix
+				"return;":                         false,
+			}
+			for stmt, w := range want {
+				got, ok := before[stmt]
+				if !ok {
+					t.Fatalf("ts %d race %v: %q not found in\n%s", ts, race, stmt, ast.Print(out))
+				}
+				if got != w {
+					t.Errorf("ts %d race %v: prefix before %q = %v, want %v", ts, race, stmt, got, w)
+				}
+			}
+			// An iter over private work gains a prefix at its head; one
+			// whose body starts with a prefix gets no second one.
+			if len(iterHeads) != 2 || iterHeads[0] != 1 || iterHeads[1] != 1 {
+				t.Errorf("ts %d race %v: prefixes at iter heads = %v, want [1 1]\n%s", ts, race, iterHeads, ast.Print(out))
+			}
+		}
+	}
+}
+
+// TestEverywhereKeepsFigure4: the reference transform the tests compare
+// against puts a prefix before every statement.
+func TestEverywhereKeepsFigure4(t *testing.T) {
+	p := parseLowered(t, `var g; func main() { var a; a = 1; skip; iter { a = a + 1; } g = a; }`)
+	out, err := (&transformer{opts: Options{}, everywhere: true}).run(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before, iterHeads := prefixes(out.FindFunc(TranslatedName("main")).Body)
+	for stmt, got := range before {
+		if !got {
+			t.Errorf("no prefix before %q", stmt)
+		}
+	}
+	if len(iterHeads) != 1 || iterHeads[0] != 1 {
+		t.Errorf("iter heads %v, want [1]", iterHeads)
 	}
 }

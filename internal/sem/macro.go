@@ -4,10 +4,11 @@ import "sync"
 
 // Macro-step compression: the SPIN-style statement-merging optimization.
 //
-// The KISS transformation inflates every statement with instrumentation
-// (the choice{skip [] RAISE} prefix, raise-flag tests, unwinding returns),
-// so most transitions of the transformed program have exactly one
-// successor. A search that stores and fingerprints a state after every
+// The KISS transformation inflates every visible statement with
+// instrumentation (the choice{skip [] RAISE} prefix, raise-flag tests,
+// unwinding returns), and statements over private locals run straight
+// through, so most transitions of the transformed program have exactly
+// one successor. A search that stores and fingerprints a state after every
 // micro-statement pays clone, hash, and visited-set costs for states that
 // carry no decision. MacroStep folds a maximal deterministic run into a
 // single transition: it repeatedly applies Step while the transition is

@@ -28,9 +28,18 @@ func mustParse(t *testing.T, src string) *Program {
 // as well"): whenever the KISS pipeline reports an error, the full
 // interleaving exploration of the original program must also report one.
 func TestNoFalseErrors(t *testing.T) {
+	for _, cfg := range []randprog.Config{randprog.Default, randprog.DefaultLocals} {
+		checkNoFalseErrors(t, cfg)
+	}
+}
+
+// checkNoFalseErrors runs TestNoFalseErrors on one generator shape; with
+// locals, the thinned statements are in play.
+func checkNoFalseErrors(t *testing.T, cfg randprog.Config) {
+	t.Helper()
 	errors := 0
 	for seed := int64(0); seed < 120; seed++ {
-		src := randprog.Generate(seed, randprog.Default)
+		src := randprog.Generate(seed, cfg)
 		for _, maxTS := range []int{0, 1, 2} {
 			prog := mustParse(t, src)
 			res, err := Check(prog, WithMaxTS(maxTS), WithMaxStates(300000))
