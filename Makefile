@@ -30,10 +30,9 @@ bench-test:
 # the eval worker pool (and, transitively, the shared parsed-harness and
 # model caches it hands to concurrent field checks), the parallel
 # state-space searches in seqcheck/concheck with their sharded visited
-# set — including the macro-step engines, their sync.Pool buffer reuse,
-# and the sharded fold-memo replay cache they share, exercised by the
-# TestMacro* and TestFoldMemo* differential tests in those packages —
-# and the copy-on-write state representation their workers
+# set — including the macro-step engines and their sync.Pool buffer
+# reuse, exercised by the TestMacro* differential tests in those
+# packages — and the copy-on-write state representation their workers
 # share, plus the kissd service layer (queue admission vs. drain, the
 # worker scheduler, and the result cache) and the kiss-coord cluster
 # coordinator (ring swaps, health transitions, batch fan-out, tenant
@@ -55,17 +54,12 @@ verify: fmt build vet test bench-test race
 # search-workers 0/1/8, stored/stepped states, throughput, and
 # allocations per arm — written to BENCH_PR4.json (the run exits
 # non-zero if the arms disagree or stored states fail to compress).
-# The PR 6 suite reruns the ablation and writes BENCH_PR6.json with the
-# fold-memo hit ratio and steps-saved totals; it exits non-zero unless
-# compression holds 3.0x and the memo hit ratio reaches 10%. The PR 8
-# suite reruns the ablation — per-statement, macro, macro+memo — with
-# verdict identity at search-workers 0/1/8 into BENCH_PR8.json. (The
-# committed BENCH_PR8.json predates the call summaries' removal and
-# still carries a fourth, macro+memo+sum arm.) The PR 9 suite is the memory-budget study: the corpus's
-# hard fields (exact visited set, classic state budget — the runs that
-# trip MaxStates) rerun with the compact visited filter and the
-# disk-spilling frontier at a 10x state ceiling under 1 MiB of search
-# memory; BENCH_PR9.json records per-field verdicts, peak search RAM,
+# (The PR 6 and PR 8 suites reran the ablation only to gate or report
+# the fold memo's arm; they left with the memo.) The PR 9 suite is the
+# memory-budget study: the corpus's hard fields (exact visited set,
+# classic state budget — the runs that trip MaxStates) rerun with the
+# compact visited filter and the disk-spilling frontier at a 10x state
+# ceiling under 1 MiB of search memory; BENCH_PR9.json records per-field verdicts, peak search RAM,
 # spilled bytes, and filter occupancy, and the run exits non-zero unless
 # at least 3 tripped fields improve. (The small budget is deliberate:
 # it forces real spill traffic on any machine, making the artifact a
@@ -81,20 +75,17 @@ bench:
 	$(GO) test -bench 'BenchmarkClone|BenchmarkDeepClone|BenchmarkSuccessors' -benchmem -run '^$$' ./internal/sem/
 	$(GO) run ./cmd/kissbench -table1 -json -o BENCH_PR3.json
 	$(GO) run ./cmd/kissbench -macrobench -min-ratio 3.0 -json -o BENCH_PR4.json
-	$(GO) run ./cmd/kissbench -macrobench -min-ratio 3.0 -min-hit-ratio 0.10 -json -o BENCH_PR6.json
 	$(GO) run ./cmd/kissbench -membench -drivers fakemodem,kbdclass,mouclass,mouser -max-states 4000 -mem-budget-mb 1 -min-improved 3 -o BENCH_PR9.json
-	$(GO) run ./cmd/kissbench -macrobench -min-ratio 3.0 -min-hit-ratio 0.10 -json -o BENCH_PR8.json
 	$(GO) run ./cmd/kissbench -seqbench -min-cb-only 1 -o BENCH_PR10.json
 
-# bench-smoke is the CI-sized slice of the ablation suite: three arms on
+# bench-smoke is the CI-sized slice of the ablation suite: both arms on
 # four small drivers with the same identity verification, asserting the
-# stored-state compression ratio exceeds 1 and a nonzero fold-memo hit
-# ratio. It then runs a one-driver slice of the memory-budget study
-# through -o and asserts the artifact is non-empty and carries the
+# stored-state compression ratio exceeds 1. It then runs a one-driver
+# slice of the memory-budget study through -o and asserts the artifact is non-empty and carries the
 # expected document shape — the regression gate for the
 # truncated-artifact bug. Runs in seconds.
 bench-smoke:
-	$(GO) run ./cmd/kissbench -macrobench -drivers kbfiltr,moufiltr,diskperf,1394diag -min-ratio 1.0 -min-hit-ratio 0.01
+	$(GO) run ./cmd/kissbench -macrobench -drivers kbfiltr,moufiltr,diskperf,1394diag -min-ratio 1.0
 	@rm -f .bench-smoke.json
 	$(GO) run ./cmd/kissbench -membench -drivers fakemodem -max-states 4000 -mem-budget-mb 1 -min-improved 1 -o .bench-smoke.json
 	@test -s .bench-smoke.json || { echo "bench-smoke: empty bench artifact"; rm -f .bench-smoke.json; exit 1; }

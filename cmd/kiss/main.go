@@ -15,12 +15,9 @@
 //
 // Flag names mirror the kiss.Config fields (and kissbench flags): -max-ts,
 // -max-states, -max-steps, -max-depth, -bfs, -context-bound, -timeout,
-// -search-workers, -macro-steps, -fold-memo, -memo-mb, -progress.
+// -search-workers, -macro-steps, -progress.
 // -macro-steps=false disables macro-step compression and reproduces the
-// per-statement search; -fold-memo=false disables the fold-memoization
-// replay cache (results are identical, folds just re-execute) and
-// -memo-mb caps its byte budget.
-// -progress streams search metrics to stderr
+// per-statement search. -progress streams search metrics to stderr
 // while the checker runs; -timeout bounds wall time and reports the
 // partial result; -search-workers N runs the state-space search with N
 // workers (verdicts and counters are identical at every worker count).
@@ -148,8 +145,6 @@ type budgetFlags struct {
 	maxStates, maxSteps, maxDepth *int
 	searchWorkers                 *int
 	macroSteps                    *bool
-	foldMemo                      *bool
-	memoMB                        *int
 	visitedMode                   *string
 	memBudgetMB                   *int
 	auditVisited                  *bool
@@ -166,8 +161,6 @@ func addBudgetFlags(fs *flag.FlagSet) *budgetFlags {
 		maxDepth:      fs.Int("max-depth", 0, "search depth bound (0 = unlimited)"),
 		searchWorkers: fs.Int("search-workers", 0, "parallel search workers (0 = sequential; results identical at every count)"),
 		macroSteps:    fs.Bool("macro-steps", true, "collapse deterministic runs into single transitions (-macro-steps=false reproduces the per-statement search)"),
-		foldMemo:      fs.Bool("fold-memo", true, "replay previously recorded folds from the read-footprint memo table (-fold-memo=false re-executes every fold; results identical either way)"),
-		memoMB:        fs.Int("memo-mb", 0, "fold-memo table byte budget in MiB (0 = default)"),
 		visitedMode:   fs.String("visited", "", "visited-set representation: exact (default) or compact (blocked-Bloom filter, ~8-16 bits/state)"),
 		memBudgetMB:   fs.Int("mem-budget-mb", 0, "search memory budget in MiB: the frontier spills to disk past its share, a compact filter is sized to the rest (0 = unlimited)"),
 		auditVisited:  fs.Bool("audit-visited", false, "shadow-check compact visited hits against an exact set, counting false positives"),
@@ -203,8 +196,6 @@ func (bf *budgetFlags) options() ([]kiss.Option, context.CancelFunc) {
 		kiss.WithMaxDepth(*bf.maxDepth),
 		kiss.WithSearchWorkers(*bf.searchWorkers),
 		kiss.WithMacroSteps(*bf.macroSteps),
-		kiss.WithFoldMemo(*bf.foldMemo),
-		kiss.WithMemoMB(*bf.memoMB),
 		kiss.WithVisitedMode(*bf.visitedMode),
 		kiss.WithMemBudgetMB(*bf.memBudgetMB),
 	}

@@ -12,18 +12,14 @@
 //	kissbench -macrobench    macro-step compression ablation (JSON with -json)
 //	kissbench -all        everything
 //
-// -macrobench runs the corpus three ways — per-statement, macro steps,
-// and macro steps + fold memoization — verifies that verdicts and
-// failure positions are identical at search-workers 0, 1, and 8, and
-// reports stored/stepped state counts, throughput, allocations, and the
-// memo hit/steps-saved totals per arm. It exits non-zero if the arms
-// disagree; if -min-ratio R is given and the stored-state compression
+// -macrobench runs the corpus two ways — per-statement and macro steps —
+// verifies that verdicts and failure positions are identical at
+// search-workers 0, 1, and 8, and reports stored/stepped state counts,
+// throughput, and allocations per arm. It exits non-zero if the arms
+// disagree, or if -min-ratio R is given and the stored-state compression
 // ratio — measured over the fields that completed in both arms, the ones
-// whose runs covered the same state space — falls below R; or if
-// -min-hit-ratio H is given and the memo arm's hit ratio falls below H.
-// -macro-steps=false and -fold-memo=false turn the corresponding layer
-// off for the regular table runs (the ablation arms, one at a time);
-// -memo-mb M caps the memo table.
+// whose runs covered the same state space — falls below R.
+// -macro-steps=false turns compression off for the regular table runs.
 //
 // Optional: -drivers a,b,c restricts the corpus tables to named drivers;
 // -max-states N overrides the per-field state budget (spelled like the
@@ -171,10 +167,7 @@ func main() {
 	auditVisited := flag.Bool("audit-visited", false, "shadow-check compact visited hits against an exact set, counting false positives in the metrics")
 	outFile := flag.String("o", "", "write JSON output to this file atomically (temp + rename); exits non-zero on an empty payload")
 	minRatio := flag.Float64("min-ratio", 0, "with -macrobench: fail unless the stored-state compression ratio reaches this value (0 = no check)")
-	minHitRatio := flag.Float64("min-hit-ratio", 0, "with -macrobench: fail unless the memo arm's hit ratio reaches this value (0 = no check)")
 	macroSteps := flag.Bool("macro-steps", true, "collapse deterministic runs into single transitions (-macro-steps=false reproduces the per-statement search)")
-	foldMemo := flag.Bool("fold-memo", true, "replay previously recorded folds from the read-footprint memo table (-fold-memo=false re-executes every fold)")
-	memoMB := flag.Int("memo-mb", 0, "fold-memo table byte budget in MiB (0 = default)")
 	all := flag.Bool("all", false, "run everything")
 	driversFlag := flag.String("drivers", "", "comma-separated driver subset for the tables")
 	maxStates := flag.Int("max-states", 0, "per-field state budget override (0 = default)")
@@ -206,8 +199,7 @@ func main() {
 
 	opts := eval.Options{
 		Workers: *workers, SearchWorkers: *searchWorkers, Server: *server, Batch: *batch,
-		DisableMacroSteps: !*macroSteps, DisableFoldMemo: !*foldMemo, MemoMB: *memoMB,
-		VisitedMode: *visitedMode, MemBudgetMB: *memBudgetMB, AuditVisited: *auditVisited,
+		DisableMacroSteps: !*macroSteps, VisitedMode: *visitedMode, MemBudgetMB: *memBudgetMB, AuditVisited: *auditVisited,
 		Sequentialization: *seqMode, ContextSwitches: *contextSwitches,
 	}
 	// The memory-budget machinery lives in the BFS engines; the corpus
@@ -322,7 +314,6 @@ func main() {
 			MaxStates: opts.MaxStates,
 			Drivers:   opts.Drivers,
 			Workers:   *workers,
-			MemoMB:    *memoMB,
 		})
 		fatal(err)
 		if *jsonOut {
@@ -338,10 +329,6 @@ func main() {
 		}
 		if *minRatio > 0 && rep.CompressionRatio < *minRatio {
 			fmt.Fprintf(os.Stderr, "kissbench: macrobench: compression ratio %.2fx below required %.2fx\n", rep.CompressionRatio, *minRatio)
-			exitCode = 1
-		}
-		if *minHitRatio > 0 && rep.Memo.MemoHitRatio < *minHitRatio {
-			fmt.Fprintf(os.Stderr, "kissbench: macrobench: memo hit ratio %.3f below required %.3f\n", rep.Memo.MemoHitRatio, *minHitRatio)
 			exitCode = 1
 		}
 	}

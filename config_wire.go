@@ -72,16 +72,18 @@ type wireConfig struct {
 	MaxDepth            int             `json:"max_depth"`
 	BFS                 bool            `json:"bfs"`
 	DisableMacroSteps   bool            `json:"disable_macro_steps"`
-	DisableFoldMemo     bool            `json:"disable_fold_memo"`
-	MemoMB              int             `json:"memo_mb"`
-	// RetiredCallSum and RetiredSummaryMB are the knobs of the deleted
-	// call-summary table. Decoding accepts and ignores them and encoding
-	// always renders false/0, so older payloads still decode and every
-	// cache key keeps its bytes.
+	// The Retired* fields are the knobs of deleted mechanisms: the fold
+	// memo (disable_fold_memo, memo_mb), the call-summary table
+	// (disable_call_summaries, summary_mb) and the visited-set shard count
+	// (num_shards). Decoding accepts and ignores them and encoding always
+	// renders false/0, so older payloads still decode and every cache key
+	// keeps its bytes.
+	RetiredFoldMemo  bool `json:"disable_fold_memo"`
+	RetiredMemoMB    int  `json:"memo_mb"`
 	RetiredCallSum   bool `json:"disable_call_summaries"`
 	RetiredSummaryMB int  `json:"summary_mb"`
 	SearchWorkers    int  `json:"search_workers"`
-	NumShards        int  `json:"num_shards"`
+	RetiredShards    int  `json:"num_shards"`
 	ContextBound     int  `json:"context_bound"`
 	// The memory-budget knobs are omitempty: payloads and cache keys
 	// written before they existed decode and re-render byte-identically,
@@ -139,10 +141,7 @@ func (c *Config) MarshalJSON() ([]byte, error) {
 		MaxDepth:            c.MaxDepth,
 		BFS:                 c.BFS,
 		DisableMacroSteps:   c.DisableMacroSteps,
-		DisableFoldMemo:     c.DisableFoldMemo,
-		MemoMB:              c.MemoMB,
 		SearchWorkers:       c.SearchWorkers,
-		NumShards:           c.NumShards,
 		ContextBound:        c.ContextBound,
 		VisitedMode:         c.VisitedMode,
 		MemBudgetMB:         c.MemBudgetMB,
@@ -206,10 +205,7 @@ func (c *Config) UnmarshalJSON(data []byte) error {
 		MaxDepth:            w.MaxDepth,
 		BFS:                 w.BFS,
 		DisableMacroSteps:   w.DisableMacroSteps,
-		DisableFoldMemo:     w.DisableFoldMemo,
-		MemoMB:              w.MemoMB,
 		SearchWorkers:       w.SearchWorkers,
-		NumShards:           w.NumShards,
 		ContextBound:        w.ContextBound,
 		VisitedMode:         w.VisitedMode,
 		MemBudgetMB:         w.MemBudgetMB,
@@ -233,15 +229,11 @@ func (c *Config) UnmarshalJSON(data []byte) error {
 //
 //   - Context, Progress, ProgressStates, ProgressEvery: runtime plumbing,
 //     invisible to the verdict.
-//   - SearchWorkers, NumShards: the parallel search is bit-identical at
-//     every worker/shard count (the PR 3 invariant, property-tested in
-//     internal/seqcheck and internal/concheck), so they only move wall
+//   - SearchWorkers: the parallel search is bit-identical at every
+//     worker count (the PR 3 invariant, property-tested in
+//     internal/seqcheck and internal/concheck), so it only moves wall
 //     clock and the scheduling-dependent Stats.Parallel diagnostics.
 //   - ContextBound: consulted only by Explore, ignored by Check.
-//   - DisableFoldMemo, MemoMB, AuditFoldMemo: fold memoization replays
-//     folds bit-identically (the memo invariant, property-tested against
-//     memo-off runs), so the knobs move only wall time and the
-//     scheduling-dependent Stats.Memo diagnostics.
 //   - SpillDir and AuditVisited: spill placement and the false-positive
 //     audit never change what a check computes. MemBudgetMB is kept only
 //     under VisitedCompact — frontier spilling is bit-identical (eviction
@@ -276,11 +268,7 @@ func (c *Config) Normalized() Config {
 	n.ProgressStates = 0
 	n.ProgressEvery = 0
 	n.SearchWorkers = 0
-	n.NumShards = 0
 	n.ContextBound = 0
-	n.DisableFoldMemo = false
-	n.MemoMB = 0
-	n.AuditFoldMemo = false
 	n.SpillDir = ""
 	n.AuditVisited = false
 	if n.VisitedMode != VisitedCompact {

@@ -74,8 +74,6 @@ func TestConfigWireRoundTrip(t *testing.T) {
 			kiss.WithMaxDepth(64),
 			kiss.WithBFS(),
 			kiss.WithMacroSteps(false),
-			kiss.WithFoldMemo(false),
-			kiss.WithMemoMB(16),
 			kiss.WithSearchWorkers(8),
 			kiss.WithContextBound(2),
 		),
@@ -132,6 +130,50 @@ func TestConfigWireRetiredCallSummaryFields(t *testing.T) {
 	}
 	if !strings.Contains(string(data), `"disable_call_summaries":false,"summary_mb":0`) {
 		t.Errorf("retired fields not rendered as false/0: %s", data)
+	}
+}
+
+// TestConfigWireRetiredFoldMemoFields: the fold-memo knobs and the
+// visited-set shard count are gone from Config, but v1 payloads written
+// while they existed still carry them. They decode as no-ops: the
+// canonical form equals the zero-valued payload's, and the rendered
+// bytes hold false/0.
+func TestConfigWireRetiredFoldMemoFields(t *testing.T) {
+	const with = `{"v":1,"max_states":500,"disable_fold_memo":true,"memo_mb":64,"num_shards":8}`
+	const without = `{"v":1,"max_states":500}`
+	var a, b kiss.Config
+	if err := json.Unmarshal([]byte(with), &a); err != nil {
+		t.Fatalf("payload with the retired fields rejected: %v", err)
+	}
+	if err := json.Unmarshal([]byte(without), &b); err != nil {
+		t.Fatal(err)
+	}
+	ca, err := a.CanonicalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cb, err := b.CanonicalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(ca) != string(cb) {
+		t.Errorf("retired fields moved the canonical form:\n%s\n%s", ca, cb)
+	}
+	data, err := json.Marshal(&a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{`"disable_fold_memo":false,"memo_mb":0`, `"num_shards":0`} {
+		if !strings.Contains(string(data), want) {
+			t.Errorf("retired fields not rendered as false/0 (want %s): %s", want, data)
+		}
+	}
+	bdata, err := json.Marshal(&b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(data) != string(bdata) {
+		t.Errorf("retired fields moved the rendered bytes:\n%s\n%s", data, bdata)
 	}
 }
 
@@ -205,8 +247,6 @@ func TestConfigCanonicalJSONInvariance(t *testing.T) {
 		kiss.WithMaxStates(500),
 		kiss.WithSearchWorkers(8),
 		kiss.WithContextBound(3),
-		kiss.WithFoldMemo(false),
-		kiss.WithMemoMB(16),
 		kiss.WithProgress(func(kiss.Event) {}),
 		kiss.WithProgressCadence(10, 0),
 	)
@@ -394,8 +434,8 @@ func TestConfigCanonicalJSONSequentialization(t *testing.T) {
 // accepts re-encodes into one it accepts again; and the canonical form
 // is a fixed point of decode-then-canonicalize, so a cache key computed
 // from a decoded key's config is the key itself. Seeded with the
-// configs the golden tests pin and a payload carrying the retired
-// call-summary fields.
+// configs the golden tests pin and payloads carrying the retired
+// call-summary, fold-memo and shard-count fields.
 func FuzzConfigWire(f *testing.F) {
 	for _, cfg := range []*kiss.Config{
 		kiss.NewConfig(),
@@ -415,6 +455,7 @@ func FuzzConfigWire(f *testing.F) {
 		f.Add(data)
 	}
 	f.Add([]byte(`{"v":1,"max_states":500,"disable_call_summaries":true,"summary_mb":64}`))
+	f.Add([]byte(`{"v":1,"max_states":500,"disable_fold_memo":true,"memo_mb":64,"num_shards":8}`))
 	f.Add([]byte(`{"v":1,"scheduler":"at-calls-only","summaries":true,"race_target":{"global":"g"}}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var c kiss.Config

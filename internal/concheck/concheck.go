@@ -80,9 +80,6 @@ type Options struct {
 	// calling goroutine; 0 (the default) keeps the classic depth-first
 	// sequential search. AuditFingerprints forces the sequential search.
 	SearchWorkers int
-	// NumShards is the visited-set shard count for the parallel search
-	// (rounded up to a power of two; 0 selects visited.DefaultShards).
-	NumShards int
 	// FrontierBudget, when > 0, bounds the BFS frontier's resident bytes
 	// by spilling frames to sorted on-disk runs under SpillDir; see
 	// seqcheck.Options.FrontierBudget — the contract is shared (spilling
@@ -117,10 +114,6 @@ type Options struct {
 	// false-assume branch endpoints that compression prunes without
 	// storing. AuditFingerprints forces compression off.
 	DisableMacroSteps bool
-	// Memo, when non-nil, is the fold-memoization table shared by every
-	// engine of this search (sem.MacroStepMemo); see
-	// seqcheck.Options.Memo. Ignored when macro steps are disabled.
-	Memo *sem.FoldMemo
 	// AuditFingerprints cross-checks the 64-bit visited-set hashes against
 	// the canonical string encodings (see seqcheck.Options); collisions are
 	// counted in Result.HashCollisions.
@@ -200,21 +193,19 @@ func reasonFor(err error) stats.Reason {
 
 // node is one stored state's position in the trace tree. Under macro-step
 // compression an edge covers a whole deterministic run of thread ti:
-// prefix holds the folded events preceding event, prefixIdx the raw
-// successor index taken at each folded position, and idx the raw index of
-// the final edge — together with ti they spell this state's padded
-// (thread, successor)-path, the per-statement BFS's within-level order
-// (see cPathLess). pathEntry(ti, idx) alone, one per hop, forms the hop
-// key the macro bucket BFS orders by (see cAppendHopKey). depth is the
-// micro depth: parent.depth + len(prefix) + 1.
+// prefixIdx holds the raw successor index taken at each folded position,
+// and idx the raw index of the final edge — together with ti they spell
+// this state's padded (thread, successor)-path, the per-statement BFS's
+// within-level order (see cPathLess), and the path cReplayPath
+// re-executes to rebuild a trace. pathEntry(ti, idx) alone, one per hop,
+// forms the hop key the macro bucket BFS orders by (see cAppendHopKey).
+// depth is the micro depth: parent.depth + len(prefixIdx) + 1.
 //
 // A node restored from a spilled frontier frame has no parent chain;
 // base holds what it keeps of its ancestry instead.
 type node struct {
 	parent    *node
-	prefix    []sem.Event
 	prefixIdx []int32
-	event     sem.Event
 	idx       int32
 	ti        int32
 	depth     int
@@ -224,29 +215,10 @@ type node struct {
 // spillBase is the ancestry a node restored from a spilled frame keeps:
 // its hop key (the spill order key), which cAppendHopKey extends for
 // descendants, and its padded path of pathEntry-packed (thread, index)
-// pairs (carried in the spill payload), which cReplayPath turns back
-// into the trace prefix on failure.
+// pairs (carried in the spill payload), which cAppendPath extends.
 type spillBase struct {
 	key  []byte
 	path []int32
-}
-
-func (n *node) trace() []sem.Event {
-	total := 0
-	for cur := n; cur != nil && cur.parent != nil; cur = cur.parent {
-		total += len(cur.prefix) + 1
-	}
-	out := make([]sem.Event, total)
-	i := total
-	for cur := n; cur != nil && cur.parent != nil; cur = cur.parent {
-		i--
-		out[i] = cur.event
-		for j := len(cur.prefix) - 1; j >= 0; j-- {
-			i--
-			out[i] = cur.prefix[j]
-		}
-	}
-	return out
 }
 
 type searchState struct {
@@ -387,22 +359,13 @@ func Check(c *sem.Compiled, opts Options) *Result {
 			sr := sem.Step(cur.st, ti)
 			res.Steps++
 			if sr.Failure != nil {
-				res.Verdict = Error
-				res.Failure = sr.Failure
-				failEv := sem.Event{
-					Kind:     sem.EvStmt,
-					ThreadID: sr.Failure.ThreadID,
-					Pos:      sr.Failure.Pos,
-					Text:     sr.Failure.Msg,
-				}
-				res.Trace = append(cur.nd.trace(), failEv)
-				return res
+				return cFailAt(c, res, cur.nd, ti, nil, sr.Failure)
 			}
 			if sr.Blocked {
 				continue
 			}
 			anyProgress = anyProgress || len(sr.Outcomes) > 0
-			for _, out := range sr.Outcomes {
+			for k, out := range sr.Outcomes {
 				if seen(out.State, ti, switches) {
 					continue
 				}
@@ -414,7 +377,7 @@ func Check(c *sem.Compiled, opts Options) *Result {
 				}
 				stack = append(stack, searchState{
 					st:       out.State,
-					nd:       &node{parent: cur.nd, event: out.Event, depth: cur.nd.depth + 1},
+					nd:       &node{parent: cur.nd, idx: int32(k), ti: int32(ti), depth: cur.nd.depth + 1},
 					lastTh:   ti,
 					switches: switches,
 				})

@@ -51,15 +51,6 @@ func cMacroLimit(opts Options, depth, steps int) int {
 	return limit
 }
 
-func failEvent(f *sem.Failure) sem.Event {
-	return sem.Event{
-		Kind:     sem.EvStmt,
-		ThreadID: f.ThreadID,
-		Pos:      f.Pos,
-		Text:     f.Msg,
-	}
-}
-
 // checkMacroSeq is the sequential depth-first interleaving search with
 // macro-step compression.
 func checkMacroSeq(c *sem.Compiled, opts Options) *Result {
@@ -168,14 +159,11 @@ func checkMacroSeq(c *sem.Compiled, opts Options) *Result {
 				res.Reason = stats.ReasonSteps
 				return res
 			}
-			mr := sem.MacroStepMemo(cur.st, ti, cMacroLimit(opts, cur.nd.depth, res.Steps), opts.Memo)
+			mr := sem.MacroStep(cur.st, ti, cMacroLimit(opts, cur.nd.depth, res.Steps))
 			res.Steps += mr.Stepped
-			res.StatesStepped += len(mr.Prefix)
+			res.StatesStepped += len(mr.PrefixIdx)
 			if mr.Failure != nil {
-				res.Verdict = Error
-				res.Failure = mr.Failure
-				res.Trace = append(append(cur.nd.trace(), mr.Prefix...), failEvent(mr.Failure))
-				return res
+				return cFailAt(c, res, cur.nd, ti, mr.PrefixIdx, mr.Failure)
 			}
 			if mr.Blocked {
 				// Blocked after a fold: the chain's endpoint is the blocked
@@ -202,12 +190,10 @@ func checkMacroSeq(c *sem.Compiled, opts Options) *Result {
 					st: out.State,
 					nd: &node{
 						parent:    cur.nd,
-						prefix:    mr.Prefix,
 						prefixIdx: mr.PrefixIdx,
-						event:     out.Event,
 						idx:       mr.OutIdx[k],
 						ti:        int32(ti),
-						depth:     cur.nd.depth + len(mr.Prefix) + 1,
+						depth:     cur.nd.depth + len(mr.PrefixIdx) + 1,
 					},
 					lastTh:   ti,
 					switches: switches,
@@ -258,11 +244,12 @@ func cPathLess(a, b []int32) bool {
 // a frame's (or another candidate's) first differ under their lowest
 // common ancestor, where the padded paths do.
 type cMacroCand struct {
-	depth  int
-	key    []byte
-	nd     *node
-	prefix []sem.Event
-	fail   *sem.Failure
+	depth     int
+	key       []byte
+	nd        *node
+	ti        int
+	prefixIdx []int32
+	fail      *sem.Failure
 }
 
 func cMinCand(cands []cMacroCand) int {
@@ -277,10 +264,7 @@ func cMinCand(cands []cMacroCand) int {
 }
 
 func cFailFromCand(c *sem.Compiled, res *Result, cd *cMacroCand) *Result {
-	res.Verdict = Error
-	res.Failure = cd.fail
-	res.Trace = append(append(cFullTrace(c, cd.nd), cd.prefix...), failEvent(cd.fail))
-	return res
+	return cFailAt(c, res, cd.nd, cd.ti, cd.prefixIdx, cd.fail)
 }
 
 // cmThread records the (possibly folded) expansion of one schedulable
@@ -291,7 +275,6 @@ type cmThread struct {
 	overBound bool
 	blocked   bool
 	fail      *sem.Failure
-	prefix    []sem.Event
 	prefixIdx []int32
 	stepped   int
 	exps      []cexpansion
@@ -431,11 +414,10 @@ func checkMacroLevel(c *sem.Compiled, opts Options) *Result {
 							continue
 						}
 					}
-					mr := sem.MacroStepMemo(it.st, ti, limit, opts.Memo)
+					mr := sem.MacroStep(it.st, ti, limit)
 					th := cmThread{
 						ti: ti, switches: switches,
 						fail:      mr.Failure,
-						prefix:    mr.Prefix,
 						prefixIdx: mr.PrefixIdx,
 						stepped:   mr.Stepped,
 						blocked:   mr.Blocked,
@@ -531,21 +513,19 @@ func checkMacroLevel(c *sem.Compiled, opts Options) *Result {
 						return res
 					}
 					res.Steps += th.stepped
-					res.StatesStepped += len(th.prefix)
+					res.StatesStepped += len(th.prefixIdx)
 					if th.fail != nil {
-						if len(th.prefix) == 0 {
-							res.Verdict = Error
-							res.Failure = th.fail
-							res.Trace = append(cFullTrace(c, it.nd), failEvent(th.fail))
-							return res
+						if len(th.prefixIdx) == 0 {
+							return cFailAt(c, res, it.nd, th.ti, nil, th.fail)
 						}
 						// keys[i] is reused by the next chunk; copy it.
 						cands = append(cands, cMacroCand{
-							depth:  depth + len(th.prefix),
-							key:    cAppendPathEntry(bytes.Clone(keys[i]), pathEntry(int32(th.ti), th.prefixIdx[0])),
-							nd:     it.nd,
-							prefix: th.prefix,
-							fail:   th.fail,
+							depth:     depth + len(th.prefixIdx),
+							key:       cAppendPathEntry(bytes.Clone(keys[i]), pathEntry(int32(th.ti), th.prefixIdx[0])),
+							nd:        it.nd,
+							ti:        th.ti,
+							prefixIdx: th.prefixIdx,
+							fail:      th.fail,
 						})
 						// The chain progressed before failing; the per-statement
 						// search would not count this item as a deadlock.
@@ -570,12 +550,10 @@ func checkMacroLevel(c *sem.Compiled, opts Options) *Result {
 						}
 						nd := &node{
 							parent:    it.nd,
-							prefix:    th.prefix,
 							prefixIdx: th.prefixIdx,
-							event:     ex.out.Event,
 							idx:       ex.idx,
 							ti:        int32(th.ti),
-							depth:     depth + len(th.prefix) + 1,
+							depth:     depth + len(th.prefixIdx) + 1,
 						}
 						q.Push(nd.depth, searchState{
 							st:       ex.out.State,

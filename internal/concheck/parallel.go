@@ -283,16 +283,7 @@ func checkParallel(c *sem.Compiled, opts Options) *Result {
 					}
 					res.Steps++
 					if th.fail != nil {
-						res.Verdict = Error
-						res.Failure = th.fail
-						failEv := sem.Event{
-							Kind:     sem.EvStmt,
-							ThreadID: th.fail.ThreadID,
-							Pos:      th.fail.Pos,
-							Text:     th.fail.Msg,
-						}
-						res.Trace = append(cFullTrace(c, it.nd), failEv)
-						return res
+						return cFailAt(c, res, it.nd, th.ti, nil, th.fail)
 					}
 					if th.blocked {
 						continue
@@ -312,8 +303,7 @@ func checkParallel(c *sem.Compiled, opts Options) *Result {
 						q.Push(depth+1, searchState{
 							st: ex.out.State,
 							nd: &node{
-								parent: it.nd, event: ex.out.Event,
-								idx: ex.idx, ti: int32(th.ti), depth: depth + 1,
+								parent: it.nd, idx: ex.idx, ti: int32(th.ti), depth: depth + 1,
 							},
 							lastTh:   th.ti,
 							switches: th.switches,

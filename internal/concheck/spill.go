@@ -24,8 +24,9 @@ import (
 // their first entry, padded or hop. The payload is the scheduling
 // context (last thread, consumed switches), the padded path, and a sem
 // state snapshot. A node restored from disk is root-like, its hop key
-// and padded path in base; the trace of a failure beneath it is rebuilt
-// by replaying the path's (thread, index) entries from the initial state.
+// and padded path in base. Nodes hold no events: every counterexample
+// trace is rebuilt by replaying the failing state's padded path of
+// (thread, index) entries from the initial state (see cFailAt).
 
 // frontierChunk is how many frames a spilled bucket is streamed in at a
 // time; fully resident buckets arrive as one chunk (the classic
@@ -60,34 +61,43 @@ func cAppendHopKey(buf, scratch []byte, nd *node) ([]byte, []byte) {
 	return append(append(buf, base...), scratch[i:]...), scratch
 }
 
-// cAppendPaddedPath appends nd's padded (thread, successor-index) path
-// (root-first) as an entry count followed by the entries in key encoding.
-func cAppendPaddedPath(buf []byte, nd *node) []byte {
+// cAppendPath appends nd's padded (thread, successor-index) path
+// (root-first) to dst: a restored root's base path, then each hop's
+// folded entries and final entry, all through the hop's thread. One walk
+// up the chain sizes the path; a second fills it from the end.
+func cAppendPath(dst []int32, nd *node) []int32 {
 	n, root := 0, nd
 	for ; root.parent != nil; root = root.parent {
 		n += len(root.prefixIdx) + 1
 	}
-	var base []int32
 	if root.base != nil {
-		base = root.base.path
+		dst = append(dst, root.base.path...)
 	}
-	n += len(base)
-	buf = binary.AppendUvarint(buf, uint64(n))
-	end := len(buf) + 4*n
-	buf = slices.Grow(buf, 4*n)
-	for _, entry := range base {
-		buf = cAppendPathEntry(buf, entry)
-	}
-	buf = buf[:end]
+	dst = slices.Grow(dst, n)
+	end := len(dst) + n
+	dst = dst[:end]
 	for cur := nd; cur.parent != nil; cur = cur.parent {
-		end -= 4
-		binary.BigEndian.PutUint32(buf[end:], uint32(pathEntry(cur.ti, cur.idx)))
-		for j := len(cur.prefixIdx) - 1; j >= 0; j-- {
-			end -= 4
-			binary.BigEndian.PutUint32(buf[end:], uint32(pathEntry(cur.ti, cur.prefixIdx[j])))
+		end--
+		dst[end] = pathEntry(cur.ti, cur.idx)
+		end -= len(cur.prefixIdx)
+		for j, idx := range cur.prefixIdx {
+			dst[end+j] = pathEntry(cur.ti, idx)
 		}
 	}
-	return buf
+	return dst
+}
+
+// cAppendPaddedPath appends nd's padded path as an entry count followed
+// by the entries in key encoding. scratch is cAppendPath's buffer; the
+// possibly regrown scratch is returned.
+func cAppendPaddedPath(buf []byte, scratch []int32, nd *node) ([]byte, []int32) {
+	scratch = cAppendPath(scratch[:0], nd)
+	buf = binary.AppendUvarint(buf, uint64(len(scratch)))
+	buf = slices.Grow(buf, 4*len(scratch))
+	for _, entry := range scratch {
+		buf = cAppendPathEntry(buf, entry)
+	}
+	return buf, scratch
 }
 
 func cDecodePathKey(key []byte) []int32 {
@@ -113,7 +123,10 @@ func cDecodePaddedPath(payload []byte) ([]int32, []byte) {
 // selects hop-key order (the macro bucket engine) over arrival order
 // (the per-statement level engine).
 func cNewQueue(c *sem.Compiled, opts Options, ordered bool) *frontier.Queue[searchState] {
-	var scratch []byte // cAppendHopKey's; the queue calls Key from one goroutine
+	// The queue calls Key and Encode from one goroutine, so each keeps
+	// one scratch buffer.
+	var scratch []byte
+	var pathScratch []int32
 	return frontier.New(frontier.Config{
 		BudgetBytes: opts.FrontierBudget,
 		Dir:         opts.SpillDir,
@@ -126,7 +139,7 @@ func cNewQueue(c *sem.Compiled, opts Options, ordered bool) *frontier.Queue[sear
 		Encode: func(s searchState, buf []byte) []byte {
 			buf = binary.AppendUvarint(buf, uint64(s.lastTh+1))
 			buf = binary.AppendUvarint(buf, uint64(s.switches))
-			buf = cAppendPaddedPath(buf, s.nd)
+			buf, pathScratch = cAppendPaddedPath(buf, pathScratch, s.nd)
 			return sem.AppendSnapshot(buf, s.st)
 		},
 		Decode: func(key, payload []byte, depth int) searchState {
@@ -158,15 +171,16 @@ func cNewQueue(c *sem.Compiled, opts Options, ordered bool) *frontier.Queue[sear
 
 // cReplayPath re-executes the (thread, successor-index) entries of a
 // padded path from the initial state, returning the event sequence it
-// spells. O(depth), run once per reported failure under a restored frame.
+// spells. It is how every counterexample trace is built: nodes keep only
+// indices, so the events are rebuilt once per reported failure, O(depth).
 func cReplayPath(c *sem.Compiled, path []int32) []sem.Event {
 	st := sem.NewState(c)
-	evs := make([]sem.Event, 0, len(path))
+	evs := make([]sem.Event, 0, len(path)+1)
 	for _, entry := range path {
 		ti, idx := int(entry>>16), int(entry&0xffff)
 		sr := sem.Step(st, ti)
 		if sr.Failure != nil || idx >= len(sr.Outcomes) {
-			panic(fmt.Sprintf("concheck: spilled path does not replay (thread %d idx %d of %d outcomes)",
+			panic(fmt.Sprintf("concheck: path does not replay (thread %d idx %d of %d outcomes)",
 				ti, idx, len(sr.Outcomes)))
 		}
 		out := sr.Outcomes[idx]
@@ -176,31 +190,38 @@ func cReplayPath(c *sem.Compiled, path []int32) []sem.Event {
 	return evs
 }
 
-// cFullTrace is node.trace extended to chains rooted in a restored frame:
-// the restored root's padded path is replayed and its events prepended.
-func cFullTrace(c *sem.Compiled, nd *node) []sem.Event {
-	root := nd
-	for root.parent != nil {
-		root = root.parent
-	}
-	if root.base == nil || len(root.base.path) == 0 {
-		return nd.trace()
+// cFailAt reports fail, reached from nd's state by a fold of thread ti
+// through the successor indices prefixIdx (nil for an unfolded step), as
+// res's Error verdict. The trace is nd's padded path and the fold's
+// entries replayed from the initial state, followed by the failing
+// statement.
+func cFailAt(c *sem.Compiled, res *Result, nd *node, ti int, prefixIdx []int32, fail *sem.Failure) *Result {
+	path := cAppendPath(nil, nd)
+	for _, idx := range prefixIdx {
+		path = append(path, pathEntry(int32(ti), idx))
 	}
 	if cReplayHook != nil {
-		cReplayHook(root.base.path)
+		cReplayHook(path)
 	}
-	pre := cReplayPath(c, root.base.path)
-	return append(pre, nd.trace()...)
+	res.Verdict = Error
+	res.Failure = fail
+	res.Trace = append(cReplayPath(c, path), sem.Event{
+		Kind:     sem.EvStmt,
+		ThreadID: fail.ThreadID,
+		Pos:      fail.Pos,
+		Text:     fail.Msg,
+	})
+	return res
 }
 
-// cReplayHook, when set, sees every restored frame's padded path cFullTrace
-// replays; tests use it to tell that the replay path ran.
+// cReplayHook, when set, sees the padded path of every trace cFailAt
+// replays; tests use it to count replays.
 var cReplayHook func(path []int32)
 
 // cNewVisited selects the visited store for this search's options.
 func cNewVisited(opts Options) visited.Store {
 	if !opts.VisitedCompact {
-		return visited.New(opts.NumShards)
+		return visited.New(visited.DefaultShards)
 	}
 	if opts.AuditVisited {
 		return visited.NewAudited(opts.VisitedBytes)

@@ -10,10 +10,9 @@ import (
 )
 
 // This file holds the macro-step ablation: the driver corpus run across
-// three arms — compression off (the seed's per-statement search),
-// compression on with fold memoization off (the PR 4 configuration), and
-// compression + memoization (the default) — with verdict/position
-// identity verified at several SearchWorkers settings and the
+// two arms — compression off (the seed's per-statement search) and
+// compression on (the default) — with verdict/position identity verified
+// at several SearchWorkers settings and the
 // stored-state/throughput/allocation deltas measured. kissbench
 // -macrobench is its command-line front end; `make bench` archives its
 // JSON next to the earlier PR benchmark records.
@@ -26,18 +25,15 @@ type AblationOptions struct {
 	Drivers map[string]bool
 	// Workers bounds the corpus field-check pool per arm (0 = auto).
 	Workers int
-	// WorkerCounts are the SearchWorkers settings at which both macro
-	// arms must reproduce the per-statement arm's verdicts and failure
+	// WorkerCounts are the SearchWorkers settings at which the macro arm
+	// must reproduce the per-statement arm's verdicts and failure
 	// positions field by field. Default: 0, 1, 8.
 	WorkerCounts []int
-	// MemoMB overrides the memo arm's table budget in MiB (0: default).
-	MemoMB int
 }
 
 // MacroArm is one measured arm of the ablation.
 type MacroArm struct {
 	MacroSteps bool `json:"macro_steps"`
-	FoldMemo   bool `json:"fold_memo"`
 	// StatesStored counts fingerprinted-and-stored states summed over the
 	// corpus; StatesStepped counts executed transitions including the ones
 	// folded inside macro steps. With compression off the two coincide.
@@ -54,12 +50,6 @@ type MacroArm struct {
 	// rates divide by compression).
 	SteppedPerSec float64 `json:"stepped_per_sec"`
 	AllocBytes    uint64  `json:"alloc_bytes"`
-	// Memo table totals summed over the corpus (memo arm only).
-	MemoHits       int64   `json:"memo_hits,omitempty"`
-	MemoMisses     int64   `json:"memo_misses,omitempty"`
-	MemoHitRatio   float64 `json:"memo_hit_ratio,omitempty"`
-	MemoStepsSaved int64   `json:"memo_steps_saved,omitempty"`
-	MemoEvictions  int64   `json:"memo_evictions,omitempty"`
 }
 
 // MacroAblation is the full report of RunMacroAblation.
@@ -67,24 +57,20 @@ type MacroAblation struct {
 	WorkerCounts []int    `json:"search_workers"`
 	Off          MacroArm `json:"off"`
 	On           MacroArm `json:"on"`
-	Memo         MacroArm `json:"memo"`
-	// CompressionRatio is off/memo stored states over the fields that
+	// CompressionRatio is off/on stored states over the fields that
 	// completed (no budget trip) in both runs — the fields whose runs
 	// covered the same state space. Budget-tripped fields store exactly
 	// MaxStates states in either arm while covering *different* amounts
 	// of the space (the compressed arm explores several times more states
 	// before tripping), so including them dilutes the ratio without
 	// measuring compression; AggregateRatio includes them anyway for the
-	// whole-corpus storage picture. The memo arm stores exactly the
-	// states the plain macro arm stores (replay is bit-identical), so the
-	// ratio measures compression for both.
+	// whole-corpus storage picture.
 	CompressionRatio float64 `json:"compression_ratio"`
 	AggregateRatio   float64 `json:"aggregate_ratio"`
 	CompletedFields  int     `json:"completed_fields"`
 	BoundedFields    int     `json:"bounded_fields"`
 	// Identical reports that every (driver, field) produced the same
-	// verdict and failure position in all three arms at every worker
-	// count.
+	// verdict and failure position in both arms at every worker count.
 	Identical  bool     `json:"identical"`
 	Mismatches []string `json:"mismatches,omitempty"`
 }
@@ -93,10 +79,9 @@ func defaultWorkerCounts() []int { return []int{0, 1, 8} }
 
 // runArm runs one corpus arm and folds its results into a MacroArm with
 // wall time and allocation deltas around the run.
-func runArm(opts Options, macroOff, memoOff bool) (MacroArm, []*DriverResult, error) {
+func runArm(opts Options, macroOff bool) (MacroArm, []*DriverResult, error) {
 	opts.DisableMacroSteps = macroOff
-	opts.DisableFoldMemo = memoOff
-	arm := MacroArm{MacroSteps: !macroOff, FoldMemo: !macroOff && !memoOff}
+	arm := MacroArm{MacroSteps: !macroOff}
 	runtime.GC()
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
@@ -120,20 +105,11 @@ func runArm(opts Options, macroOff, memoOff bool) (MacroArm, []*DriverResult, er
 				stepped = fr.Stats.States
 			}
 			arm.StatesStepped += stepped
-			if m := fr.Stats.Memo; m != nil {
-				arm.MemoHits += m.Hits
-				arm.MemoMisses += m.Misses
-				arm.MemoStepsSaved += m.StepsSaved
-				arm.MemoEvictions += m.Evictions
-			}
 		}
 	}
 	if arm.Seconds > 0 {
 		arm.StatesPerSec = float64(arm.StatesStored) / arm.Seconds
 		arm.SteppedPerSec = float64(arm.StatesStepped) / arm.Seconds
-	}
-	if total := arm.MemoHits + arm.MemoMisses; total > 0 {
-		arm.MemoHitRatio = float64(arm.MemoHits) / float64(total)
 	}
 	return arm, results, nil
 }
@@ -156,10 +132,9 @@ func verdictKeys(results []*DriverResult) map[string]string {
 	return out
 }
 
-// RunMacroAblation measures macro-step compression and fold memoization
-// on the driver corpus. The uncompressed arm (run once, sequentially
-// searched) is the reference; the macro and macro+memo arms run at every
-// opts.WorkerCounts setting and each run's per-field verdicts and
+// RunMacroAblation measures macro-step compression on the driver corpus.
+// The uncompressed arm (run once, sequentially searched) is the
+// reference; the macro arm runs at every opts.WorkerCounts setting and each run's per-field verdicts and
 // failure positions must match the reference exactly. (Cross-worker-count
 // identity of the uncompressed search is already enforced by the
 // parallel-search tests.) The timed/allocation comparison uses the
@@ -172,13 +147,13 @@ func RunMacroAblation(opts AblationOptions) (*MacroAblation, error) {
 	}
 	base := Options{
 		MaxStates: opts.MaxStates, Drivers: opts.Drivers, Workers: opts.Workers,
-		SearchWorkers: wcs[0], MemoMB: opts.MemoMB,
+		SearchWorkers: wcs[0],
 	}
 
 	rep := &MacroAblation{WorkerCounts: wcs, Identical: true}
 	var err error
-	var refResults, memoResults []*DriverResult
-	rep.Off, refResults, err = runArm(base, true, true)
+	var refResults, onResults []*DriverResult
+	rep.Off, refResults, err = runArm(base, true)
 	if err != nil {
 		return nil, fmt.Errorf("uncompressed arm: %w", err)
 	}
@@ -203,36 +178,27 @@ func RunMacroAblation(opts AblationOptions) (*MacroAblation, error) {
 	for i, sw := range wcs {
 		armOpts := base
 		armOpts.SearchWorkers = sw
-		arm, results, err := runArm(armOpts, false, true)
+		arm, results, err := runArm(armOpts, false)
 		if err != nil {
 			return nil, fmt.Errorf("macro arm (search-workers=%d): %w", sw, err)
 		}
 		if i == 0 {
 			rep.On = arm
+			onResults = results
 		}
 		compare(results, "macro", sw)
-
-		arm, results, err = runArm(armOpts, false, false)
-		if err != nil {
-			return nil, fmt.Errorf("macro+memo arm (search-workers=%d): %w", sw, err)
-		}
-		if i == 0 {
-			rep.Memo = arm
-			memoResults = results
-		}
-		compare(results, "macro+memo", sw)
 	}
 
 	rep.AggregateRatio = 1
-	if rep.Memo.StatesStored > 0 {
-		rep.AggregateRatio = float64(rep.Off.StatesStored) / float64(rep.Memo.StatesStored)
+	if rep.On.StatesStored > 0 {
+		rep.AggregateRatio = float64(rep.Off.StatesStored) / float64(rep.On.StatesStored)
 	}
 
 	// Completed-fields ratio: restrict to fields neither run bounded.
-	offStored, memoStored := fieldStored(refResults), fieldStored(memoResults)
-	var offSum, memoSum int
+	offStored, onStored := fieldStored(refResults), fieldStored(onResults)
+	var offSum, onSum int
 	for key, off := range offStored {
-		on, ok := memoStored[key]
+		on, ok := onStored[key]
 		if !ok {
 			continue
 		}
@@ -242,11 +208,11 @@ func RunMacroAblation(opts AblationOptions) (*MacroAblation, error) {
 		}
 		rep.CompletedFields++
 		offSum += off.stored
-		memoSum += on.stored
+		onSum += on.stored
 	}
 	rep.CompressionRatio = 1
-	if memoSum > 0 {
-		rep.CompressionRatio = float64(offSum) / float64(memoSum)
+	if onSum > 0 {
+		rep.CompressionRatio = float64(offSum) / float64(onSum)
 	}
 	return rep, nil
 }
@@ -270,7 +236,7 @@ func fieldStored(results []*DriverResult) map[string]fieldStorage {
 }
 
 // WriteMacroAblation emits the report as a single JSON object — the
-// BENCH_PR6.json payload.
+// BENCH_PR4.json payload.
 func WriteMacroAblation(w io.Writer, rep *MacroAblation) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
@@ -284,23 +250,17 @@ func FormatMacroAblation(rep *MacroAblation) string {
 	add("Macro-step ablation (search-workers identity set %v)\n", rep.WorkerCounts)
 	add("%-14s %13s %14s %10s %8s %9s %11s %11s %11s\n",
 		"arm", "states-stored", "states-stepped", "steps", "races", "sec", "states/s", "stepped/s", "alloc-MB")
-	for _, arm := range []MacroArm{rep.Off, rep.On, rep.Memo} {
+	for _, arm := range []MacroArm{rep.Off, rep.On} {
 		name := "per-statement"
-		switch {
-		case arm.MacroSteps && arm.FoldMemo:
-			name = "macro+memo"
-		case arm.MacroSteps:
+		if arm.MacroSteps {
 			name = "macro-steps"
 		}
 		add("%-14s %13d %14d %10d %8d %9.2f %11.0f %11.0f %11.1f\n",
 			name, arm.StatesStored, arm.StatesStepped, arm.Steps, arm.Races,
 			arm.Seconds, arm.StatesPerSec, arm.SteppedPerSec, float64(arm.AllocBytes)/(1<<20))
 	}
-	add("compression ratio (stored off/memo, %d completed fields): %.2fx\n", rep.CompletedFields, rep.CompressionRatio)
+	add("compression ratio (stored off/on, %d completed fields): %.2fx\n", rep.CompletedFields, rep.CompressionRatio)
 	add("aggregate stored ratio (incl. %d budget-bounded fields): %.2fx\n", rep.BoundedFields, rep.AggregateRatio)
-	add("memo: hit ratio %.1f%% (%d hits / %d misses), %d steps saved, %d evictions\n",
-		rep.Memo.MemoHitRatio*100, rep.Memo.MemoHits, rep.Memo.MemoMisses,
-		rep.Memo.MemoStepsSaved, rep.Memo.MemoEvictions)
 	if rep.Identical {
 		add("verdicts and failure positions identical across arms and worker counts\n")
 	} else {

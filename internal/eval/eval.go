@@ -121,13 +121,6 @@ type Options struct {
 	// check (ablation arm; see kiss.Config.DisableMacroSteps). Verdicts are
 	// identical either way; only stored-state counts and speed differ.
 	DisableMacroSteps bool
-	// DisableFoldMemo turns off fold memoization for every field check
-	// (ablation arm; see kiss.Config.DisableFoldMemo). Results are
-	// bit-identical either way; only wall time and the Stats.Memo
-	// diagnostics differ.
-	DisableFoldMemo bool
-	// MemoMB is the per-field fold-memo byte budget in MiB (0: default).
-	MemoMB int
 	// VisitedMode selects the visited-set representation for every field
 	// check (kiss.Config.VisitedMode): "" or kiss.VisitedExact keeps the
 	// exact fingerprint set; kiss.VisitedCompact stores fingerprints in a
@@ -391,8 +384,6 @@ func fieldConfig(f drivers.FieldSpec, opts Options, maxStates int) *kiss.Config 
 		RaceTarget:        &kiss.RaceTarget{Record: "DEVICE_EXTENSION", Field: f.Name},
 		MaxStates:         maxStates,
 		DisableMacroSteps: opts.DisableMacroSteps,
-		DisableFoldMemo:   opts.DisableFoldMemo,
-		MemoMB:            opts.MemoMB,
 		VisitedMode:       opts.VisitedMode,
 		MemBudgetMB:       opts.MemBudgetMB,
 		AuditVisited:      opts.AuditVisited,

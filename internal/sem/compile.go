@@ -100,7 +100,7 @@ type CompiledFunc struct {
 	Vars     []string       // parameters first, then locals
 	VarIdx   map[string]int // name -> index into Vars
 	NumParam int
-	nameHash uint64 // hashString(Fn.Name), precomputed for fingerprints and memo keys
+	nameHash uint64 // hashString(Fn.Name), precomputed for fingerprints
 }
 
 // Compiled is a whole program in instruction form, shared immutably by all

@@ -35,30 +35,15 @@ func (s *State) lookupVar(fr *Frame, name string, pos ast.Pos) (Cell, *RuntimeEr
 func (s *State) Load(c Cell, pos ast.Pos) (Value, *RuntimeError) {
 	switch c.Kind {
 	case CGlobal:
-		v := s.Globals[c.Idx]
-		if s.rec != nil {
-			s.rec.readGlobal(c.Idx, v)
-		}
-		return v, nil
+		return s.Globals[c.Idx], nil
 	case CHeapField:
-		v := s.Heap[c.Idx].Fields[c.Field]
-		if s.rec != nil {
-			s.rec.readHeapField(c.Idx, c.Field, v)
-		}
-		return v, nil
+		return s.Heap[c.Idx].Fields[c.Field], nil
 	case CLocal:
 		fr := s.findFrame(c.FrameID)
 		if fr == nil {
-			if s.rec != nil {
-				s.rec.readDangling(c.FrameID, c.Field)
-			}
 			return Value{}, rterrf(pos, "dangling pointer to local of a popped frame")
 		}
-		v := fr.Locals[c.Field]
-		if s.rec != nil {
-			s.rec.readLocal(c.FrameID, c.Field, v)
-		}
-		return v, nil
+		return fr.Locals[c.Field], nil
 	case CObject:
 		return Value{}, rterrf(pos, "cannot load a whole object; use p->field")
 	}
@@ -70,27 +55,15 @@ func (s *State) Load(c Cell, pos ast.Pos) (Value, *RuntimeError) {
 func (s *State) Store(c Cell, v Value, pos ast.Pos) *RuntimeError {
 	switch c.Kind {
 	case CGlobal:
-		if s.rec != nil {
-			s.rec.wroteGlobal(c.Idx)
-		}
 		s.mutableGlobals()[c.Idx] = v
 		return nil
 	case CHeapField:
-		if s.rec != nil {
-			s.rec.wroteHeapField(c.Idx, c.Field)
-		}
 		s.mutableObject(c.Idx).Fields[c.Field] = v
 		return nil
 	case CLocal:
 		ti, fi := s.findFrameIndex(c.FrameID)
 		if ti < 0 {
-			if s.rec != nil {
-				s.rec.readDangling(c.FrameID, c.Field)
-			}
 			return rterrf(pos, "dangling pointer to local of a popped frame")
-		}
-		if s.rec != nil {
-			s.rec.wroteLocal(c.FrameID, c.Field)
 		}
 		s.mutableFrame(ti, fi).Locals[c.Field] = v
 		return nil
@@ -110,9 +83,6 @@ func (s *State) fieldCell(pv Value, field string, pos ast.Pos) (Cell, *RuntimeEr
 		return Cell{}, rterrf(pos, "->%s applied to non-object value %s", field, pv)
 	}
 	obj := s.Heap[pv.Ptr.Idx]
-	if s.rec != nil {
-		s.rec.readHeapRec(pv.Ptr.Idx, obj.Rec)
-	}
 	rec := s.C.Records[obj.Rec]
 	fi := rec.FieldIndex(field)
 	if fi < 0 {
@@ -217,9 +187,6 @@ func (s *State) Eval(fr *Frame, e ast.Expr) (Value, *RuntimeError) {
 		idx := s.appendObject(o)
 		return PtrV(Cell{Kind: CObject, Idx: idx}), nil
 	case *ast.TsSizeExpr:
-		if s.rec != nil {
-			s.rec.readTs(s.Ts)
-		}
 		return IntV(int64(len(s.Ts))), nil
 	case *ast.RaceCellExpr:
 		x, err := s.Eval(fr, e.X)
@@ -248,9 +215,6 @@ func (s *State) isRaceCell(x Value) bool {
 		return false
 	}
 	obj := s.Heap[c.Idx]
-	if s.rec != nil {
-		s.rec.readHeapRec(c.Idx, obj.Rec)
-	}
 	if obj.Rec != t.Record {
 		return false
 	}

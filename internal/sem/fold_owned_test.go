@@ -17,9 +17,8 @@ import (
 
 // Tests for the fold-ownership rules: a fold steps its own intermediate
 // states in place, never the caller's base. The production folds must
-// match the clone-per-step reference folds (fold_ref_test.go) exactly,
-// leave every state they were handed untouched, and record the same memo
-// entries.
+// match the clone-per-step reference folds (fold_ref_test.go) exactly
+// and leave every state they were handed untouched.
 
 // compileSource parses, checks and lowers src and, when transform is
 // non-nil, applies it before compiling.
@@ -105,187 +104,96 @@ func foldSubjects(t *testing.T) []foldSubject {
 	return subs
 }
 
-// foldArm is one configuration of the fold entry point: with or without
-// the fold memo.
-type foldArm struct {
-	name string
-	memo bool
-}
-
-var foldArms = []foldArm{{name: "bare"}, {name: "memo", memo: true}}
-
-// newFoldMemo returns one side's memo table, nil for the bare arm.
-func newFoldMemo(a foldArm) *FoldMemo {
-	if !a.memo {
-		return nil
-	}
-	return NewFoldMemo(0, false)
-}
-
-func fold(memo *FoldMemo, s *State, ti, limit int, ref bool) MacroResult {
-	if ref {
-		return refMacroStepMemo(s, ti, limit, memo)
-	}
-	return MacroStepMemo(s, ti, limit, memo)
-}
-
 // foldLimits cycles the fold limits so limit-cut runs (Limited) are
 // exercised next to natural ones.
 var foldLimits = []int{0, 0, 3, 0, 11}
 
 // TestFoldOwnedMatchesReference explores each subject by macro steps and
 // at every expansion runs the production fold and the reference fold on
-// the same input, each with its own tables. The results must be equal
-// raw (outcome states, events, Prefix, PrefixIdx, OutIdx, Stepped,
-// Limited, failure), the memo tables must hold the same entries with the
-// same footprints and deltas, the input must be unchanged after both folds,
-// and at the end every state handed out or taken in must still equal the
-// deep copy made when it was first seen.
+// the same input. The results must be equal raw (outcome states, events,
+// PrefixIdx, OutIdx, Stepped, failure), replaying PrefixIdx from the
+// input must spell the reference's folded events, the input must be
+// unchanged after both folds, and at the end every state handed out or
+// taken in must still equal the deep copy made when it was first seen.
 func TestFoldOwnedMatchesReference(t *testing.T) {
 	const maxStates = 250
-	var memoHits int64
+	folded := 0
 	for _, sub := range foldSubjects(t) {
-		for _, arm := range foldArms {
-			name := sub.name + "/" + arm.name
-			got, want := newFoldMemo(arm), newFoldMemo(arm)
-			type kept struct {
-				s    *State
-				copy *State
-			}
-			var all []kept
-			keep := func(s *State) { all = append(all, kept{s, s.DeepClone()}) }
+		type kept struct {
+			s    *State
+			copy *State
+		}
+		var all []kept
+		keep := func(s *State) { all = append(all, kept{s, s.DeepClone()}) }
 
-			init := NewState(sub.c)
-			keep(init)
-			seen := map[uint64]bool{init.FingerprintHash(): true}
-			stack := []*State{init}
-			calls := 0
-			for len(stack) > 0 && len(seen) < maxStates {
-				s := stack[len(stack)-1]
-				stack = stack[:len(stack)-1]
-				for ti := range s.Threads {
-					if s.Threads[ti].Done() {
-						continue
-					}
-					limit := foldLimits[calls%len(foldLimits)]
-					calls++
-					before := s.DeepClone()
-					g := fold(got, s, ti, limit, false)
-					if !rawStateEqual(s, before) {
-						t.Fatalf("%s: fold changed its input state", name)
-					}
-					w := fold(want, s, ti, limit, true)
-					if !rawStateEqual(s, before) {
-						t.Fatalf("%s: reference fold changed its input state", name)
-					}
-					if !macroResultsEqual(&g, &w) {
-						t.Fatalf("%s: fold of thread %d (limit %d) differs from the reference:\n got %+v\nwant %+v",
-							name, ti, limit, g, w)
-					}
-					if g.Failure != nil {
-						continue
-					}
-					for _, out := range g.Outcomes {
-						if out.State.rec != nil {
-							t.Fatalf("%s: outcome state escaped with a recorder", name)
-						}
-						keep(out.State)
-						if fp := out.State.FingerprintHash(); !seen[fp] {
-							seen[fp] = true
-							stack = append(stack, out.State)
-						}
+		init := NewState(sub.c)
+		keep(init)
+		seen := map[uint64]bool{init.FingerprintHash(): true}
+		stack := []*State{init}
+		calls := 0
+		for len(stack) > 0 && len(seen) < maxStates {
+			s := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			for ti := range s.Threads {
+				if s.Threads[ti].Done() {
+					continue
+				}
+				limit := foldLimits[calls%len(foldLimits)]
+				calls++
+				before := s.DeepClone()
+				g := MacroStep(s, ti, limit)
+				if !rawStateEqual(s, before) {
+					t.Fatalf("%s: fold changed its input state", sub.name)
+				}
+				w, wEvs := refMacroStep(s, ti, limit)
+				if !rawStateEqual(s, before) {
+					t.Fatalf("%s: reference fold changed its input state", sub.name)
+				}
+				if !macroResultsEqual(&g, &w) {
+					t.Fatalf("%s: fold of thread %d (limit %d) differs from the reference:\n got %+v\nwant %+v",
+						sub.name, ti, limit, g, w)
+				}
+				if evs := replayIdx(t, s, ti, g.PrefixIdx); !reflect.DeepEqual(evs, wEvs) {
+					t.Fatalf("%s: replayed fold events differ from the reference's:\n got %v\nwant %v", sub.name, evs, wEvs)
+				}
+				folded += len(g.PrefixIdx)
+				if g.Failure != nil {
+					continue
+				}
+				for _, out := range g.Outcomes {
+					keep(out.State)
+					if fp := out.State.FingerprintHash(); !seen[fp] {
+						seen[fp] = true
+						stack = append(stack, out.State)
 					}
 				}
 			}
-			for i, k := range all {
-				if !rawStateEqual(k.s, k.copy) {
-					t.Fatalf("%s: state %d changed after it was handed out", name, i)
-				}
-			}
-			if got != nil {
-				compareMemos(t, name, got, want)
-				memoHits += got.Stats().Hits
+		}
+		for i, k := range all {
+			if !rawStateEqual(k.s, k.copy) {
+				t.Fatalf("%s: state %d changed after it was handed out", sub.name, i)
 			}
 		}
 	}
-	// The table comparisons are only as strong as the traffic they saw.
-	if memoHits == 0 {
-		t.Fatal("the walk never replayed a memo entry")
+	if folded == 0 {
+		t.Fatal("the walk never folded a step")
 	}
-	t.Logf("memo hits %d", memoHits)
 }
 
-// compareMemos requires both sides' memo tables to agree on counters and
-// on every entry, in LRU order.
-func compareMemos(t *testing.T, name string, got, want *FoldMemo) {
+// replayIdx steps thread ti from s along the successor indices idx,
+// returning the events taken.
+func replayIdx(t *testing.T, s *State, ti int, idx []int32) []Event {
 	t.Helper()
-	gs, ws := got.Stats(), want.Stats()
-	if gs != ws {
-		t.Fatalf("%s: memo stats %+v, reference %+v", name, gs, ws)
-	}
-	if gs.AuditMismatches != 0 {
-		t.Fatalf("%s: %d memo audit mismatches", name, gs.AuditMismatches)
-	}
-	ge, we := memoEntries(got), memoEntries(want)
-	if !reflect.DeepEqual(ge, we) {
-		t.Fatalf("%s: memo entries differ from the reference's (%d vs %d)", name, len(ge), len(we))
-	}
-}
-
-// memoEntryView is a memo entry without its table bookkeeping.
-type memoEntryView struct {
-	ctrl      uint64
-	reads     []memoRead
-	ts        []Pending
-	stepped   int
-	limited   bool
-	prefix    []Event
-	prefixIdx []int32
-	blocked   bool
-	failure   *Failure
-	outs      []outcomeDelta
-	outIdx    []int32
-}
-
-func memoEntries(m *FoldMemo) []memoEntryView {
-	var out []memoEntryView
-	for i := range m.shards {
-		for e := m.shards[i].head; e != nil; e = e.next {
-			outs := make([]outcomeDelta, len(e.outs))
-			for j, d := range e.outs {
-				d.globals = sortedSlots(d.globals)
-				d.objFields = sortedFields(d.objFields)
-				d.frames = append([]frameDiff(nil), d.frames...)
-				for k := range d.frames {
-					d.frames[k].slots = sortedSlots(d.frames[k].slots)
-				}
-				outs[j] = d
-			}
-			out = append(out, memoEntryView{e.ctrl, e.reads, e.ts, e.stepped, e.limited,
-				e.prefix, e.prefixIdx, e.blocked, e.failure, outs, e.outIdx})
+	var evs []Event
+	for _, i := range idx {
+		sr := Step(s, ti)
+		if sr.Failure != nil || int(i) >= len(sr.Outcomes) {
+			t.Fatalf("path does not replay: index %d of %d outcomes", i, len(sr.Outcomes))
 		}
+		evs = append(evs, sr.Outcomes[i].Event)
+		s = sr.Outcomes[i].State
 	}
-	return out
-}
-
-// sortedSlots and sortedFields return sorted copies of a delta's write
-// lists. Equal-value writes join a delta in the recorder's map order, so
-// two recordings of the same fold may list the same writes differently.
-func sortedSlots(ws []slotWrite) []slotWrite {
-	ws = slices.Clone(ws)
-	slices.SortFunc(ws, func(a, b slotWrite) int { return int(a.idx - b.idx) })
-	return ws
-}
-
-func sortedFields(ws []objFieldWrite) []objFieldWrite {
-	ws = slices.Clone(ws)
-	slices.SortFunc(ws, func(a, b objFieldWrite) int {
-		if a.obj != b.obj {
-			return int(a.obj - b.obj)
-		}
-		return int(a.field - b.field)
-	})
-	return ws
+	return evs
 }
 
 // TestStepOwnedMatchesStep: at every state reached by the reference
@@ -359,6 +267,60 @@ func outcomesEqual(a, b []Outcome) bool {
 	}
 	for i := range a {
 		if a[i].Event != b[i].Event || !rawStateEqual(a[i].State, b[i].State) {
+			return false
+		}
+	}
+	return true
+}
+
+// macroResultsEqual compares two MacroResults byte-for-byte (raw state
+// equality, not canonical).
+func macroResultsEqual(a, b *MacroResult) bool {
+	if a.Stepped != b.Stepped || a.Blocked != b.Blocked {
+		return false
+	}
+	if (a.Failure == nil) != (b.Failure == nil) {
+		return false
+	}
+	if a.Failure != nil && *a.Failure != *b.Failure {
+		return false
+	}
+	return slices.Equal(a.PrefixIdx, b.PrefixIdx) && slices.Equal(a.OutIdx, b.OutIdx) &&
+		outcomesEqual(a.Outcomes, b.Outcomes)
+}
+
+// rawStateEqual compares two states raw — exact indices and ids, no
+// canonicalization.
+func rawStateEqual(a, b *State) bool {
+	if len(a.Globals) != len(b.Globals) || len(a.Heap) != len(b.Heap) ||
+		len(a.Threads) != len(b.Threads) || len(a.Ts) != len(b.Ts) ||
+		a.nextFrameID != b.nextFrameID || a.nextThreadID != b.nextThreadID {
+		return false
+	}
+	if !slices.Equal(a.Globals, b.Globals) {
+		return false
+	}
+	for i := range a.Heap {
+		ao, bo := a.Heap[i], b.Heap[i]
+		if ao.Rec != bo.Rec || !slices.Equal(ao.Fields, bo.Fields) {
+			return false
+		}
+	}
+	for i := range a.Threads {
+		at, bt := a.Threads[i], b.Threads[i]
+		if at.ID != bt.ID || len(at.Frames) != len(bt.Frames) {
+			return false
+		}
+		for j := range at.Frames {
+			af, bf := at.Frames[j], bt.Frames[j]
+			if af.ID != bf.ID || af.CF != bf.CF || af.PC != bf.PC || af.Result != bf.Result ||
+				!slices.Equal(af.Locals, bf.Locals) {
+				return false
+			}
+		}
+	}
+	for i := range a.Ts {
+		if a.Ts[i].Fn != b.Ts[i].Fn || !slices.Equal(a.Ts[i].Args, b.Ts[i].Args) {
 			return false
 		}
 	}

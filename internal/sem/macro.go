@@ -12,8 +12,8 @@ import "sync"
 // micro-statement pays clone, hash, and visited-set costs for states that
 // carry no decision. MacroStep folds a maximal deterministic run into a
 // single transition: it repeatedly applies Step while the transition is
-// deterministic and accumulates the intermediate Event log so error traces
-// replay bit-identically.
+// deterministic and records the successor index taken at each position,
+// so a search can replay the run to rebuild an error trace bit-identically.
 //
 // A run keeps folding only while, after each micro step:
 //
@@ -53,32 +53,24 @@ const (
 // Outcomes reduced to the live branches; OutIdx maps each surviving
 // outcome to its index in the unpruned outcome list (searches that need
 // the per-statement successor order — the parallel BFS — use it as the
-// tie-breaking key). Prefix holds the events of the folded deterministic
-// run, in order, and PrefixIdx the unpruned successor index taken at each
-// folded position. Stepped counts Step invocations, including the final
-// one. Limited reports that the run stopped only because it hit the
-// caller's limit — it would have kept folding otherwise — which the memo
-// table uses to decide at which limits a recorded run may be replayed.
+// tie-breaking key). PrefixIdx holds the unpruned successor index taken
+// at each folded position of the deterministic run, in order: together
+// with OutIdx it is the path a search replays (Step by Step from the
+// state the fold started at) to rebuild the run's events for a
+// counterexample trace. Stepped counts Step invocations, including the
+// final one.
 type MacroResult struct {
 	StepResult
 	OutIdx    []int32
-	Prefix    []Event
 	PrefixIdx []int32
 	Stepped   int
-	Limited   bool
 }
 
-// prefixScratch is the reusable Event-prefix accumulator of a fold. The
-// growth reallocations of a long run land in the pooled buffers; the
-// caller-visible Prefix/PrefixIdx are exact-size copies, so appending to
-// them can never clobber a shared backing array and ownership passes to
-// the search (which retains them in trace nodes) without aliasing.
-type prefixScratch struct {
-	ev  []Event
-	idx []int32
-}
-
-var prefixPool = sync.Pool{New: func() any { return new(prefixScratch) }}
+// idxPool recycles a fold's successor-index accumulator. The growth
+// reallocations of a long run land in the pooled buffer; the
+// caller-visible PrefixIdx is an exact-size copy, so ownership passes to
+// the search (which retains it in trace nodes) without aliasing.
+var idxPool = sync.Pool{New: func() any { return new([]int32) }}
 
 // MacroStep folds a maximal deterministic run of thread ti starting at s
 // into one transition. limit bounds the number of micro steps taken
@@ -89,59 +81,9 @@ func MacroStep(s *State, ti, limit int) MacroResult {
 	if limit <= 0 || limit > MaxMacroRun {
 		limit = MaxMacroRun
 	}
-	return macroRun(s, ti, limit)
-}
-
-// MacroStepMemo is MacroStep with fold memoization: if memo is non-nil and
-// holds a recorded run whose control point and read footprint match s, the
-// fold is replayed by applying the stored write delta — no Step executes.
-// A miss at a control point that has missed before runs the fold under a
-// read/write recorder and stores the result; a first-visit miss runs it
-// bare (most control points are never revisited, so recording them would
-// be pure overhead — see FoldMemo.lookup). The replayed MacroResult is
-// bit-identical to the executed one (outcome states raw-equal, same
-// events, counters, and successor indices): matching is exact, and the
-// memo's audit mode re-checks each hit against execution; see memo.go.
-func MacroStepMemo(s *State, ti, limit int, memo *FoldMemo) MacroResult {
-	if limit <= 0 || limit > MaxMacroRun {
-		limit = MaxMacroRun
-	}
-	if memo == nil || !othersDone(s, ti) {
-		// Memo entries are recorded and replayed only at states where every
-		// other thread is done (sole-live folding), so the fold-stop
-		// condition is invariant across base and replay states.
-		return macroRun(s, ti, limit)
-	}
-	e, warm := memo.lookup(s, ti, limit)
-	if e != nil {
-		return memo.replay(s, ti, limit, e)
-	}
-	memo.misses.Add(1)
-	if !warm {
-		return macroRun(s, ti, limit)
-	}
-	rec := recorderPool.Get().(*foldRecorder)
-	rec.reset(s)
-	s.rec = rec
-	mr := macroRun(s, ti, limit)
-	// Clear the recorder from every state that escapes to the search.
-	s.rec = nil
-	for i := range mr.Outcomes {
-		mr.Outcomes[i].State.rec = nil
-	}
-	if !rec.aborted && mr.Stepped >= memoMinStepped {
-		memo.store(s, ti, rec, &mr)
-	}
-	recorderPool.Put(rec)
-	return mr
-}
-
-// macroRun is the folding loop shared by MacroStep and MacroStepMemo;
-// limit has been normalized by the caller.
-func macroRun(s *State, ti, limit int) MacroResult {
 	var mr MacroResult
-	ps := prefixPool.Get().(*prefixScratch)
-	evs, pidx := ps.ev[:0], ps.idx[:0]
+	buf := idxPool.Get().(*[]int32)
+	pidx := (*buf)[:0]
 	cur := s
 	// owned reports that the fold owns cur outright (see step): true
 	// for every state after the first step, never for the caller's base.
@@ -160,29 +102,22 @@ func macroRun(s *State, ti, limit int) MacroResult {
 			mr.StepResult = sr
 			mr.Outcomes = outs
 			mr.OutIdx = idxs
-			// Limited only when the limit alone stopped the run: with one
-			// live sole-live successor it would have kept folding.
-			mr.Limited = len(outs) == 1 && soleLive(outs[0].State, ti)
 			break
 		}
 		idx0 := int32(0)
 		if idxs != nil {
 			idx0 = idxs[0]
 		}
-		evs = append(evs, outs[0].Event)
 		pidx = append(pidx, idx0)
 		cur = outs[0].State
 		owned = true
 	}
-	if len(evs) > 0 {
-		mr.Prefix = make([]Event, len(evs))
-		copy(mr.Prefix, evs)
+	if len(pidx) > 0 {
 		mr.PrefixIdx = make([]int32, len(pidx))
 		copy(mr.PrefixIdx, pidx)
 	}
-	clear(evs) // drop Event string/state references held by the pooled buffer
-	ps.ev, ps.idx = evs, pidx
-	prefixPool.Put(ps)
+	*buf = pidx
+	idxPool.Put(buf)
 	return mr
 }
 
@@ -214,9 +149,9 @@ func foldStep(cur *State, ti int, owned bool) (sr StepResult, outs []Outcome, id
 // stepNondetPruned is Step followed by pruneInfeasible for an
 // OpNondetJump with several targets, without cloning the branches that
 // pruning drops. A jump changes only the stepped frame's PC, so each
-// branch's assume is evaluated on s itself, in branch order (the order
-// in which a fold recorder must observe the reads). Survivors are cloned,
-// except that when the fold owns s the last survivor reuses s itself.
+// branch's assume is evaluated on s itself, in branch order. Survivors
+// are cloned, except that when the fold owns s the last survivor reuses
+// s itself.
 func stepNondetPruned(s *State, ti int, owned bool) ([]Outcome, []int32) {
 	t := s.Threads[ti]
 	fr := t.Top()
@@ -242,16 +177,6 @@ func stepNondetPruned(s *State, ti int, owned bool) ([]Outcome, []int32) {
 		outs[k] = Outcome{State: ns, Event: ev}
 	}
 	return outs, keep
-}
-
-// othersDone reports whether every thread of s other than ti is done.
-func othersDone(s *State, ti int) bool {
-	for i := range s.Threads {
-		if i != ti && !s.Threads[i].Done() {
-			return false
-		}
-	}
-	return true
 }
 
 // identityIdx returns [0, 1, ..., n-1].

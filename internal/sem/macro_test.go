@@ -43,7 +43,7 @@ func TestMacroStepFoldsStraightLine(t *testing.T) {
 	if len(mr.Outcomes) != 1 {
 		t.Fatalf("got %d outcomes, want 1", len(mr.Outcomes))
 	}
-	got := append(append([]Event{}, mr.Prefix...), mr.Outcomes[0].Event)
+	got := append(replayIdx(t, NewState(c), 0, mr.PrefixIdx), mr.Outcomes[0].Event)
 	if len(got) != len(wantEvents) {
 		t.Fatalf("folded %d events, per-statement run has %d", len(got), len(wantEvents))
 	}
@@ -86,9 +86,6 @@ func TestMacroStepPrunesDeadBranch(t *testing.T) {
 	if got := st.Globals[0].String(); got != "4" {
 		t.Errorf("x = %s after fold, want 4 (else-path taken)", got)
 	}
-	if len(mr.PrefixIdx) != len(mr.Prefix) {
-		t.Fatalf("PrefixIdx len %d != Prefix len %d", len(mr.PrefixIdx), len(mr.Prefix))
-	}
 	nonZero := false
 	for _, idx := range mr.PrefixIdx {
 		if idx > 0 {
@@ -115,7 +112,7 @@ func TestMacroStepBlockedEndpoint(t *testing.T) {
 	if !mr.Blocked {
 		t.Fatalf("dead assume did not surface as Blocked: %+v", mr.StepResult)
 	}
-	if len(mr.Prefix) == 0 {
+	if len(mr.PrefixIdx) == 0 {
 		t.Error("blocked fold lost the deterministic prefix before the assume")
 	}
 }
@@ -131,7 +128,7 @@ func TestMacroStepFailureEndpoint(t *testing.T) {
 	if mr.Failure == nil {
 		t.Fatalf("assertion violation folded away: %+v", mr.StepResult)
 	}
-	if len(mr.Prefix) == 0 {
+	if len(mr.PrefixIdx) == 0 {
 		t.Error("failing fold lost the deterministic prefix before the assert")
 	}
 }
@@ -169,8 +166,8 @@ func TestMacroStepLimit(t *testing.T) {
 	if mr.Stepped != 1 {
 		t.Fatalf("Stepped = %d with limit 1", mr.Stepped)
 	}
-	if len(mr.Prefix) != 0 {
-		t.Errorf("limit-1 macro step folded a prefix: %v", mr.Prefix)
+	if len(mr.PrefixIdx) != 0 {
+		t.Errorf("limit-1 macro step folded a prefix: %v", mr.PrefixIdx)
 	}
 	if len(mr.Outcomes) != len(sr.Outcomes) {
 		t.Fatalf("outcome counts differ: macro %d, step %d", len(mr.Outcomes), len(sr.Outcomes))

@@ -22,12 +22,10 @@ import (
 // Code references (Frame.CF) are encoded by function name and resolved
 // against the Compiled program at decode time; the program itself is
 // shared and never serialized. A decoded state owns every component it
-// holds (all COW stamps zero, like DeepClone) and never carries a fold
-// recorder.
+// holds (all COW stamps zero, like DeepClone).
 
 // AppendSnapshot appends the snapshot encoding of s to buf and returns
-// the extended slice. s must not carry a fold recorder (states held by
-// search frontiers never do).
+// the extended slice.
 func AppendSnapshot(buf []byte, s *State) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(s.Globals)))
 	for _, v := range s.Globals {

@@ -107,14 +107,6 @@ type State struct {
 	heapGen    uint64 // ownership stamp of the Heap spine
 	threadsGen uint64 // ownership stamp of the Threads spine
 	tsGen      uint64 // ownership stamp of the Ts slice
-
-	// rec, when non-nil, is the fold recorder observing this state's reads
-	// and writes for the fold-memoization table (see memo.go). It is
-	// attached by MacroStepMemo to the base state of a fold, propagated to
-	// clones so the whole deterministic run is observed, and cleared from
-	// every state the macro step returns — states the searches hold never
-	// carry a recorder.
-	rec *foldRecorder
 }
 
 // NewState returns the initial state: globals zero-initialized, an empty
@@ -132,9 +124,6 @@ func NewState(c *Compiled) *State {
 }
 
 func (s *State) newFrame(cf *CompiledFunc, args []Value, result string) *Frame {
-	if s.rec != nil {
-		s.rec.readNextFrameID(s.nextFrameID)
-	}
 	f := &Frame{ID: s.nextFrameID, CF: cf, Locals: make([]Value, len(cf.Vars)), Result: result, gen: s.gen}
 	s.nextFrameID++
 	for i := range f.Locals {
@@ -172,7 +161,6 @@ func (s *State) Clone() *State {
 		heapGen:      s.heapGen,
 		threadsGen:   s.threadsGen,
 		tsGen:        s.tsGen,
-		rec:          s.rec,
 	}
 	s.gen += 2
 	return n
@@ -252,9 +240,6 @@ func (s *State) mutableObject(idx int) *Object {
 
 // appendObject allocates o at the end of the heap and returns its index.
 func (s *State) appendObject(o *Object) int {
-	if s.rec != nil {
-		s.rec.readHeapLen(len(s.Heap))
-	}
 	o.gen = s.gen
 	s.Heap = append(s.mutableHeap(), o)
 	return len(s.Heap) - 1
@@ -333,9 +318,6 @@ func (s *State) popFrame(ti int) *Frame {
 
 // appendTs adds a pending entry to the ts multiset.
 func (s *State) appendTs(p Pending) {
-	if s.rec != nil {
-		s.rec.wroteTs()
-	}
 	if s.tsGen != s.gen {
 		ns := make([]Pending, len(s.Ts), len(s.Ts)+1)
 		copy(ns, s.Ts)
@@ -349,10 +331,6 @@ func (s *State) appendTs(p Pending) {
 // array may be shared, so the entry is removed by rebuilding the slice;
 // Pending entries themselves are immutable and stay shared.
 func (s *State) removeTs(i int) Pending {
-	if s.rec != nil {
-		s.rec.readTs(s.Ts) // no-op if the run already saw or wrote ts
-		s.rec.wroteTs()
-	}
 	p := s.Ts[i]
 	ns := make([]Pending, 0, len(s.Ts)-1)
 	ns = append(ns, s.Ts[:i]...)

@@ -111,10 +111,10 @@ func Step(s *State, ti int) StepResult {
 }
 
 // step is Step, except that with owned set the caller owns s outright: a
-// fold's own intermediate state, which no search or memo entry
-// references. An instruction with one successor then updates s in
-// place and returns s itself as the outcome, saving the clone and the
-// path-copies of every component the previous step already owned.
+// fold's own intermediate state, which no search references. An
+// instruction with one successor then updates s in place and returns s
+// itself as the outcome, saving the clone and the path-copies of every
+// component the previous step already owned.
 // Instructions with several successors still clone each one. If an owned
 // step fails, s may be left partly updated and must be discarded.
 func step(s *State, ti int, owned bool) StepResult {
@@ -280,9 +280,6 @@ func step(s *State, ti int, owned bool) StepResult {
 		}
 		nfr.PC++
 		resolveJumps(nfr)
-		if ns.rec != nil {
-			ns.rec.readNextThreadID(ns.nextThreadID)
-		}
 		newT := &Thread{ID: ns.nextThreadID, Frames: []*Frame{ns.newFrame(callee, args, "")}}
 		ns.nextThreadID++
 		ns.appendThread(newT)
@@ -322,9 +319,6 @@ func step(s *State, ti int, owned bool) StepResult {
 			}
 			args[i] = av
 		}
-		if ns.rec != nil {
-			ns.rec.readTs(ns.Ts) // the occupancy check reads the multiset
-		}
 		if len(ns.Ts) >= ns.C.Prog.MaxTS {
 			return fail(RuntimeFail, in.Pos, "__ts_put on full ts (transformation invariant violated)")
 		}
@@ -336,9 +330,6 @@ func step(s *State, ti int, owned bool) StepResult {
 		return StepResult{Outcomes: []Outcome{{State: ns, Event: pev}}}
 
 	case OpTsDispatch:
-		if s.rec != nil {
-			s.rec.readTs(s.Ts) // dispatch enumerates the whole multiset
-		}
 		if len(s.Ts) == 0 {
 			return fail(RuntimeFail, in.Pos, "__ts_dispatch on empty ts (transformation invariant violated)")
 		}
@@ -447,13 +438,6 @@ func stepAtomic(s *State, ti int, in *Instr, ev Event, owned bool) StepResult {
 				pc = sub.Targets[0]
 				continue
 			case OpNondetJump:
-				// Multi-path atomics defeat the fold recorder's written-set
-				// filtering (branch A's writes would suppress recording branch
-				// B's reads of pre-run values), so give up on memoizing this
-				// fold; single-path atomics (test-and-set) stay memoizable.
-				if st.rec != nil {
-					st.rec.abort()
-				}
 				for _, tgt := range sub.Targets[1:] {
 					work = append(work, workItem{st: st.Clone(), pc: tgt})
 				}

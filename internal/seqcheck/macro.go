@@ -62,16 +62,6 @@ func macroLimit(opts Options, depth, steps int) int {
 	return limit
 }
 
-func failEvent(f *sem.Failure) sem.Event {
-	return sem.Event{
-		Kind:     sem.EvStmt,
-		ThreadID: f.ThreadID,
-		Fn:       f.Fn,
-		Pos:      f.Pos,
-		Text:     f.Msg,
-	}
-}
-
 // checkMacroDFS is the sequential depth-first search with macro-step
 // compression.
 func checkMacroDFS(c *sem.Compiled, opts Options) *Result {
@@ -152,14 +142,11 @@ func checkMacroDFS(c *sem.Compiled, opts Options) *Result {
 			return res
 		}
 
-		mr := sem.MacroStepMemo(cur.st, 0, macroLimit(opts, cur.nd.depth, res.Steps), opts.Memo)
+		mr := sem.MacroStep(cur.st, 0, macroLimit(opts, cur.nd.depth, res.Steps))
 		res.Steps += mr.Stepped
-		res.StatesStepped += len(mr.Prefix)
+		res.StatesStepped += len(mr.PrefixIdx)
 		if mr.Failure != nil {
-			res.Verdict = Error
-			res.Failure = mr.Failure
-			res.Trace = append(append(cur.nd.trace(), mr.Prefix...), failEvent(mr.Failure))
-			return res
+			return failAt(c, res, cur.nd, mr.PrefixIdx, mr.Failure)
 		}
 		// Blocked (false assume) prunes the path in sequential semantics.
 		for k, out := range mr.Outcomes {
@@ -177,11 +164,9 @@ func checkMacroDFS(c *sem.Compiled, opts Options) *Result {
 				st: out.State,
 				nd: &node{
 					parent:    cur.nd,
-					prefix:    mr.Prefix,
 					prefixIdx: mr.PrefixIdx,
-					event:     out.Event,
 					idx:       mr.OutIdx[k],
-					depth:     cur.nd.depth + len(mr.Prefix) + 1,
+					depth:     cur.nd.depth + len(mr.PrefixIdx) + 1,
 				},
 			})
 			if len(stack) > res.PeakFrontier {
@@ -222,11 +207,11 @@ func pathLess(a, b []int32) bool {
 // frame's (or another candidate's) first differ under their lowest
 // common ancestor, where the failing state's padded path and theirs do.
 type macroCand struct {
-	depth  int
-	key    []byte // hop key of the origin item
-	nd     *node  // origin item
-	prefix []sem.Event
-	fail   *sem.Failure
+	depth     int
+	key       []byte // hop key of the origin item
+	nd        *node  // origin item
+	prefixIdx []int32
+	fail      *sem.Failure
 }
 
 func minCand(cands []macroCand) int {
@@ -241,16 +226,12 @@ func minCand(cands []macroCand) int {
 }
 
 func failFromCand(c *sem.Compiled, res *Result, cd *macroCand) *Result {
-	res.Verdict = Error
-	res.Failure = cd.fail
-	res.Trace = append(append(fullTrace(c, cd.nd), cd.prefix...), failEvent(cd.fail))
-	return res
+	return failAt(c, res, cd.nd, cd.prefixIdx, cd.fail)
 }
 
 // macroSlot is the private output slot for one bucket item.
 type macroSlot struct {
 	fail      *sem.Failure
-	prefix    []sem.Event
 	prefixIdx []int32
 	exps      []expansion
 	stepped   int
@@ -367,9 +348,8 @@ func checkMacroBFS(c *sem.Compiled, opts Options) *Result {
 					slots[i] = macroSlot{done: true}
 					return
 				}
-				mr := sem.MacroStepMemo(it.st, 0, limit, opts.Memo)
+				mr := sem.MacroStep(it.st, 0, limit)
 				sl := macroSlot{
-					prefix:    mr.Prefix,
 					prefixIdx: mr.PrefixIdx,
 					stepped:   mr.Stepped,
 					worker:    w,
@@ -449,26 +429,23 @@ func checkMacroBFS(c *sem.Compiled, opts Options) *Result {
 					return res
 				}
 				res.Steps += sl.stepped
-				res.StatesStepped += len(sl.prefix)
+				res.StatesStepped += len(sl.prefixIdx)
 				if sl.fail != nil {
-					if len(sl.prefix) == 0 {
+					if len(sl.prefixIdx) == 0 {
 						// Failed at this depth: every lex-smaller competitor
 						// has already been flushed, so this is the
 						// per-statement BFS's first failure.
-						res.Verdict = Error
-						res.Failure = sl.fail
-						res.Trace = append(fullTrace(c, it.nd), failEvent(sl.fail))
-						return res
+						return failAt(c, res, it.nd, nil, sl.fail)
 					}
 					// Failed mid-run at a deeper micro depth: defer — a
 					// shallower or lex-smaller failure may still exist.
 					// keys[i] is reused by the next chunk; copy it.
 					cands = append(cands, macroCand{
-						depth:  depth + len(sl.prefix),
-						key:    bytes.Clone(keys[i]),
-						nd:     it.nd,
-						prefix: sl.prefix,
-						fail:   sl.fail,
+						depth:     depth + len(sl.prefixIdx),
+						key:       bytes.Clone(keys[i]),
+						nd:        it.nd,
+						prefixIdx: sl.prefixIdx,
+						fail:      sl.fail,
 					})
 					continue
 				}
@@ -486,11 +463,9 @@ func checkMacroBFS(c *sem.Compiled, opts Options) *Result {
 					}
 					nd := &node{
 						parent:    it.nd,
-						prefix:    sl.prefix,
 						prefixIdx: sl.prefixIdx,
-						event:     ex.out.Event,
 						idx:       ex.idx,
-						depth:     depth + len(sl.prefix) + 1,
+						depth:     depth + len(sl.prefixIdx) + 1,
 					}
 					q.Push(nd.depth, pframe{st: ex.out.State, nd: nd})
 				}

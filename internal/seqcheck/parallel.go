@@ -238,17 +238,7 @@ func checkParallel(c *sem.Compiled, opts Options) *Result {
 				res.Steps++
 				sl := &slots[i]
 				if sl.fail != nil {
-					res.Verdict = Error
-					res.Failure = sl.fail
-					failEv := sem.Event{
-						Kind:     sem.EvStmt,
-						ThreadID: sl.fail.ThreadID,
-						Fn:       sl.fail.Fn,
-						Pos:      sl.fail.Pos,
-						Text:     sl.fail.Msg,
-					}
-					res.Trace = append(fullTrace(c, it.nd), failEv)
-					return res
+					return failAt(c, res, it.nd, nil, sl.fail)
 				}
 				for _, ex := range sl.exps {
 					if vis.Seen(ex.fp) {
@@ -263,7 +253,7 @@ func checkParallel(c *sem.Compiled, opts Options) *Result {
 					}
 					q.Push(depth+1, pframe{
 						st: ex.out.State,
-						nd: &node{parent: it.nd, event: ex.out.Event, idx: ex.idx, depth: depth + 1},
+						nd: &node{parent: it.nd, idx: ex.idx, depth: depth + 1},
 					})
 					pushed++
 					if fl := (total - 1 - (base + i)) + pushed; fl > res.PeakFrontier {

@@ -69,14 +69,6 @@ type Options struct {
 	// the state space under a budget. AuditFingerprints forces compression
 	// off: the audit maps shadow the per-statement visited inserts.
 	DisableMacroSteps bool
-	// Memo, when non-nil, is the fold-memoization table shared by every
-	// engine of this search (sem.MacroStepMemo): folds whose control point
-	// and read footprint were seen before replay as stored write deltas
-	// instead of re-executing. The verdict, trace, failure position, and
-	// every deterministic counter are bit-identical with or without a
-	// memo; only wall time and the memo's own hit/miss statistics differ.
-	// Ignored when macro steps are disabled.
-	Memo *sem.FoldMemo
 	// AuditFingerprints cross-checks the 64-bit visited-set hashes against
 	// the canonical string encodings, counting states whose hash collided
 	// with a structurally different state in Result.HashCollisions. A
@@ -98,9 +90,6 @@ type Options struct {
 	// AuditFingerprints also forces the sequential search (the audit maps
 	// are unsharded).
 	SearchWorkers int
-	// NumShards is the visited-set shard count for the parallel search
-	// (rounded up to a power of two; 0 selects visited.DefaultShards).
-	NumShards int
 	// FrontierBudget, when > 0, bounds the BFS frontier's resident bytes:
 	// past the budget the bucket queue serializes frames (state snapshot
 	// plus padded successor-index path) to sorted on-disk runs under
@@ -218,22 +207,20 @@ func reasonFor(err error) stats.Reason {
 }
 
 // node is one stored state's position in the trace tree. Under macro-step
-// compression an edge covers a whole deterministic run: prefix holds the
-// folded events preceding event, prefixIdx the raw successor index taken
-// at each folded position, and idx the raw index of the final edge —
-// together they spell this state's padded successor-index path, the
-// uncompressed BFS's within-level order (see pathLess). The idx values
-// alone, one per hop, form the hop key the macro bucket BFS orders by
-// (see appendHopKey). depth is the micro depth: parent.depth +
-// len(prefix) + 1.
+// compression an edge covers a whole deterministic run: prefixIdx holds
+// the raw successor index taken at each folded position, and idx the raw
+// index of the final edge — together they spell this state's padded
+// successor-index path, the uncompressed BFS's within-level order (see
+// pathLess), and the path replayPath re-executes to rebuild a trace. The
+// idx values alone, one per hop, form the hop key the macro bucket BFS
+// orders by (see appendHopKey). depth is the micro depth: parent.depth +
+// len(prefixIdx) + 1.
 //
 // A node restored from a spilled frontier frame has no parent chain;
 // base holds what it keeps of its ancestry instead.
 type node struct {
 	parent    *node
-	prefix    []sem.Event
 	prefixIdx []int32
-	event     sem.Event
 	idx       int32
 	depth     int
 	base      *spillBase
@@ -242,28 +229,10 @@ type node struct {
 // spillBase is the ancestry a node restored from a spilled frame keeps:
 // its hop key (the spill order key), which appendHopKey extends for
 // descendants, and its padded path (carried in the spill payload), which
-// replayPath turns back into the trace prefix on failure.
+// appendPath extends.
 type spillBase struct {
 	key  []byte
 	path []int32
-}
-
-func (n *node) trace() []sem.Event {
-	total := 0
-	for cur := n; cur != nil && cur.parent != nil; cur = cur.parent {
-		total += len(cur.prefix) + 1
-	}
-	out := make([]sem.Event, total)
-	i := total
-	for cur := n; cur != nil && cur.parent != nil; cur = cur.parent {
-		i--
-		out[i] = cur.event
-		for j := len(cur.prefix) - 1; j >= 0; j-- {
-			i--
-			out[i] = cur.prefix[j]
-		}
-	}
-	return out
 }
 
 // Check explores the sequential program compiled in c. The program must be
@@ -376,20 +345,10 @@ func Check(c *sem.Compiled, opts Options) *Result {
 		sr := sem.Step(cur.st, 0)
 		res.Steps++
 		if sr.Failure != nil {
-			res.Verdict = Error
-			res.Failure = sr.Failure
-			failEv := sem.Event{
-				Kind:     sem.EvStmt,
-				ThreadID: sr.Failure.ThreadID,
-				Fn:       sr.Failure.Fn,
-				Pos:      sr.Failure.Pos,
-				Text:     sr.Failure.Msg,
-			}
-			res.Trace = append(cur.nd.trace(), failEv)
-			return res
+			return failAt(c, res, cur.nd, nil, sr.Failure)
 		}
 		// Blocked (false assume) prunes the path in sequential semantics.
-		for _, out := range sr.Outcomes {
+		for k, out := range sr.Outcomes {
 			if seen(out.State) {
 				continue
 			}
@@ -401,7 +360,7 @@ func Check(c *sem.Compiled, opts Options) *Result {
 			}
 			stack = append(stack, frame{
 				st: out.State,
-				nd: &node{parent: cur.nd, event: out.Event, depth: cur.nd.depth + 1},
+				nd: &node{parent: cur.nd, idx: int32(k), depth: cur.nd.depth + 1},
 			})
 			if fl := len(stack) - head; fl > res.PeakFrontier {
 				res.PeakFrontier = fl

@@ -15,7 +15,7 @@ import (
 // Memory-bounded search support for the BFS engines: the spilling
 // frontier's codec (order key = the hop key, payload = the padded
 // successor-index path and a sem state snapshot), the visited-store
-// selection, and trace reconstruction for frames restored from disk.
+// selection, and trace reconstruction by replay.
 //
 // A frame's hop key holds one entry per stored-node hop from the root:
 // the raw successor index of each edge's final step (node.idx). The macro
@@ -33,12 +33,13 @@ import (
 // key as its order key and its padded path in the payload. The restored
 // frame's node is root-like: descendants' hop keys extend its base key,
 // which keeps the bucket order (and therefore every counter and the
-// first reported failure) bit-identical to the unspilled search. The
-// event trace of a failure below a restored node is rebuilt by replaying
-// its base path from the initial state: each entry is the raw successor
-// index the per-statement search took at that micro step, so the
-// replayed events are exactly the ones the in-RAM node chain would have
-// held.
+// first reported failure) bit-identical to the unspilled search.
+//
+// Nodes hold no events. Every counterexample trace, under a restored
+// node or not, is rebuilt by replaying the failing state's padded path
+// from the initial state: each entry is the raw successor index the
+// per-statement search took at that micro step, so the replay spells
+// exactly the events of the path the search took.
 
 // frontierChunk is how many frames a spilled bucket is streamed in at a
 // time. Fully resident buckets always arrive as one chunk, so with
@@ -78,34 +79,40 @@ func appendHopKey(buf, scratch []byte, nd *node) ([]byte, []byte) {
 	return append(append(buf, base...), scratch[i:]...), scratch
 }
 
-// appendPaddedPath appends nd's padded path (root-first) as an entry
-// count followed by the entries in key encoding.
-func appendPaddedPath(buf []byte, nd *node) []byte {
+// appendPath appends nd's padded path (root-first) to dst: a restored
+// root's base path, then each hop's folded indices and final index. One
+// walk up the chain sizes the path; a second fills it from the end.
+func appendPath(dst []int32, nd *node) []int32 {
 	n, root := 0, nd
 	for ; root.parent != nil; root = root.parent {
 		n += len(root.prefixIdx) + 1
 	}
-	var base []int32
 	if root.base != nil {
-		base = root.base.path
+		dst = append(dst, root.base.path...)
 	}
-	n += len(base)
-	buf = binary.AppendUvarint(buf, uint64(n))
-	end := len(buf) + 4*n
-	buf = slices.Grow(buf, 4*n)
-	for _, idx := range base {
+	dst = slices.Grow(dst, n)
+	end := len(dst) + n
+	dst = dst[:end]
+	for cur := nd; cur.parent != nil; cur = cur.parent {
+		end--
+		dst[end] = cur.idx
+		end -= len(cur.prefixIdx)
+		copy(dst[end:], cur.prefixIdx)
+	}
+	return dst
+}
+
+// appendPaddedPath appends nd's padded path as an entry count followed
+// by the entries in key encoding. scratch is appendPath's buffer; the
+// possibly regrown scratch is returned.
+func appendPaddedPath(buf []byte, scratch []int32, nd *node) ([]byte, []int32) {
+	scratch = appendPath(scratch[:0], nd)
+	buf = binary.AppendUvarint(buf, uint64(len(scratch)))
+	buf = slices.Grow(buf, 4*len(scratch))
+	for _, idx := range scratch {
 		buf = appendPathIdx(buf, idx)
 	}
-	buf = buf[:end]
-	for cur := nd; cur.parent != nil; cur = cur.parent {
-		end -= 4
-		binary.BigEndian.PutUint32(buf[end:], uint32(cur.idx))
-		for j := len(cur.prefixIdx) - 1; j >= 0; j-- {
-			end -= 4
-			binary.BigEndian.PutUint32(buf[end:], uint32(cur.prefixIdx[j]))
-		}
-	}
-	return buf
+	return buf, scratch
 }
 
 // decodePathKey decodes key-encoded entries back into raw successor
@@ -133,7 +140,10 @@ func decodePaddedPath(payload []byte) ([]int32, []byte) {
 // ordered selects hop-key order (the macro bucket engine) over arrival
 // order (the per-statement level engine).
 func newSeqQueue(c *sem.Compiled, opts Options, ordered bool) *frontier.Queue[pframe] {
-	var scratch []byte // appendHopKey's; the queue calls Key from one goroutine
+	// The queue calls Key and Encode from one goroutine, so each keeps
+	// one scratch buffer.
+	var scratch []byte
+	var pathScratch []int32
 	return frontier.New(frontier.Config{
 		BudgetBytes: opts.FrontierBudget,
 		Dir:         opts.SpillDir,
@@ -144,7 +154,8 @@ func newSeqQueue(c *sem.Compiled, opts Options, ordered bool) *frontier.Queue[pf
 			return buf
 		},
 		Encode: func(f pframe, buf []byte) []byte {
-			return sem.AppendSnapshot(appendPaddedPath(buf, f.nd), f.st)
+			buf, pathScratch = appendPaddedPath(buf, pathScratch, f.nd)
+			return sem.AppendSnapshot(buf, f.st)
 		},
 		Decode: func(key, payload []byte, depth int) pframe {
 			path, snap := decodePaddedPath(payload)
@@ -161,16 +172,16 @@ func newSeqQueue(c *sem.Compiled, opts Options, ordered bool) *frontier.Queue[pf
 }
 
 // replayPath re-executes the raw successor indices of a padded path from
-// the initial state, returning the event sequence it spells. Used only
-// to rebuild the trace prefix of a failure under a restored frame —
-// O(depth) once per reported failure.
+// the initial state, returning the event sequence it spells. It is how
+// every counterexample trace is built: nodes keep only indices, so the
+// events are rebuilt once per reported failure, O(depth).
 func replayPath(c *sem.Compiled, path []int32) []sem.Event {
 	st := sem.NewState(c)
-	evs := make([]sem.Event, 0, len(path))
+	evs := make([]sem.Event, 0, len(path)+1)
 	for _, idx := range path {
 		sr := sem.Step(st, 0)
 		if sr.Failure != nil || int(idx) >= len(sr.Outcomes) {
-			panic(fmt.Sprintf("seqcheck: spilled path does not replay (idx %d of %d outcomes)",
+			panic(fmt.Sprintf("seqcheck: path does not replay (idx %d of %d outcomes)",
 				idx, len(sr.Outcomes)))
 		}
 		out := sr.Outcomes[idx]
@@ -180,31 +191,35 @@ func replayPath(c *sem.Compiled, path []int32) []sem.Event {
 	return evs
 }
 
-// fullTrace is node.trace extended to chains rooted in a restored frame:
-// the restored root's padded path is replayed and its events prepended.
-func fullTrace(c *sem.Compiled, nd *node) []sem.Event {
-	root := nd
-	for root.parent != nil {
-		root = root.parent
-	}
-	if root.base == nil || len(root.base.path) == 0 {
-		return nd.trace()
-	}
+// failAt reports fail, reached from nd's state by a fold through the
+// successor indices prefixIdx (nil for an unfolded step), as res's Error
+// verdict. The trace is nd's padded path and prefixIdx replayed from the
+// initial state, followed by the failing statement.
+func failAt(c *sem.Compiled, res *Result, nd *node, prefixIdx []int32, fail *sem.Failure) *Result {
+	path := append(appendPath(nil, nd), prefixIdx...)
 	if replayHook != nil {
-		replayHook(root.base.path)
+		replayHook(path)
 	}
-	pre := replayPath(c, root.base.path)
-	return append(pre, nd.trace()...)
+	res.Verdict = Error
+	res.Failure = fail
+	res.Trace = append(replayPath(c, path), sem.Event{
+		Kind:     sem.EvStmt,
+		ThreadID: fail.ThreadID,
+		Fn:       fail.Fn,
+		Pos:      fail.Pos,
+		Text:     fail.Msg,
+	})
+	return res
 }
 
-// replayHook, when set, sees every restored frame's padded path fullTrace
-// replays; tests use it to tell that the replay path ran.
+// replayHook, when set, sees the padded path of every trace failAt
+// replays; tests use it to count replays.
 var replayHook func(path []int32)
 
 // newVisited selects the visited store for this search's options.
 func newVisited(opts Options) visited.Store {
 	if !opts.VisitedCompact {
-		return visited.New(opts.NumShards)
+		return visited.New(visited.DefaultShards)
 	}
 	if opts.AuditVisited {
 		return visited.NewAudited(opts.VisitedBytes)

@@ -34,7 +34,7 @@ func TestSpillIdenticalToResident(t *testing.T) {
 		{SearchWorkers: 8, MaxSteps: 300, DisableMacroSteps: true},
 	}
 	var spilled int64
-	errors := 0
+	errors, spilledErrors := 0, 0
 	replayed := 0
 	replayHook = func([]int32) { replayed++ }
 	defer func() { replayHook = nil }()
@@ -48,6 +48,9 @@ func TestSpillIdenticalToResident(t *testing.T) {
 			got := Check(compile(t, src, 0), on)
 			if got.Memory != nil {
 				spilled += got.Memory.SpilledFrames
+				if got.Memory.SpilledFrames > 0 && got.Verdict == Error {
+					spilledErrors++
+				}
 			}
 			if spilledRes := stripMemory(stripParallel(got)); !reflect.DeepEqual(resident, spilledRes) {
 				t.Errorf("seed %d engine %d: resident vs spilled:\n  %+v\n  %+v",
@@ -64,8 +67,12 @@ func TestSpillIdenticalToResident(t *testing.T) {
 	if errors == 0 {
 		t.Error("no erroring programs; trace identity vacuous")
 	}
-	if replayed == 0 {
-		t.Error("no error trace was rebuilt from a restored frame's padded path; replay identity vacuous")
+	if spilledErrors == 0 {
+		t.Error("no error found by a run that spilled; replay from restored frames vacuous")
+	}
+	// Every trace is rebuilt by exactly one replay, resident or spilled.
+	if replayed != 2*errors {
+		t.Errorf("%d replays for %d erroring runs; want one per reported failure", replayed, 2*errors)
 	}
 }
 
@@ -80,7 +87,8 @@ func TestHopKeyOrderMatchesPaddedPaths(t *testing.T) {
 	drainHook = func(depth int, chunk []pframe, keys [][]byte) {
 		var prev []int32
 		for i, f := range chunk {
-			path, rest := decodePaddedPath(appendPaddedPath(nil, f.nd))
+			buf, _ := appendPaddedPath(nil, nil, f.nd)
+			path, rest := decodePaddedPath(buf)
 			if len(path) != depth || len(rest) != 0 {
 				t.Fatalf("depth %d: padded path %v (%d bytes left over)", depth, path, len(rest))
 			}

@@ -286,26 +286,32 @@ const oldSummaryStats = `"stats":{"states":12,"steps":30,` +
 	`"memo":{"hits":1,"misses":2,"hit_ratio":0.33,"stores":2,"evictions":0,"steps_saved":5,"entries":2,"bytes":100},` +
 	`"summary":{"hits":3,"misses":1,"hit_ratio":0.75,"stores":1,"evictions":0,"steps_saved":40,"composed":0,"max_depth":1,"entries":1,"bytes":200}}`
 
-// TestClientDecodesRetiredSummaryStats: a CheckResponse or BatchItem
-// from an older daemon whose stats carry the retired "summary" record
-// still decodes, with the fields this build knows intact.
-func TestClientDecodesRetiredSummaryStats(t *testing.T) {
+// oldMemoStats is a result "stats" object as builds that still had the
+// fold memo rendered it: a "memo" record and no "summary".
+const oldMemoStats = `"stats":{"states":12,"steps":30,` +
+	`"memo":{"hits":1,"misses":2,"hit_ratio":0.33,"stores":2,"evictions":0,"steps_saved":5,"entries":2,"bytes":100,"audit_mismatches":0}}`
+
+// decodesOldStats serves a CheckResponse and a BatchItem whose result
+// carries stats from an older daemon, and requires both to decode
+// through the client with the fields this build knows intact.
+func decodesOldStats(t *testing.T, stats string) {
+	t.Helper()
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		if r.URL.Path == "/v1/batch" {
-			fmt.Fprintln(w, `{"v":1,"index":0,"state":"done","result":{"verdict":"safe",`+oldSummaryStats+`}}`)
+			fmt.Fprintln(w, `{"v":1,"index":0,"state":"done","result":{"verdict":"safe",`+stats+`}}`)
 			return
 		}
-		fmt.Fprintln(w, `{"v":1,"state":"done","result":{"verdict":"safe",`+oldSummaryStats+`}}`)
+		fmt.Fprintln(w, `{"v":1,"state":"done","result":{"verdict":"safe",`+stats+`}}`)
 	}))
 	t.Cleanup(ts.Close)
 	client := NewClient(ts.URL)
 
 	resp, err := client.Check(context.Background(), safeSrc, nil, 0)
 	if err != nil {
-		t.Fatalf("check response with a summary record: %v", err)
+		t.Fatalf("check response with old stats: %v", err)
 	}
-	if resp.Result == nil || resp.Result.Stats.States != 12 || resp.Result.Stats.Memo == nil || resp.Result.Stats.Memo.Hits != 1 {
+	if resp.Result == nil || resp.Result.Stats.States != 12 || resp.Result.Stats.Steps != 30 {
 		t.Fatalf("check response decoded wrongly: %+v", resp.Result)
 	}
 
@@ -316,9 +322,22 @@ func TestClientDecodesRetiredSummaryStats(t *testing.T) {
 	defer stream.Close()
 	item, err := stream.Next()
 	if err != nil {
-		t.Fatalf("batch item with a summary record: %v", err)
+		t.Fatalf("batch item with old stats: %v", err)
 	}
 	if item.Result == nil || item.Result.Stats.Steps != 30 {
 		t.Fatalf("batch item decoded wrongly: %+v", item.Result)
 	}
+}
+
+// TestClientDecodesRetiredSummaryStats: a CheckResponse or BatchItem
+// from an older daemon whose stats carry the retired "summary" record
+// still decodes, with the fields this build knows intact.
+func TestClientDecodesRetiredSummaryStats(t *testing.T) {
+	decodesOldStats(t, oldSummaryStats)
+}
+
+// TestClientDecodesRetiredMemoStats: likewise for the retired fold-memo
+// "memo" record.
+func TestClientDecodesRetiredMemoStats(t *testing.T) {
+	decodesOldStats(t, oldMemoStats)
 }

@@ -119,11 +119,6 @@ func (s *Server) observe(res *kiss.Result) {
 	}
 	s.statesTotal.Add(float64(res.States))
 	s.stepsTotal.Add(float64(res.Steps))
-	if m := res.Stats.Memo; m != nil {
-		s.memoHits.Add(float64(m.Hits))
-		s.memoMisses.Add(float64(m.Misses))
-		s.memoStepsSaved.Add(float64(m.StepsSaved))
-	}
 	if mem := res.Stats.Memory; mem != nil {
 		s.spilledBytes.Add(float64(mem.SpilledBytes))
 		s.spilledFrames.Add(float64(mem.SpilledFrames))
@@ -179,21 +174,6 @@ func (s *Server) registerMetrics() {
 		"States stored across all completed checks.", nil)
 	s.stepsTotal = r.Counter("kissd_steps_total",
 		"Transitions executed across all completed checks.", nil)
-	s.memoHits = r.Counter("kissd_memo_hits_total",
-		"Fold-memo replay hits across all completed checks.", nil)
-	s.memoMisses = r.Counter("kissd_memo_misses_total",
-		"Fold-memo lookup misses across all completed checks.", nil)
-	s.memoStepsSaved = r.Counter("kissd_memo_steps_saved_total",
-		"Micro steps replayed from the fold memo instead of executing.", nil)
-	r.GaugeFunc("kissd_memo_hit_ratio", "Fleet-wide fold-memo hits / lookups.", nil,
-		func() float64 {
-			hits, misses := s.memoHits.Value(), s.memoMisses.Value()
-			if total := hits + misses; total > 0 {
-				return hits / total
-			}
-			return 0
-		})
-
 	s.spilledBytes = r.Counter("kissd_spilled_bytes_total",
 		"Frontier frame bytes spilled to sorted disk runs under the memory budget.", nil)
 	s.spilledFrames = r.Counter("kissd_spilled_frames_total",

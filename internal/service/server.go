@@ -80,9 +80,6 @@ type Server struct {
 	jobsRejected   *stats.Counter
 	statesTotal    *stats.Counter
 	stepsTotal     *stats.Counter
-	memoHits       *stats.Counter
-	memoMisses     *stats.Counter
-	memoStepsSaved *stats.Counter
 	spilledBytes   *stats.Counter
 	spilledFrames  *stats.Counter
 	spilledRuns    *stats.Counter
@@ -191,9 +188,9 @@ func (s *Server) submit(j *job) error {
 // context bounds the wait: when it expires, the remaining jobs are
 // canceled through their own contexts instead of abandoned, so each
 // returns a partial ResourceBound result through the normal completion
-// path and its counters still reach the kissd_memo_*
-// totals (a job cut off mid-check did real work the fleet metrics must
-// not lose). Drain is idempotent.
+// path and its counters still reach the kissd_states_total and
+// kissd_steps_total totals (a job cut off mid-check did real work the
+// fleet metrics must not lose). Drain is idempotent.
 func (s *Server) Drain(ctx context.Context) error {
 	s.mu.Lock()
 	if !s.draining {

@@ -230,9 +230,6 @@ type Stats struct {
 	// Parallel carries the parallel-search diagnostics (nil for
 	// sequential searches).
 	Parallel *Parallel `json:"parallel,omitempty"`
-	// Memo carries the fold-memoization table counters (nil when the
-	// memo is off or never engaged).
-	Memo *Memo `json:"memo,omitempty"`
 	// Memory carries the memory-bounded search diagnostics (nil when
 	// neither the spilling frontier nor the compact visited set engaged).
 	Memory *Memory `json:"memory,omitempty"`
@@ -269,36 +266,6 @@ type Memory struct {
 	FrontierPeakRAM  int64 `json:"frontier_peak_ram,omitempty"`
 }
 
-// Memo reports the fold-memoization table of a macro-step search: how
-// many folds replayed from the table instead of re-executing, and what
-// the replay saved. The verdict and every deterministic search metric
-// are bit-identical with the memo on or off; the memo counters
-// themselves depend on expansion order in parallel searches (which
-// worker populates an entry first), so StripTiming drops the record
-// along with the other scheduling-dependent diagnostics.
-type Memo struct {
-	// Hits and Misses count memo lookups on fold entry; HitRatio is
-	// Hits/(Hits+Misses).
-	Hits     int64   `json:"hits"`
-	Misses   int64   `json:"misses"`
-	HitRatio float64 `json:"hit_ratio"`
-	// Stores counts recorded folds; Evictions counts entries dropped by
-	// the byte-budget LRU.
-	Stores    int64 `json:"stores"`
-	Evictions int64 `json:"evictions"`
-	// StepsSaved is the total micro steps replayed from the table — the
-	// Step invocations the search did not execute.
-	StepsSaved int64 `json:"steps_saved"`
-	// Entries and Bytes are the table's final size.
-	Entries int64 `json:"entries"`
-	Bytes   int64 `json:"bytes"`
-	// AuditMismatches counts replays that failed byte-for-byte
-	// verification (audit runs only; memo matching is exact, so a
-	// nonzero count means a recorder/delta implementation bug was
-	// caught and corrected).
-	AuditMismatches int64 `json:"audit_mismatches,omitempty"`
-}
-
 // Parallel reports the diagnostics of a multi-worker frontier search:
 // how the work spread over the workers and how hard they fought over the
 // sharded visited set. The verdict and the search metrics above are
@@ -325,7 +292,6 @@ func (s *Stats) StripTiming() {
 	s.Phases = PhaseTimes{}
 	s.StatesPerSec = 0
 	s.Parallel = nil
-	s.Memo = nil
 	s.Memory = nil
 }
 

@@ -255,25 +255,6 @@ type Config struct {
 	// traces (see WithMacroSteps). Stats.States then counts stored states;
 	// Stats.StatesStepped counts traversed ones.
 	DisableMacroSteps bool
-	// DisableFoldMemo turns off fold memoization, the replay cache that
-	// lets macro-step compression skip re-executing a fold whose control
-	// point and read footprint were seen before (see WithFoldMemo). The
-	// memo is on by default whenever macro steps are on; it changes only
-	// wall time and the Stats.Memo diagnostics — the verdict, trace,
-	// failure position, and every deterministic counter are bit-identical
-	// either way and at every SearchWorkers count.
-	DisableFoldMemo bool
-	// MemoMB is the fold-memo table byte budget in MiB; 0 selects the
-	// default (sem.DefaultMemoBytes).
-	MemoMB int
-	// AuditFoldMemo re-executes every fold-memo hit and verifies the
-	// replayed result byte-for-byte against execution, counting
-	// divergences in Stats.Memo.AuditMismatches and always returning the
-	// executed result. Matching is exact (no footprint hashing), so a
-	// mismatch can only mean an implementation bug in the recorder or
-	// delta model; audit exists to detect that and for differential
-	// tests, and costs more than the replay saves.
-	AuditFoldMemo bool
 	// VisitedMode selects the visited-set representation of the
 	// explicit-state searches: VisitedExact (the default; "" means exact)
 	// stores every 64-bit state fingerprint exactly, reproducing the seed
@@ -311,9 +292,6 @@ type Config struct {
 	// with corpus-level parallelism, split the core budget (see
 	// eval.Options.SearchWorkers).
 	SearchWorkers int
-	// NumShards is the visited-set shard count for parallel searches
-	// (rounded up to a power of two; 0 picks the default).
-	NumShards int
 	// ContextBound bounds context switches in Explore (the concurrent
 	// baseline): negative means unlimited, 0 means no switches. It is
 	// ignored by Check. NewConfig defaults it to -1.
@@ -396,17 +374,6 @@ func WithBFS() Option { return func(c *Config) { c.BFS = true } }
 // and certified trace are identical either way and at every SearchWorkers
 // count; WithMacroSteps(false) reproduces the per-statement search.
 func WithMacroSteps(on bool) Option { return func(c *Config) { c.DisableMacroSteps = !on } }
-
-// WithFoldMemo toggles fold memoization (default on whenever macro steps
-// are on): folds whose control point and read footprint match a recorded
-// run replay as stored write deltas instead of re-executing, winning back
-// the wall time macro-step compression spends re-running long
-// deterministic runs. Results are bit-identical either way; only wall
-// time and Stats.Memo differ.
-func WithFoldMemo(on bool) Option { return func(c *Config) { c.DisableFoldMemo = !on } }
-
-// WithMemoMB sets the fold-memo table byte budget in MiB (0: default).
-func WithMemoMB(n int) Option { return func(c *Config) { c.MemoMB = n } }
 
 // Visited-set representations (Config.VisitedMode).
 const (
@@ -625,9 +592,6 @@ func (r *Result) String() string {
 	if r.Stats.CompressionRatio > 1 {
 		counters += fmt.Sprintf(" compression=%.1fx", r.Stats.CompressionRatio)
 	}
-	if m := r.Stats.Memo; m != nil {
-		counters += fmt.Sprintf(" memo-hits=%.0f%%", m.HitRatio*100)
-	}
 	switch r.Verdict {
 	case Safe:
 		return fmt.Sprintf("no bug found (%s)", counters)
@@ -695,16 +659,13 @@ func (c *Config) Check(p *Program) (*Result, error) {
 		col.End(stats.PhaseCheck)
 		return nil, err
 	}
-	memo := c.newFoldMemo()
 	r := seqcheck.Check(compiled, seqcheck.Options{
 		MaxStates:         c.MaxStates,
 		MaxSteps:          c.MaxSteps,
 		MaxDepth:          c.MaxDepth,
 		BFS:               c.BFS,
 		DisableMacroSteps: c.DisableMacroSteps,
-		Memo:              memo,
 		SearchWorkers:     c.SearchWorkers,
-		NumShards:         c.NumShards,
 		VisitedCompact:    compactVis,
 		VisitedBytes:      filterBytes,
 		AuditVisited:      c.AuditVisited,
@@ -760,44 +721,10 @@ func (c *Config) Check(p *Program) (*Result, error) {
 		HashCollisions:   r.HashCollisions,
 		Reason:           r.Reason,
 		Parallel:         r.Parallel,
-		Memo:             memoStats(memo),
 		Memory:           r.Memory,
 	}
 	col.Finalize(&out.Stats)
 	return out, nil
-}
-
-// newFoldMemo builds this check's fold-memoization table — one fresh
-// table per run (memo entries hold compiled-function pointers, so tables
-// never outlive their program) — or nil when the memo cannot engage.
-func (c *Config) newFoldMemo() *sem.FoldMemo {
-	if c.DisableMacroSteps || c.DisableFoldMemo {
-		return nil
-	}
-	return sem.NewFoldMemo(int64(c.MemoMB)<<20, c.AuditFoldMemo)
-}
-
-// memoStats snapshots a memo table into the Stats record; a table that
-// never saw a lookup (e.g. the per-statement engines ran) reports nil.
-func memoStats(memo *sem.FoldMemo) *stats.Memo {
-	if memo == nil {
-		return nil
-	}
-	st := memo.Stats()
-	if st.Hits+st.Misses == 0 {
-		return nil
-	}
-	return &stats.Memo{
-		Hits:            st.Hits,
-		Misses:          st.Misses,
-		HitRatio:        st.HitRatio(),
-		Stores:          st.Stores,
-		Evictions:       st.Evictions,
-		StepsSaved:      st.StepsSaved,
-		Entries:         st.Entries,
-		Bytes:           st.Bytes,
-		AuditMismatches: st.AuditMismatches,
-	}
 }
 
 // compression derives the (StatesStepped, CompressionRatio) pair from a
@@ -859,16 +786,13 @@ func (c *Config) Explore(p *Program) (*Result, error) {
 		col.End(stats.PhaseCheck)
 		return nil, err
 	}
-	memo := c.newFoldMemo()
 	r := concheck.Check(compiled, concheck.Options{
 		MaxStates:         c.MaxStates,
 		MaxSteps:          c.MaxSteps,
 		MaxDepth:          c.MaxDepth,
 		ContextBound:      c.ContextBound,
 		DisableMacroSteps: c.DisableMacroSteps,
-		Memo:              memo,
 		SearchWorkers:     c.SearchWorkers,
-		NumShards:         c.NumShards,
 		VisitedCompact:    compactVis,
 		VisitedBytes:      filterBytes,
 		AuditVisited:      c.AuditVisited,
@@ -896,7 +820,6 @@ func (c *Config) Explore(p *Program) (*Result, error) {
 		HashCollisions:   r.HashCollisions,
 		Reason:           r.Reason,
 		Parallel:         r.Parallel,
-		Memo:             memoStats(memo),
 		Memory:           r.Memory,
 	}
 	col.Finalize(&out.Stats)
