@@ -54,12 +54,13 @@ verify: fmt build vet test bench-test race
 # search-workers 0/1/8, stored/stepped states, throughput, and
 # allocations per arm — written to BENCH_PR4.json (the run exits
 # non-zero if the arms disagree or stored states fail to compress).
-# (The PR 6 and PR 8 suites reran the ablation only to gate or report
-# the fold memo's arm; they left with the memo.) The PR 9 suite is the
-# memory-budget study: the corpus's hard fields (exact visited set,
-# classic state budget — the runs that trip MaxStates) rerun with the
-# compact visited filter and the disk-spilling frontier at a 10x state
-# ceiling under 1 MiB of search memory; BENCH_PR9.json records per-field verdicts, peak search RAM,
+# (Two more ablation reruns, which only gated or reported the fold
+# memo's arm, were deleted with the memo.) The memory-budget study
+# follows: the corpus's
+# hard fields (exact visited set, classic state budget — the runs that
+# trip MaxStates) rerun with the compact visited filter and the
+# disk-spilling frontier at a 10x state ceiling under 1 MiB of search
+# memory; BENCH_PR9.json records per-field verdicts, peak search RAM,
 # spilled bytes, and filter occupancy, and the run exits non-zero unless
 # at least 3 tripped fields improve. (The small budget is deliberate:
 # it forces real spill traffic on any machine, making the artifact a
@@ -81,9 +82,9 @@ bench:
 # bench-smoke is the CI-sized slice of the ablation suite: both arms on
 # four small drivers with the same identity verification, asserting the
 # stored-state compression ratio exceeds 1. It then runs a one-driver
-# slice of the memory-budget study through -o and asserts the artifact is non-empty and carries the
-# expected document shape — the regression gate for the
-# truncated-artifact bug. Runs in seconds.
+# slice of the memory-budget study through -o and asserts the artifact
+# is non-empty and carries the expected document shape — the
+# regression gate for the truncated-artifact bug. Runs in seconds.
 bench-smoke:
 	$(GO) run ./cmd/kissbench -macrobench -drivers kbfiltr,moufiltr,diskperf,1394diag -min-ratio 1.0
 	@rm -f .bench-smoke.json

@@ -230,9 +230,9 @@ func (c *Config) UnmarshalJSON(data []byte) error {
 //   - Context, Progress, ProgressStates, ProgressEvery: runtime plumbing,
 //     invisible to the verdict.
 //   - SearchWorkers: the parallel search is bit-identical at every
-//     worker count (the PR 3 invariant, property-tested in
-//     internal/seqcheck and internal/concheck), so it only moves wall
-//     clock and the scheduling-dependent Stats.Parallel diagnostics.
+//     worker count (property-tested in internal/seqcheck and
+//     internal/concheck), so it only moves wall clock and the
+//     scheduling-dependent Stats.Parallel diagnostics.
 //   - ContextBound: consulted only by Explore, ignored by Check.
 //   - SpillDir and AuditVisited: spill placement and the false-positive
 //     audit never change what a check computes. MemBudgetMB is kept only

@@ -235,8 +235,8 @@ func fieldStored(results []*DriverResult) map[string]fieldStorage {
 	return out
 }
 
-// WriteMacroAblation emits the report as a single JSON object — the
-// BENCH_PR4.json payload.
+// WriteMacroAblation emits the report as a single JSON object (the
+// `make bench` artifact of the ablation).
 func WriteMacroAblation(w io.Writer, rep *MacroAblation) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
