@@ -228,7 +228,7 @@ func addSeqFlags(fs *flag.FlagSet) (seq *string, contextSwitches *int) {
 // visited filter) lives in the BFS engines only.
 func warnMemBudget(cfg *kiss.Config) {
 	if cfg.MemBudgetIgnored() {
-		fmt.Fprintln(os.Stderr, "kiss: warning: -mem-budget-mb has no effect on the default sequential DFS engine; add -bfs (or -search-workers N) to engage the spilling frontier")
+		fmt.Fprintln(os.Stderr, "kiss: warning: -mem-budget-mb has no effect on the default depth-first search; add -search-workers N (or -bfs, on check) to engage the spilling frontier")
 	}
 }
 
@@ -425,9 +425,10 @@ func runExplore(args []string) error {
 	}
 	opts, cancel := bf.options()
 	defer cancel()
-	opts = append(opts, kiss.WithContextBound(*contextBound))
+	cfg := kiss.NewConfig(append(opts, kiss.WithContextBound(*contextBound))...)
+	warnMemBudget(cfg)
 	var res *kiss.Result
-	if err := bf.profiled(func() (err error) { res, err = kiss.Explore(prog, opts...); return err }); err != nil {
+	if err := bf.profiled(func() (err error) { res, err = cfg.Explore(prog); return err }); err != nil {
 		return err
 	}
 	report(res)

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -174,5 +175,37 @@ func TestRunCheckWithCertifyAndEngines(t *testing.T) {
 	heapy := writeTemp(t, `record R { f; } func main() { var e; e = new R; e->f = 1; }`)
 	if err := runCheck([]string{"-summaries", heapy}); err == nil {
 		t.Error("summary engine accepted a heap-using program")
+	}
+}
+
+// TestExploreWarnsOnIgnoredMemBudget: explore points out a memory budget
+// its default depth-first search ignores, as check and race do, and
+// stays quiet once a search worker puts the budget to use.
+func TestExploreWarnsOnIgnoredMemBudget(t *testing.T) {
+	path := writeTemp(t, racySrc)
+	for _, tc := range []struct {
+		args []string
+		warn bool
+	}{
+		{[]string{"-mem-budget-mb", "1", path}, true},
+		{[]string{"-mem-budget-mb", "1", "-search-workers", "1", path}, false},
+	} {
+		r, w, err := os.Pipe()
+		if err != nil {
+			t.Fatal(err)
+		}
+		stderr := os.Stderr
+		os.Stderr = w
+		runErr := runExplore(tc.args)
+		os.Stderr = stderr
+		w.Close()
+		out, err := io.ReadAll(r)
+		r.Close()
+		if err != nil || runErr != nil {
+			t.Fatalf("%v: explore %v, reading stderr %v", tc.args, runErr, err)
+		}
+		if got := strings.Contains(string(out), "-mem-budget-mb has no effect"); got != tc.warn {
+			t.Errorf("%v: warned=%v, want %v; stderr %q", tc.args, got, tc.warn, out)
+		}
 	}
 }

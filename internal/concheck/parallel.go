@@ -8,19 +8,33 @@ import (
 	"repro/internal/stats"
 )
 
-// The parallel interleaving search mirrors seqcheck's (see the design
-// note in internal/seqcheck/parallel.go): a level-synchronized BFS where
-// the worker pool expands items — here, expanding an item means stepping
-// *every* schedulable thread, honoring POR and the context bound — and a
-// single-threaded commit loop replays each level in (item, thread) order
-// through the sequential search's budget checks, so the verdict, trace,
-// and deterministic metrics are bit-identical at every worker count.
+// The per-statement breadth-first search (checkParallel; SearchWorkers 0
+// runs it inline) is a level-synchronized BFS split into two alternating
+// phases per level:
 //
-// The sequential concheck search is depth-first; the parallel frontier is
-// breadth-first. On a full exploration the two report the same verdict
-// (failure reachability does not depend on search order); runs that trip
-// a budget cover different prefixes of the state space, exactly as the
-// BFS/DFS choice already does in seqcheck.
+//   - an expansion round, where the worker pool claims items (states) off
+//     the level by atomic index, steps *every* schedulable thread of each
+//     (honoring POR and the context bound), fingerprints each successor,
+//     and drops successors already in the sharded visited set (a
+//     read-only prefilter — the set is frozen during the round, so the
+//     answer is deterministic);
+//   - a single-threaded commit loop, which replays the level in (item,
+//     thread) order through exactly the budget checks of a sequential
+//     BFS: steps budget before each step, first failure wins at the
+//     lowest (item, thread), within-level duplicates resolved in order
+//     via Seen, states budget per fresh state.
+//
+// Because the commit loop alone mutates the visited set and all search
+// counters, the verdict, trace, and deterministic metrics are
+// bit-identical at every worker count; the workers only decide wall-clock
+// and the diagnostics in Result.Parallel. The price is that a level whose
+// commit trips a budget has expanded its remaining items for nothing —
+// bounded waste, one level's worth.
+//
+// On a full exploration the depth-first and breadth-first searches report
+// the same verdict (failure reachability does not depend on search
+// order); runs that trip a budget cover different prefixes of the state
+// space.
 
 // minParallelLevel is the level size below which the coordinator expands
 // inline rather than paying worker fan-out.
@@ -31,9 +45,10 @@ const minParallelLevel = 4
 const workerPollStride = 64
 
 // cexpansion is one prefiltered successor: the outcome plus its visited
-// key (the state hash, mixed with the scheduling context in bounded mode)
-// and its raw index in the unpruned outcome list (the macro engine's
-// ordering key; the per-statement engine records the loop index).
+// key (see visitKey), hashed worker-side so the commit loop never
+// hashes, and its raw index in the unpruned outcome list (the macro
+// engine's ordering key; the per-statement engine records the loop
+// index).
 type cexpansion struct {
 	out sem.Outcome
 	fp  uint64
@@ -41,9 +56,10 @@ type cexpansion struct {
 }
 
 // Buffer pools shared by the expansion rounds of the per-statement and
-// macro level engines (see the note in internal/seqcheck/parallel.go:
-// buffers are cleared before Put so pooled memory never pins dead states;
-// early returns may skip a Put, which is only a pool miss).
+// macro level engines: each round allocates a successor buffer per item
+// and a slot slice per level, all dead by the next level. Buffers are
+// cleared before Put so pooled memory never pins dead states; early
+// returns may skip a Put, which is only a pool miss.
 var (
 	cexpPool  = sync.Pool{New: func() any { return new([]cexpansion) }}
 	cslotPool = sync.Pool{New: func() any { return new([]citemSlot) }}
@@ -103,15 +119,11 @@ func checkParallel(c *sem.Compiled, opts Options) *Result {
 	bounded := opts.ContextBound >= 0
 
 	vis := cNewVisited(opts)
-	initFP := sem.NewFPHasher().Hash(init)
-	if bounded {
-		initFP = sem.Mix64(initFP, uint64(0)) // lastTh -1 encodes as 0
-		initFP = sem.Mix64(initFP, uint64(0))
-	}
-	vis.Seen(initFP)
+	vis.Seen(visitKey(sem.NewFPHasher().Hash(init), opts, -1, 0))
 	res.States = 1
 	res.PeakFrontier = 1
-	perWorker := make([]int, workers)
+	nworkers := max(workers, 1)
+	perWorker := make([]int, nworkers)
 	// The level queue is a FIFO frontier bucket per depth: arrival order
 	// is commit order, spilled or resident, and a fully resident level
 	// streams back as one chunk — the classic whole-level pass.
@@ -119,21 +131,23 @@ func checkParallel(c *sem.Compiled, opts Options) *Result {
 	defer q.Close()
 	defer func() {
 		res.Visited = vis.Len()
-		res.Parallel = &stats.Parallel{
-			Workers:         workers,
-			Shards:          vis.Shards(),
-			PerWorkerStates: perWorker,
-			ShardContention: vis.Contention(),
+		if workers >= 1 {
+			res.Parallel = &stats.Parallel{
+				Workers:         workers,
+				Shards:          vis.Shards(),
+				PerWorkerStates: perWorker,
+				ShardContention: vis.Contention(),
+			}
 		}
 		res.Memory = cMemoryRecord(opts, vis, q.Stats())
 	}()
 
-	hashers := make([]*sem.FPHasher, workers)
+	hashers := make([]*sem.FPHasher, nworkers)
 	for i := range hashers {
 		hashers[i] = sem.NewFPHasher()
 	}
 
-	q.Push(0, searchState{st: init, nd: &node{}, lastTh: -1})
+	q.Push(0, searchState{st: init, nd: newRoot()})
 	for depth := 0; q.Len() > 0; depth++ {
 		res.PeakDepth = depth
 		if opts.Context != nil {
@@ -181,8 +195,8 @@ func checkParallel(c *sem.Compiled, opts Options) *Result {
 					if expand >= 0 && ti != expand {
 						continue
 					}
-					switches := it.switches
-					if it.lastTh >= 0 && it.lastTh != ti {
+					switches := int(it.nd.switches)
+					if it.nd.ti >= 0 && int(it.nd.ti) != ti {
 						switches++
 						if bounded && switches > opts.ContextBound {
 							ths = append(ths, cthread{ti: ti, switches: switches, overBound: true})
@@ -202,11 +216,7 @@ func checkParallel(c *sem.Compiled, opts Options) *Result {
 					}
 					exps := cexpGet()
 					for k, out := range sr.Outcomes {
-						fp := hashers[w].Hash(out.State)
-						if bounded {
-							fp = sem.Mix64(fp, uint64(ti+1))
-							fp = sem.Mix64(fp, uint64(switches))
-						}
+						fp := visitKey(hashers[w].Hash(out.State), opts, ti, switches)
 						if vis.Contains(fp) {
 							continue
 						}
@@ -220,7 +230,7 @@ func checkParallel(c *sem.Compiled, opts Options) *Result {
 				}
 				slots[i] = citemSlot{threads: ths, worker: w}
 			}
-			if workers == 1 || len(level) < minParallelLevel {
+			if workers <= 1 || len(level) < minParallelLevel {
 				for i := range level {
 					expandItem(i, 0)
 					if opts.Context != nil && i%workerPollStride == workerPollStride-1 {
@@ -303,10 +313,9 @@ func checkParallel(c *sem.Compiled, opts Options) *Result {
 						q.Push(depth+1, searchState{
 							st: ex.out.State,
 							nd: &node{
-								parent: it.nd, idx: ex.idx, ti: int32(th.ti), depth: depth + 1,
+								parent: it.nd, idx: ex.idx, ti: int32(th.ti),
+								switches: int32(th.switches), depth: depth + 1,
 							},
-							lastTh:   th.ti,
-							switches: th.switches,
 						})
 						pushed++
 						if fl := (total - 1 - (base + i)) + pushed; fl > res.PeakFrontier {

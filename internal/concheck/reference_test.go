@@ -77,7 +77,7 @@ func refCheck(c *sem.Compiled, bound int, bfs bool) (*sem.Failure, []sem.Event) 
 			sr := sem.Step(cur.st, ti)
 			if f := sr.Failure; f != nil {
 				return f, append(cur.nd.trace(), sem.Event{
-					Kind: sem.EvStmt, ThreadID: f.ThreadID, Pos: f.Pos, Text: f.Msg,
+					Kind: sem.EvStmt, ThreadID: f.ThreadID, Fn: f.Fn, Pos: f.Pos, Text: f.Msg,
 				})
 			}
 			for _, out := range sr.Outcomes {
@@ -91,10 +91,11 @@ func refCheck(c *sem.Compiled, bound int, bfs bool) (*sem.Failure, []sem.Event) 
 	return nil, nil
 }
 
-// raceCompiled compiles the KISS race translation of a Table 1 field's
-// permissive harness: a one-threaded program the explorer checks like
-// any other.
-func raceCompiled(t *testing.T, src, field string) *sem.Compiled {
+// kissCompiled compiles the KISS translation of src: assertion checking
+// with ts bound maxTS, or race checking on target when it is non-nil. A
+// translation is a one-threaded program the explorer checks like any
+// other.
+func kissCompiled(t *testing.T, src string, maxTS int, target *ast.RaceTarget) *sem.Compiled {
 	t.Helper()
 	p, err := parser.Parse(src)
 	if err != nil {
@@ -104,7 +105,12 @@ func raceCompiled(t *testing.T, src, field string) *sem.Compiled {
 		t.Fatalf("sema: %v", err)
 	}
 	lower.Program(p)
-	p, err = ikiss.TransformRace(p, ast.RaceTarget{Record: "DEVICE_EXTENSION", Field: field}, ikiss.Options{})
+	opts := ikiss.Options{MaxTS: maxTS}
+	if target != nil {
+		p, err = ikiss.TransformRace(p, *target, opts)
+	} else {
+		p, err = ikiss.Transform(p, opts)
+	}
 	if err != nil {
 		t.Fatalf("transform: %v", err)
 	}
@@ -117,7 +123,8 @@ func raceCompiled(t *testing.T, src, field string) *sem.Compiled {
 
 // TestReplayedTraceMatchesReference: every engine builds its trace by
 // replaying the failing state's (thread, index) path once. On
-// two-threaded random programs, unbounded and under a context bound,
+// two-threaded random programs, unbounded and under a context bound, on
+// the KISS translations of random programs in assertion and race mode,
 // and on the race translations of Table 1 racing fields, the trace must
 // equal the one the event-carrying reference search builds in the same
 // order — depth-first for the DFS engines, breadth-first for every
@@ -139,6 +146,10 @@ func TestReplayedTraceMatchesReference(t *testing.T) {
 		for _, bound := range []int{-1, 2} {
 			subs = append(subs, subject{fmt.Sprintf("rand%d/bound%d", seed, bound), compile(t, src), bound})
 		}
+		src = randprog.Generate(seed, randprog.Default)
+		subs = append(subs,
+			subject{fmt.Sprintf("rand%d/kiss", seed), kissCompiled(t, src, 1, nil), -1},
+			subject{fmt.Sprintf("rand%d/kiss-race", seed), kissCompiled(t, src, 1, &ast.RaceTarget{Global: "g0"}), -1})
 	}
 	for _, name := range []string{"moufiltr", "kbfiltr"} {
 		spec := drivers.FindSpec(name)
@@ -151,7 +162,8 @@ func TestReplayedTraceMatchesReference(t *testing.T) {
 			if kept++; testing.Short() && kept > 1 {
 				break
 			}
-			subs = append(subs, subject{name + "." + f.Name, raceCompiled(t, model.HarnessProgram(f.Name, false), f.Name), -1})
+			target := &ast.RaceTarget{Record: "DEVICE_EXTENSION", Field: f.Name}
+			subs = append(subs, subject{name + "." + f.Name, kissCompiled(t, model.HarnessProgram(f.Name, false), 0, target), -1})
 		}
 	}
 
@@ -162,12 +174,15 @@ func TestReplayedTraceMatchesReference(t *testing.T) {
 	}
 	engines := []engine{
 		{"macro-dfs", Options{}, false},
+		{"macro-bfs-w0", Options{BFS: true}, true},
 		{"macro-bfs-w1", Options{SearchWorkers: 1}, true},
 		{"macro-bfs-w8", Options{SearchWorkers: 8}, true},
 		{"stmt-dfs", Options{DisableMacroSteps: true}, false},
+		{"stmt-bfs-w0", Options{DisableMacroSteps: true, BFS: true}, true},
 		{"stmt-bfs-w1", Options{DisableMacroSteps: true, SearchWorkers: 1}, true},
 		{"stmt-bfs-w8", Options{DisableMacroSteps: true, SearchWorkers: 8}, true},
 		{"macro-bfs-spill", Options{SearchWorkers: 1, FrontierBudget: 2048}, true},
+		{"macro-bfs-w0-spill", Options{BFS: true, FrontierBudget: 2048}, true},
 		{"stmt-bfs-spill", Options{DisableMacroSteps: true, SearchWorkers: 1, FrontierBudget: 2048}, true},
 	}
 	replays := 0
@@ -254,7 +269,7 @@ func TestFailAtReplaysFoldingThread(t *testing.T) {
 		st = out.State
 	}
 	f := mr.Failure
-	want = append(want, sem.Event{Kind: sem.EvStmt, ThreadID: f.ThreadID, Pos: f.Pos, Text: f.Msg})
+	want = append(want, sem.Event{Kind: sem.EvStmt, ThreadID: f.ThreadID, Fn: f.Fn, Pos: f.Pos, Text: f.Msg})
 
 	root := &node{}
 	n1 := &node{parent: root, depth: 1}

@@ -20,10 +20,13 @@ func stripMemory(r Result) Result {
 // TestSpillIdenticalToResident: the disk-spilling frontier is eviction
 // only. With a budget tiny enough to spill every level, the whole
 // Result is bit-identical to the fully resident search for both
-// interleaving BFS engines, across scheduling shapes (unbounded,
-// context-bounded, POR) and across budget trips mid-level.
+// interleaving BFS engines, sequential (workers 0) and parallel, across
+// scheduling shapes (unbounded, context-bounded, POR) and across budget
+// trips mid-level.
 func TestSpillIdenticalToResident(t *testing.T) {
 	engines := []Options{
+		{ContextBound: -1, BFS: true},
+		{ContextBound: -1, BFS: true, DisableMacroSteps: true},
 		{ContextBound: -1, SearchWorkers: 1},
 		{ContextBound: -1, SearchWorkers: 8},
 		{ContextBound: 2, SearchWorkers: 8},
@@ -79,7 +82,8 @@ func TestSpillIdenticalToResident(t *testing.T) {
 // TestHopKeyOrderMatchesPaddedPaths: the macro bucket BFS sorts each
 // micro-depth bucket by hop key, one pathEntry(thread, index) per
 // stored-node hop. Over random two-threaded programs, across scheduling
-// shapes, resident and spilled, every drained chunk must come out in
+// shapes, and over the one-threaded KISS translations of random
+// programs, resident and spilled, every drained chunk must come out in
 // cPathLess order on its frames' padded (thread, index) paths (the
 // per-statement BFS's within-level order), and every padded path must
 // be as long as the bucket is deep.
@@ -117,6 +121,14 @@ func TestHopKeyOrderMatchesPaddedPaths(t *testing.T) {
 		} {
 			opts.MaxStates = 100000
 			Check(compile(t, src), opts)
+		}
+		kiss := kissCompiled(t, randprog.Generate(seed, randprog.Default), 1, nil)
+		for _, opts := range []Options{
+			{ContextBound: -1, BFS: true},
+			{ContextBound: -1, SearchWorkers: 8, MaxStates: 150},
+			{ContextBound: -1, BFS: true, FrontierBudget: 2048, SpillDir: t.TempDir()},
+		} {
+			Check(kiss, opts)
 		}
 	}
 	if pairs == 0 || folded == 0 {

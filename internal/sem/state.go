@@ -447,7 +447,7 @@ func (s *State) appendTsOrder(order []int) []int {
 // FingerprintString returns the canonical string encoding of the state.
 // The explicit-state searches key their visited sets on the 64-bit
 // FingerprintHash instead; the string form remains the debug/verification
-// API (audit modes cross-check the two, see seqcheck.Options).
+// API (audit modes cross-check the two, see concheck.Options).
 func (s *State) FingerprintString() string {
 	e := &fpEncoder{s: s, objOrder: map[int]int{}, frameCanon: map[int]int{}}
 	for ti, t := range s.Threads {

@@ -9,6 +9,10 @@ import (
 	"repro/internal/stats"
 )
 
+// ctxPollStride is how many iterations concheck's sequential searches
+// run between context polls.
+const ctxPollStride = 512
+
 // loopSrc explores a large-but-bounded state space: two nondet counters
 // give ~10^4+ states, enough for budgets and cancellation to bite.
 const loopSrc = `

@@ -244,8 +244,10 @@ type Config struct {
 	MaxStates int
 	MaxSteps  int
 	MaxDepth  int
-	// BFS selects breadth-first search in the sequential checker, which
-	// makes the returned counterexample a shortest error trace.
+	// BFS selects breadth-first search in both Check and Explore, which
+	// makes the returned counterexample a shortest error trace and engages
+	// MemBudgetMB's spilling frontier. SearchWorkers >= 1 is always
+	// breadth-first.
 	BFS bool
 	// DisableMacroSteps turns off macro-step compression, restoring the
 	// seed-identical per-statement search that stores a state after every
@@ -511,10 +513,11 @@ func (c *Config) cbOptions() cbseq.Options {
 
 // MemBudgetIgnored reports whether MemBudgetMB is set but the selected
 // engine silently ignores it: the budget's frontier spilling and filter
-// sizing live in the BFS engines (BFS, or SearchWorkers >= 1), and the
-// summary engine has no frontier at all — the sequential DFS default
-// pays it no attention (the membench study forces BFS for exactly this
-// reason). CLIs use this to warn and point at -bfs.
+// sizing live in the BFS engines (BFS, or SearchWorkers >= 1, in Check
+// and Explore alike), and the summary engine has no frontier at all —
+// the sequential DFS default pays it no attention (the membench study
+// forces BFS for exactly this reason). CLIs use this to warn and point at
+// -bfs or -search-workers.
 func (c *Config) MemBudgetIgnored() bool {
 	if c.MemBudgetMB <= 0 {
 		return false
@@ -791,6 +794,7 @@ func (c *Config) Explore(p *Program) (*Result, error) {
 		MaxSteps:          c.MaxSteps,
 		MaxDepth:          c.MaxDepth,
 		ContextBound:      c.ContextBound,
+		BFS:               c.BFS,
 		DisableMacroSteps: c.DisableMacroSteps,
 		SearchWorkers:     c.SearchWorkers,
 		VisitedCompact:    compactVis,
