@@ -47,53 +47,31 @@ race:
 # benchmark's own tests, and the race check.
 verify: fmt build vet test bench-test race
 
-# bench runs the PR 3 performance suite: the clone/successor
-# microbenchmarks (the copy-on-write win) and a kissbench corpus pass
-# with per-field JSON metrics written to BENCH_PR3.json. The PR 4 suite
-# follows: the macro-step compression ablation over the full corpus —
-# compression on vs off, verdict/position identity verified at
-# search-workers 0/1/8, stored/stepped states, throughput, and
-# allocations per arm — written to BENCH_PR4.json (the run exits
-# non-zero if the arms disagree or stored states fail to compress).
-# (Two more ablation reruns, which only gated or reported the fold
-# memo's arm, were deleted with the memo.) The memory-budget study
-# follows: the corpus's
-# hard fields (exact visited set, classic state budget — the runs that
-# trip MaxStates) rerun with the compact visited filter and the
-# disk-spilling frontier at a 10x state ceiling under 1 MiB of search
-# memory; BENCH_PR9.json records per-field verdicts, peak search RAM,
-# spilled bytes, and filter occupancy, and the run exits non-zero unless
-# at least 3 tripped fields improve. (The small budget is deliberate:
-# it forces real spill traffic on any machine, making the artifact a
-# record of the spill path, not of having enough RAM.)
+# bench regenerates the sequentialization ablation's artifact: KISS vs
+# CB(K) vs the concurrent ground truth on the assertion scenarios and
+# random programs, written to BENCH_PR10.json (the run exits non-zero if
+# a CB arm is unsound, raising K loses a bug, or CB finds no bug KISS
+# misses). Performance is measured end to end by `bash bench/run.sh`
+# (BENCHMARK.json), not here; `make benchall` still runs every Go
+# benchmark.
 #
-# Every JSON artifact is written by kissbench's -o flag: staged in
-# memory, written to a temp file, renamed into place, and refused when
-# empty — a failed run can never leave a truncated artifact behind
-# (the shell-redirect form this replaces truncated the target before
-# the run began, which is how an empty BENCH_PR8.json once shipped);
-# a failing gate still lands its run's artifact.
+# The artifact is written by kissbench's -o flag: staged in memory,
+# written to a temp file, renamed into place, and refused when empty —
+# a failed run can never leave a truncated artifact behind (the
+# shell-redirect form this replaces truncated the target before the run
+# began, which is how an empty BENCH_PR8.json once shipped); a failing
+# gate still lands its run's artifact.
 bench:
-	$(GO) test -bench 'BenchmarkClone|BenchmarkDeepClone|BenchmarkSuccessors' -benchmem -run '^$$' ./internal/sem/
-	$(GO) run ./cmd/kissbench -table1 -json -o BENCH_PR3.json
-	$(GO) run ./cmd/kissbench -macrobench -min-ratio 3.0 -json -o BENCH_PR4.json
-	$(GO) run ./cmd/kissbench -membench -drivers fakemodem,kbdclass,mouclass,mouser -max-states 4000 -mem-budget-mb 1 -min-improved 3 -o BENCH_PR9.json
 	$(GO) run ./cmd/kissbench -seqbench -min-cb-only 1 -o BENCH_PR10.json
 
-# bench-smoke is the CI-sized slice of the ablation suite: both arms on
-# four small drivers with the same identity verification, asserting the
-# stored-state compression ratio exceeds 1. It then runs a one-driver
-# slice of the memory-budget study through -o and asserts the artifact
-# is non-empty and carries the expected document shape — the
-# regression gate for the truncated-artifact bug. Runs in seconds.
+# bench-smoke is the CI-sized slice of `make bench`: the -seqbench
+# scenarios alone (no random programs) through -o, asserting that the
+# artifact is non-empty — the regression gate for the truncated-artifact
+# bug — and that CB finds a truth-confirmed bug KISS misses, soundly.
+# Runs in seconds. The macro/per-statement identity check at search
+# workers 0/1/8 runs in `make verify` (TestMacroMatchesPerStatement).
 bench-smoke:
-	$(GO) run ./cmd/kissbench -macrobench -drivers kbfiltr,moufiltr,diskperf,1394diag -min-ratio 1.0
 	@rm -f .bench-smoke.json
-	$(GO) run ./cmd/kissbench -membench -drivers fakemodem -max-states 4000 -mem-budget-mb 1 -min-improved 1 -o .bench-smoke.json
-	@test -s .bench-smoke.json || { echo "bench-smoke: empty bench artifact"; rm -f .bench-smoke.json; exit 1; }
-	@grep -q '"rows"' .bench-smoke.json && grep -q '"spilled_bytes"' .bench-smoke.json || { echo "bench-smoke: malformed bench artifact"; rm -f .bench-smoke.json; exit 1; }
-	@rm -f .bench-smoke.json
-	@echo "bench-smoke: membench artifact non-empty and well-formed"
 	$(GO) run ./cmd/kissbench -seqbench -seq-programs -1 -max-states 50000 -min-cb-only 1 -o .bench-smoke.json
 	@test -s .bench-smoke.json || { echo "bench-smoke: empty seqbench artifact"; rm -f .bench-smoke.json; exit 1; }
 	@grep -q '"cb_only": true' .bench-smoke.json && grep -q '"sound": true' .bench-smoke.json || { echo "bench-smoke: seqbench found no CB-only bug"; rm -f .bench-smoke.json; exit 1; }

@@ -55,8 +55,10 @@ func checkOrExplore(t *testing.T, src string, cfg *kiss.Config, explore bool) *k
 // honours the memory settings in both Check and Explore, with and
 // without macro steps: under a 1 MiB budget with the compact visited set
 // it reports compact-mode memory stats and spills frontier frames, and
-// it finds what the unbudgeted search finds.
+// it finds what the unbudgeted search finds. Spill files go to the system
+// temp directory, here the test's own.
 func TestBFSHonoursMemoryBudget(t *testing.T) {
+	t.Setenv("TMPDIR", t.TempDir())
 	for _, explore := range []bool{false, true} {
 		src := wideSrc(13, "")
 		if explore {
@@ -64,7 +66,7 @@ func TestBFSHonoursMemoryBudget(t *testing.T) {
 		}
 		for _, macro := range []bool{true, false} {
 			budget := &kiss.Config{BFS: true, DisableMacroSteps: !macro, ContextBound: -1,
-				VisitedMode: kiss.VisitedCompact, MemBudgetMB: 1, SpillDir: t.TempDir()}
+				VisitedMode: kiss.VisitedCompact, MemBudgetMB: 1}
 			if budget.MemBudgetIgnored() {
 				t.Fatalf("explore=%v macro=%v: BFS config reports its memory budget ignored", explore, macro)
 			}

@@ -30,8 +30,8 @@
 // compact, the rest sizes a blocked-Bloom visited filter (~8-16
 // bits/state instead of a full snapshot per state; may prune revisits
 // spuriously, so Safe becomes "no bug found within the filter's
-// resolution"). -audit-visited shadow-checks compact hits against an
-// exact set and reports the false-positive count.
+// resolution"). Spill files go to the system temp directory, which
+// TMPDIR redirects.
 //
 // Sequentialization (PR 10): -seq cb -context-switches K replaces the
 // KISS translation with the context-bounded (CB) transform for check and
@@ -147,7 +147,6 @@ type budgetFlags struct {
 	macroSteps                    *bool
 	visitedMode                   *string
 	memBudgetMB                   *int
-	auditVisited                  *bool
 	timeout                       *time.Duration
 	progress                      *bool
 	server                        *string
@@ -163,7 +162,6 @@ func addBudgetFlags(fs *flag.FlagSet) *budgetFlags {
 		macroSteps:    fs.Bool("macro-steps", true, "collapse deterministic runs into single transitions (-macro-steps=false reproduces the per-statement search)"),
 		visitedMode:   fs.String("visited", "", "visited-set representation: exact (default) or compact (blocked-Bloom filter, ~8-16 bits/state)"),
 		memBudgetMB:   fs.Int("mem-budget-mb", 0, "search memory budget in MiB: the frontier spills to disk past its share, a compact filter is sized to the rest (0 = unlimited)"),
-		auditVisited:  fs.Bool("audit-visited", false, "shadow-check compact visited hits against an exact set, counting false positives"),
 		timeout:       fs.Duration("timeout", 0, "wall-time bound, e.g. 30s (0 = unlimited)"),
 		progress:      fs.Bool("progress", false, "stream search metrics to stderr while running"),
 		server:        fs.String("server", "", "base URL of a running kissd (e.g. http://localhost:8344): submit the check to the daemon instead of checking locally"),
@@ -198,9 +196,6 @@ func (bf *budgetFlags) options() ([]kiss.Option, context.CancelFunc) {
 		kiss.WithMacroSteps(*bf.macroSteps),
 		kiss.WithVisitedMode(*bf.visitedMode),
 		kiss.WithMemBudgetMB(*bf.memBudgetMB),
-	}
-	if *bf.auditVisited {
-		opts = append(opts, kiss.WithAuditVisited())
 	}
 	cancel := context.CancelFunc(func() {})
 	if *bf.timeout > 0 {

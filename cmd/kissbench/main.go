@@ -9,17 +9,11 @@
 //	kissbench -lockset    lockset-baseline flexibility comparison (Section 6.1)
 //	kissbench -contextbound  context-bound coverage study (Section 2 claim)
 //	kissbench -schedulers    scheduler-policy study (Section 4 remark)
-//	kissbench -macrobench    macro-step compression ablation (JSON with -json)
-//	kissbench -all        everything
+//	kissbench -seqbench      KISS vs CB(K) sequentialization ablation
+//	kissbench -all        everything but -seqbench
 //
-// -macrobench runs the corpus two ways — per-statement and macro steps —
-// verifies that verdicts and failure positions are identical at
-// search-workers 0, 1, and 8, and reports stored/stepped state counts,
-// throughput, and allocations per arm. It exits non-zero if the arms
-// disagree, or if -min-ratio R is given and the stored-state compression
-// ratio — measured over the fields that completed in both arms, the ones
-// whose runs covered the same state space — falls below R.
-// -macro-steps=false turns compression off for the regular table runs.
+// Performance is measured by the end-to-end benchmark under bench/
+// (bash bench/run.sh), not by kissbench.
 //
 // Optional: -drivers a,b,c restricts the corpus tables to named drivers;
 // -max-states N overrides the per-field state budget (spelled like the
@@ -45,17 +39,6 @@
 // answered from the daemon's content-addressed result cache with
 // identical verdicts and counters. -version prints the build version.
 //
-// -membench runs the memory-budget study (PR 9): every hard field twice
-// under one -mem-budget-mb budget — exact visited set at -max-states vs
-// compact filter + disk-spilling frontier at a 10x state ceiling — and
-// reports per-field verdicts, spilled bytes, and false-positive-rate
-// stats. -min-improved N exits non-zero unless at least N fields that
-// tripped MaxStates in the exact arm completed (or reached 10x the
-// states) in the budgeted arm. For the regular table runs, -visited
-// exact|compact selects the visited-set representation, -mem-budget-mb
-// caps search memory, and -audit-visited shadow-checks compact hits
-// against an exact set.
-//
 // -seqbench runs the sequentialization ablation (PR 10): KISS vs CB(K)
 // at K = 2, 3, 4 vs the concurrent ground truth over the assertion
 // scenarios (internal/drivers.Scenarios) plus -seq-programs random
@@ -66,8 +49,7 @@
 // select the transform (the race-target corpus is outside the CB
 // fragment and reports per-field "unsupported" under -seq cb).
 //
-// -o FILE writes the run's JSON output (from -json, -membench, or
-// -seqbench) to FILE
+// -o FILE writes the run's JSON output (from -json or -seqbench) to FILE
 // atomically — the bytes are staged in memory, written to a temp file,
 // and renamed into place only when non-empty — so an interrupted or
 // failed run can never leave a truncated artifact behind; kissbench
@@ -154,20 +136,12 @@ func main() {
 	locksetCmp := flag.Bool("lockset", false, "run the lockset-baseline flexibility comparison")
 	contextBound := flag.Bool("contextbound", false, "run the context-bound coverage study")
 	schedulers := flag.Bool("schedulers", false, "run the scheduler-policy study")
-	macrobench := flag.Bool("macrobench", false, "run the macro-step compression ablation")
-	membench := flag.Bool("membench", false, "run the memory-budget study: exact visited set vs compact filter + spilling frontier on the hard fields")
-	minImproved := flag.Int("min-improved", 0, "with -membench: fail unless at least N MaxStates-tripped fields complete or reach 10x states under the budget (0 = no check)")
 	seqbench := flag.Bool("seqbench", false, "run the sequentialization ablation: KISS vs CB(K) vs the concurrent ground truth on the assertion scenarios and random programs")
 	seqPrograms := flag.Int("seq-programs", 0, "with -seqbench: random-program population size (0 = default, negative = scenarios only)")
 	minCBOnly := flag.Int("min-cb-only", 0, "with -seqbench: fail unless at least N truth-confirmed bugs are found by CB but missed by KISS (0 = no check)")
 	seqMode := flag.String("seq", "", `sequentialization for the corpus tables: "kiss" (default) or "cb" (context-bounded; the race-target corpus reports per-field "unsupported")`)
 	contextSwitches := flag.Int("context-switches", 0, "CB context-switch bound K for the corpus tables (0 = default; -seq cb only)")
-	visitedMode := flag.String("visited", "", "visited-set representation for the table runs: exact (default) or compact")
-	memBudgetMB := flag.Int("mem-budget-mb", 0, "search memory budget in MiB: the frontier spills to disk past its share, a compact filter is sized to the rest (0 = unlimited)")
-	auditVisited := flag.Bool("audit-visited", false, "shadow-check compact visited hits against an exact set, counting false positives in the metrics")
 	outFile := flag.String("o", "", "write JSON output to this file atomically (temp + rename); exits non-zero on an empty payload")
-	minRatio := flag.Float64("min-ratio", 0, "with -macrobench: fail unless the stored-state compression ratio reaches this value (0 = no check)")
-	macroSteps := flag.Bool("macro-steps", true, "collapse deterministic runs into single transitions (-macro-steps=false reproduces the per-statement search)")
 	all := flag.Bool("all", false, "run everything")
 	driversFlag := flag.String("drivers", "", "comma-separated driver subset for the tables")
 	maxStates := flag.Int("max-states", 0, "per-field state budget override (0 = default)")
@@ -192,21 +166,14 @@ func main() {
 	if *all {
 		*table1, *table2, *refcount, *blowup, *coverage, *locksetCmp, *contextBound, *schedulers = true, true, true, true, true, true, true, true
 	}
-	if !*table1 && !*table2 && !*refcount && !*blowup && !*coverage && !*locksetCmp && !*contextBound && !*schedulers && !*macrobench && !*membench && !*seqbench {
+	if !*table1 && !*table2 && !*refcount && !*blowup && !*coverage && !*locksetCmp && !*contextBound && !*schedulers && !*seqbench {
 		flag.Usage()
 		os.Exit(2)
 	}
 
 	opts := eval.Options{
 		Workers: *workers, SearchWorkers: *searchWorkers, Server: *server, Batch: *batch,
-		DisableMacroSteps: !*macroSteps, VisitedMode: *visitedMode, MemBudgetMB: *memBudgetMB, AuditVisited: *auditVisited,
 		Sequentialization: *seqMode, ContextSwitches: *contextSwitches,
-	}
-	// The memory-budget machinery lives in the BFS engines; the corpus
-	// tables run the sequential DFS default, which would silently ignore
-	// the budget. -membench forces BFS itself, so it is exempt.
-	if *memBudgetMB > 0 && *searchWorkers < 1 && !*membench {
-		fmt.Fprintln(os.Stderr, "kissbench: warning: -mem-budget-mb has no effect on the default sequential DFS engine; use -search-workers N (or the kiss binary's -bfs) to engage the spilling frontier")
 	}
 	if *batch && *server == "" {
 		fmt.Fprintln(os.Stderr, "kissbench: -batch requires -server (a kiss-coord coordinator)")
@@ -309,49 +276,6 @@ func main() {
 		fatal(err)
 		fmt.Println(eval.FormatSchedulerStudy(s))
 	}
-	if *macrobench {
-		rep, err := eval.RunMacroAblation(eval.AblationOptions{
-			MaxStates: opts.MaxStates,
-			Drivers:   opts.Drivers,
-			Workers:   *workers,
-		})
-		fatal(err)
-		if *jsonOut {
-			fatal(eval.WriteMacroAblation(out.Writer(), rep))
-		} else {
-			fmt.Print(eval.FormatMacroAblation(rep))
-		}
-		// Gates set exitCode instead of exiting so the -o artifact still
-		// flushes: a failing run must leave the evidence behind.
-		if !rep.Identical {
-			fmt.Fprintf(os.Stderr, "kissbench: macrobench: %d verdict/position mismatches between arms\n", len(rep.Mismatches))
-			exitCode = 1
-		}
-		if *minRatio > 0 && rep.CompressionRatio < *minRatio {
-			fmt.Fprintf(os.Stderr, "kissbench: macrobench: compression ratio %.2fx below required %.2fx\n", rep.CompressionRatio, *minRatio)
-			exitCode = 1
-		}
-	}
-	if *membench {
-		rep, err := eval.RunMemBudget(eval.MemBudgetOptions{
-			MaxStates:     opts.MaxStates,
-			MemBudgetMB:   *memBudgetMB,
-			Drivers:       opts.Drivers,
-			Workers:       *workers,
-			SearchWorkers: *searchWorkers,
-		})
-		fatal(err)
-		if *jsonOut || *outFile != "" {
-			fatal(eval.WriteMemBudget(out.Writer(), rep))
-		}
-		if !*jsonOut {
-			fmt.Print(eval.FormatMemBudget(rep))
-		}
-		if *minImproved > 0 && rep.Improved < *minImproved {
-			fmt.Fprintf(os.Stderr, "kissbench: membench: only %d fields improved under the budget, required %d\n", rep.Improved, *minImproved)
-			exitCode = 1
-		}
-	}
 	if *seqbench {
 		rep, err := eval.RunSeqAblation(eval.SeqAblationOptions{
 			Programs:      *seqPrograms,
@@ -367,7 +291,8 @@ func main() {
 			fmt.Print(eval.FormatSeqAblation(rep))
 		}
 		// Soundness and monotonicity are correctness properties, not
-		// tunable thresholds: any violation fails the run.
+		// tunable thresholds: any violation fails the run. Gates set
+		// exitCode instead of exiting so the -o artifact still flushes.
 		if !rep.Sound || !rep.Monotone {
 			fmt.Fprintf(os.Stderr, "kissbench: seqbench: sound=%v monotone=%v (%d violations)\n",
 				rep.Sound, rep.Monotone, len(rep.Violations))

@@ -234,12 +234,10 @@ func (c *Config) UnmarshalJSON(data []byte) error {
 //     internal/concheck), so it only moves wall clock and the
 //     scheduling-dependent Stats.Parallel diagnostics.
 //   - ContextBound: consulted only by Explore, ignored by Check.
-//   - SpillDir and AuditVisited: spill placement and the false-positive
-//     audit never change what a check computes. MemBudgetMB is kept only
-//     under VisitedCompact — frontier spilling is bit-identical (eviction
-//     only, property-tested in internal/seqcheck and internal/concheck),
-//     but the budget also sizes the compact filter, whose false positives
-//     are part of the result.
+//   - MemBudgetMB, except under VisitedCompact: frontier spilling is
+//     bit-identical (eviction only, property-tested in internal/seqcheck
+//     and internal/concheck), but the budget also sizes the compact
+//     filter, whose false positives are part of the result.
 //
 // Everything else — the transformation knobs, the engine selection, the
 // budgets, BFS, and macro-step compression (which changes the stored-state
@@ -269,8 +267,6 @@ func (c *Config) Normalized() Config {
 	n.ProgressEvery = 0
 	n.SearchWorkers = 0
 	n.ContextBound = 0
-	n.SpillDir = ""
-	n.AuditVisited = false
 	if n.VisitedMode != VisitedCompact {
 		n.MemBudgetMB = 0
 	}

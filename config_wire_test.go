@@ -284,13 +284,12 @@ func TestConfigCanonicalJSONMemoryKnobs(t *testing.T) {
 	}
 	budgeted, err := kiss.NewConfig(
 		kiss.WithMemBudgetMB(64),
-		kiss.WithAuditVisited(),
 	).CanonicalJSON()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if string(exact) != string(budgeted) {
-		t.Errorf("exact-mode budget or audit leaked into the canonical form:\n%s\n%s", exact, budgeted)
+		t.Errorf("exact-mode budget leaked into the canonical form:\n%s\n%s", exact, budgeted)
 	}
 
 	small, err := kiss.NewConfig(kiss.WithVisitedMode(kiss.VisitedCompact), kiss.WithMemBudgetMB(64)).CanonicalJSON()

@@ -105,8 +105,9 @@ type Options struct {
 	// O(depth) states). <= 0 disables spilling.
 	FrontierBudget int64
 	// SpillDir is where frontier runs are created (empty selects the
-	// system temp directory). A private subdirectory is created on first
-	// spill and removed when the search finishes.
+	// system temp directory, which is all kiss.Config uses). A private
+	// subdirectory is created on first spill and removed when the search
+	// finishes.
 	SpillDir string
 	// VisitedCompact replaces the exact visited set with a blocked Bloom
 	// filter over the 64-bit fingerprints (~8–16 bits per state at the
@@ -126,8 +127,8 @@ type Options struct {
 	// AuditVisited shadows the compact filter with an exact set and
 	// counts real false positives in the Memory stats. The search still
 	// explores the compact filter's state set — audit observes, never
-	// corrects — but restores the exact set's memory cost; meant for
-	// tests and calibration runs. Ignored unless VisitedCompact.
+	// corrects — but restores the exact set's memory cost. A test hook:
+	// kiss.Config does not expose it. Ignored unless VisitedCompact.
 	AuditVisited bool
 	// DisableMacroSteps turns off macro-step compression (sem.MacroStep),
 	// restoring the per-statement search that stores and fingerprints a
@@ -137,6 +138,9 @@ type Options struct {
 	// states are stored (multi-threaded states are scheduling points and
 	// never fold, so interleaving coverage is untouched). The verdict,
 	// failure position, and counterexample trace are identical either way.
+	// Stored states usually drop, but not always: on multi-threaded
+	// programs the macro search can store more states than the
+	// per-statement one (one random program stores 280 against 279).
 	// States counts only stored states (compare with StatesStepped); Steps
 	// still counts micro transitions; the Deadlocks diagnostic no longer
 	// counts the infeasible false-assume branch endpoints that compression

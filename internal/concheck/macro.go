@@ -421,7 +421,7 @@ func checkMacroLevel(c *sem.Compiled, opts Options) *Result {
 
 			// Expansion round: step (and fold) every schedulable thread of
 			// every item, read-only against the visited set.
-			slots := make([]cmSlot, len(bucket))
+			slots := cmSlotsGet(len(bucket))
 			expandItem := func(i, w int) {
 				it := bucket[i]
 				expand := -1
@@ -436,7 +436,7 @@ func checkMacroLevel(c *sem.Compiled, opts Options) *Result {
 						}
 					}
 				}
-				var ths []cmThread
+				ths := slots[i].threads[:0]
 				for ti := range it.st.Threads {
 					if it.st.Threads[ti].Done() {
 						continue
@@ -599,6 +599,7 @@ func checkMacroLevel(c *sem.Compiled, opts Options) *Result {
 					res.Deadlocks++
 				}
 			}
+			cmSlotsPut(slots)
 		}
 		bkt.Close()
 		if candHere >= 0 {

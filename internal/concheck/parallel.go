@@ -61,8 +61,9 @@ type cexpansion struct {
 // cleared before Put so pooled memory never pins dead states; early
 // returns may skip a Put, which is only a pool miss.
 var (
-	cexpPool  = sync.Pool{New: func() any { return new([]cexpansion) }}
-	cslotPool = sync.Pool{New: func() any { return new([]citemSlot) }}
+	cexpPool   = sync.Pool{New: func() any { return new([]cexpansion) }}
+	cslotPool  = sync.Pool{New: func() any { return new([]citemSlot) }}
+	cmSlotPool = sync.Pool{New: func() any { return new([]cmSlot) }}
 )
 
 func cexpGet() []cexpansion {
@@ -89,6 +90,30 @@ func cslotsPut(slots []citemSlot) {
 	clear(slots)
 	slots = slots[:0]
 	cslotPool.Put(&slots)
+}
+
+// cmSlotsGet returns n macro-engine slots whose thread slices are empty
+// but keep the capacity they grew in earlier chunks, so an item's threads
+// append without allocating once the pool is warm.
+func cmSlotsGet(n int) []cmSlot {
+	slots := (*cmSlotPool.Get().(*[]cmSlot))[:0]
+	if cap(slots) < n {
+		grown := make([]cmSlot, n)
+		copy(grown, slots[:cap(slots)])
+		return grown
+	}
+	return slots[:n]
+}
+
+// cmSlotsPut clears every slot's threads, dropping their failures, fold
+// paths and successor buffers, and keeps the emptied thread slices.
+func cmSlotsPut(slots []cmSlot) {
+	for i := range slots {
+		clear(slots[i].threads)
+		slots[i].threads = slots[i].threads[:0]
+	}
+	slots = slots[:0]
+	cmSlotPool.Put(&slots)
 }
 
 // cthread records the expansion of one schedulable thread of an item, in

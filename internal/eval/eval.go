@@ -117,19 +117,6 @@ type Options struct {
 	// total cores. Verdicts are independent of both settings. 0 keeps the
 	// sequential per-field search.
 	SearchWorkers int
-	// DisableMacroSteps turns off macro-step compression for every field
-	// check (ablation arm; see kiss.Config.DisableMacroSteps). Verdicts are
-	// identical either way; only stored-state counts and speed differ.
-	DisableMacroSteps bool
-	// VisitedMode selects the visited-set representation for every field
-	// check (kiss.Config.VisitedMode): "" or kiss.VisitedExact keeps the
-	// exact fingerprint set; kiss.VisitedCompact stores fingerprints in a
-	// blocked Bloom filter, which can only shrink the explored set.
-	VisitedMode string
-	// MemBudgetMB caps each field check's search memory in MiB
-	// (kiss.Config.MemBudgetMB): the BFS frontier spills to disk past its
-	// share and a compact filter is sized to the rest. 0 = unlimited.
-	MemBudgetMB int
 	// Sequentialization selects the transform for every field check
 	// (kiss.Config.Sequentialization): "" or kiss.SeqKISS keeps the KISS
 	// translation; kiss.SeqCB runs the context-bounded transform. The
@@ -141,9 +128,6 @@ type Options struct {
 	// 0 = kiss.DefaultContextSwitches). Ignored unless Sequentialization
 	// is kiss.SeqCB.
 	ContextSwitches int
-	// AuditVisited shadow-checks compact-filter hits against an exact set,
-	// counting measured false positives in each field's Stats.Memory.
-	AuditVisited bool
 	// Server, when non-empty, is the base URL of a running kissd
 	// (cmd/kissd): field checks are submitted over HTTP instead of run
 	// in-process, so repeated corpus runs hit the daemon's content-
@@ -383,10 +367,6 @@ func fieldConfig(f drivers.FieldSpec, opts Options, maxStates int) *kiss.Config 
 		MaxTS:             0,
 		RaceTarget:        &kiss.RaceTarget{Record: "DEVICE_EXTENSION", Field: f.Name},
 		MaxStates:         maxStates,
-		DisableMacroSteps: opts.DisableMacroSteps,
-		VisitedMode:       opts.VisitedMode,
-		MemBudgetMB:       opts.MemBudgetMB,
-		AuditVisited:      opts.AuditVisited,
 		SearchWorkers:     opts.SearchWorkers,
 		Sequentialization: opts.Sequentialization,
 		ContextSwitches:   opts.ContextSwitches,

@@ -253,7 +253,7 @@ type Memory struct {
 	VisitedOccupancy float64 `json:"visited_occupancy,omitempty"`
 	VisitedFPRate    float64 `json:"visited_fp_rate,omitempty"`
 	// VisitedFalsePositives counts measured false positives against the
-	// shadow exact set (AuditVisited runs only).
+	// shadow exact set (runs with concheck's AuditVisited test hook only).
 	VisitedFalsePositives int64 `json:"visited_false_positives,omitempty"`
 	// SpillBudgetBytes is the frontier's configured in-RAM budget (0 when
 	// spilling is disabled); the remaining fields are the frontier's

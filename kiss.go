@@ -255,7 +255,9 @@ type Config struct {
 	// fold into single transitions and only decision-point states are
 	// stored, with identical verdicts, failure positions, and certified
 	// traces (see WithMacroSteps). Stats.States then counts stored states;
-	// Stats.StatesStepped counts traversed ones.
+	// Stats.StatesStepped counts traversed ones. Stored states usually
+	// drop, but on multi-threaded programs (Explore) the macro search can
+	// store more than the per-statement one.
 	DisableMacroSteps bool
 	// VisitedMode selects the visited-set representation of the
 	// explicit-state searches: VisitedExact (the default; "" means exact)
@@ -273,17 +275,9 @@ type Config struct {
 	// buckets to sorted on-disk runs and streams them back in order —
 	// results stay bit-identical at every worker count — and under
 	// VisitedCompact the budget is split evenly between the frontier's
-	// in-RAM share and the filter.
+	// in-RAM share and the filter. Spill files go to the system temp
+	// directory (os.TempDir, which TMPDIR redirects).
 	MemBudgetMB int
-	// SpillDir is where frontier spill files are created under a memory
-	// budget; "" uses the system temp directory. Placement only — it never
-	// changes what a check computes.
-	SpillDir string
-	// AuditVisited shadows a compact visited filter with an exact set,
-	// counting measured false positives in Stats.Memory without changing
-	// the search (differential testing; costs the exact set's memory).
-	// Ignored under VisitedExact.
-	AuditVisited bool
 	// SearchWorkers >= 1 runs the state-space search of a *single* check
 	// with that many concurrent workers over a level-synchronized
 	// breadth-first frontier and a sharded visited set (both Check and
@@ -371,10 +365,12 @@ func WithBFS() Option { return func(c *Config) { c.BFS = true } }
 
 // WithMacroSteps toggles macro-step compression (default on): the search
 // folds each maximal deterministic run into one transition and stores
-// only decision-point states, cutting stored states, clones, and
-// visited-set pressure by the run length. The verdict, failure position,
-// and certified trace are identical either way and at every SearchWorkers
-// count; WithMacroSteps(false) reproduces the per-statement search.
+// only decision-point states, which usually cuts stored states, clones,
+// and visited-set pressure by the run length; on multi-threaded programs
+// it can store more states than the per-statement search. The verdict,
+// failure position, and certified trace are identical either way and at
+// every SearchWorkers count; WithMacroSteps(false) reproduces the
+// per-statement search.
 func WithMacroSteps(on bool) Option { return func(c *Config) { c.DisableMacroSteps = !on } }
 
 // Visited-set representations (Config.VisitedMode).
@@ -395,10 +391,6 @@ func WithVisitedMode(mode string) Option { return func(c *Config) { c.VisitedMod
 // frontier spills to disk past its share of the budget, and a compact
 // visited filter is sized to the other half. 0 means unlimited.
 func WithMemBudgetMB(n int) Option { return func(c *Config) { c.MemBudgetMB = n } }
-
-// WithAuditVisited shadows a compact visited filter with an exact set,
-// counting measured false positives in Stats.Memory.
-func WithAuditVisited() Option { return func(c *Config) { c.AuditVisited = true } }
 
 // WithSearchWorkers runs the state-space search with n concurrent workers
 // (n >= 1; results are bit-identical at every n). 0 restores the classic
@@ -515,9 +507,8 @@ func (c *Config) cbOptions() cbseq.Options {
 // engine silently ignores it: the budget's frontier spilling and filter
 // sizing live in the BFS engines (BFS, or SearchWorkers >= 1, in Check
 // and Explore alike), and the summary engine has no frontier at all —
-// the sequential DFS default pays it no attention (the membench study
-// forces BFS for exactly this reason). CLIs use this to warn and point at
-// -bfs or -search-workers.
+// the sequential DFS default pays it no attention. CLIs use this to warn
+// and point at -bfs or -search-workers.
 func (c *Config) MemBudgetIgnored() bool {
 	if c.MemBudgetMB <= 0 {
 		return false
@@ -671,9 +662,7 @@ func (c *Config) Check(p *Program) (*Result, error) {
 		SearchWorkers:     c.SearchWorkers,
 		VisitedCompact:    compactVis,
 		VisitedBytes:      filterBytes,
-		AuditVisited:      c.AuditVisited,
 		FrontierBudget:    frontierBytes,
-		SpillDir:          c.SpillDir,
 		Context:           c.Context,
 		Collector:         col,
 	})
@@ -799,9 +788,7 @@ func (c *Config) Explore(p *Program) (*Result, error) {
 		SearchWorkers:     c.SearchWorkers,
 		VisitedCompact:    compactVis,
 		VisitedBytes:      filterBytes,
-		AuditVisited:      c.AuditVisited,
 		FrontierBudget:    frontierBytes,
-		SpillDir:          c.SpillDir,
 		Context:           c.Context,
 		Collector:         col,
 	})

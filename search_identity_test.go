@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	kiss "repro"
+	"repro/internal/drivers"
 	"repro/internal/randprog"
 )
 
@@ -138,4 +139,62 @@ func TestRecursionCrossCheck(t *testing.T) {
 	if got, want := traceText(rres), traceText(rref); got != want {
 		t.Errorf("race-mode traces diverge\nmacro:\n%s\nper-statement:\n%s", got, want)
 	}
+}
+
+// TestMacroMatchesPerStatement runs the race check of every field of four
+// small Table 1 drivers (the slice TestSearchOutputDigest pins) with the
+// per-statement search at 0 search workers and with macro steps at 0, 1
+// and 8. Every arm must give the per-statement verdict and failure
+// position. Summed over the fields both searches complete, macro steps
+// must also store fewer states than per-statement search.
+func TestMacroMatchesPerStatement(t *testing.T) {
+	type arm struct {
+		macro   bool
+		workers int
+	}
+	ref := arm{false, 0}
+	arms := []arm{ref, {true, 0}, {true, 1}, {true, 8}}
+	stored := map[bool]int{}
+	completed, races := 0, 0
+	for _, name := range []string{"kbfiltr", "moufiltr", "diskperf", "1394diag"} {
+		model := drivers.Generate(drivers.FindSpec(name))
+		for _, f := range model.Spec.Fields {
+			src := model.HarnessProgram(f.Name, false)
+			results := map[arm]*kiss.Result{}
+			for _, a := range arms {
+				p, err := kiss.Parse(src)
+				if err != nil {
+					t.Fatalf("%s.%s: %v", name, f.Name, err)
+				}
+				res, err := kiss.NewConfig(kiss.WithMaxStates(40000),
+					kiss.WithRaceTarget(kiss.RaceTarget{Record: "DEVICE_EXTENSION", Field: f.Name}),
+					kiss.WithMacroSteps(a.macro), kiss.WithSearchWorkers(a.workers)).Check(p)
+				if err != nil {
+					t.Fatalf("%s.%s %+v: %v", name, f.Name, a, err)
+				}
+				results[a] = res
+				if want := results[ref]; res.Verdict != want.Verdict || res.Pos != want.Pos {
+					t.Errorf("%s.%s %+v: got %v at %v, per-statement %v at %v",
+						name, f.Name, a, res.Verdict, res.Pos, want.Verdict, want.Pos)
+				}
+			}
+			stmt, macro := results[ref], results[arm{true, 0}]
+			if stmt.Verdict == kiss.Error {
+				races++
+			}
+			if stmt.Verdict != kiss.ResourceBound && macro.Verdict != kiss.ResourceBound {
+				completed++
+				stored[false] += stmt.States
+				stored[true] += macro.States
+			}
+		}
+	}
+	if races == 0 || completed == 0 {
+		t.Fatalf("vacuous: %d races, %d fields completed in both searches", races, completed)
+	}
+	if stored[true] >= stored[false] {
+		t.Errorf("macro steps stored %d states over %d completed fields, per-statement search %d",
+			stored[true], completed, stored[false])
+	}
+	t.Logf("%d races; %d completed fields: per-statement stored %d states, macro steps %d", races, completed, stored[false], stored[true])
 }
