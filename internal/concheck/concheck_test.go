@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/lower"
 	"repro/internal/parser"
-	"repro/internal/randprog"
 	"repro/internal/sem"
 )
 
@@ -167,76 +166,4 @@ func TestStateCountGrowsWithThreads(t *testing.T) {
 	if s4 <= 4*s2 {
 		t.Errorf("expected superlinear growth: 2 threads %d states, 4 threads %d", s2, s4)
 	}
-}
-
-// TestPORAgreesWithFullExploration: partial-order reduction must preserve
-// verdicts; differential-test it against full exploration on random
-// programs (the strongest check we have, since concheck is itself the
-// ground truth elsewhere).
-func TestPORAgreesWithFullExploration(t *testing.T) {
-	srcs := []string{
-		`var x; func inc() { var t; t = x; x = t + 1; } func main() { x = 0; async inc(); async inc(); }`,
-		`var x; var done;
-func inc() { var t; t = x; x = t + 1; done = done + 1; }
-func check() { assume(done == 2); assert(x == 2); }
-func main() { x = 0; done = 0; async inc(); async inc(); async check(); }`,
-		`var flag; func waiter() { assume(flag == 1); assert(false); }
-func main() { flag = 0; async waiter(); flag = 1; }`,
-		`var a; var b; func w() { a = 1; b = 1; } func r() { var t; t = b; if (t == 1) { assert(a == 1); } }
-func main() { a = 0; b = 0; async w(); async r(); }`,
-	}
-	for i, src := range srcs {
-		full := Check(compile(t, src), Options{ContextBound: -1})
-		por := Check(compile(t, src), Options{ContextBound: -1, POR: true})
-		if full.Verdict != por.Verdict {
-			t.Errorf("program %d: full %v, POR %v", i, full.Verdict, por.Verdict)
-		}
-		if por.States > full.States {
-			t.Errorf("program %d: POR explored more states (%d) than full (%d)", i, por.States, full.States)
-		}
-	}
-}
-
-// TestPORReducesStates: on the blowup family (threads with local
-// read-modify-write steps) POR must cut the state count.
-func TestPORReducesStates(t *testing.T) {
-	src := `
-var x;
-func inc() { var t; var u; t = x; u = t + 1; x = u; }
-func main() { x = 0; async inc(); async inc(); async inc(); async inc(); }
-`
-	full := Check(compile(t, src), Options{ContextBound: -1})
-	por := Check(compile(t, src), Options{ContextBound: -1, POR: true})
-	if full.Verdict != por.Verdict {
-		t.Fatalf("verdicts differ: full %v, POR %v", full.Verdict, por.Verdict)
-	}
-	t.Logf("states: full=%d POR=%d (%.1fx reduction)", full.States, por.States,
-		float64(full.States)/float64(por.States))
-	if por.States >= full.States {
-		t.Errorf("POR did not reduce states: %d vs %d", por.States, full.States)
-	}
-}
-
-// TestPORDifferentialOnRandomPrograms: POR and full exploration agree on
-// verdicts across the random-program population.
-func TestPORDifferentialOnRandomPrograms(t *testing.T) {
-	errors := 0
-	for seed := int64(0); seed < 80; seed++ {
-		src := randprog.Generate(seed, randprog.Default)
-		full := Check(compile(t, src), Options{ContextBound: -1, MaxStates: 200000})
-		por := Check(compile(t, src), Options{ContextBound: -1, POR: true, MaxStates: 200000})
-		if full.Verdict == ResourceBound || por.Verdict == ResourceBound {
-			continue
-		}
-		if full.Verdict != por.Verdict {
-			t.Errorf("seed %d: full %v, POR %v\n%s", seed, full.Verdict, por.Verdict, src)
-		}
-		if full.Verdict == Error {
-			errors++
-		}
-	}
-	if errors == 0 {
-		t.Error("no erroring programs; differential test vacuous")
-	}
-	t.Logf("agreed on %d error verdicts", errors)
 }

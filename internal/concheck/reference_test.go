@@ -34,7 +34,7 @@ func (n *refNode) trace() []sem.Event {
 }
 
 // refCheck is the per-statement interleaving search, depth- or
-// breadth-first, with event-carrying nodes, no budgets and no POR,
+// breadth-first, with event-carrying nodes and no budgets,
 // under the context bound (negative: unlimited). It returns the first
 // failure and its trace, nil when the program is safe.
 func refCheck(c *sem.Compiled, bound int, bfs bool) (*sem.Failure, []sem.Event) {

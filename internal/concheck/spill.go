@@ -12,7 +12,7 @@ import (
 	"repro/internal/visited"
 )
 
-// Memory-bounded search support for the BFS engines: the spilling
+// Memory-bounded search support for the level engine: the spilling
 // frontier's codec, the visited-store selection, and trace
 // reconstruction by replay. The frontier key is the hop key:
 // one pathEntry(ti, idx) per stored-node hop, packing the edge's thread
@@ -121,9 +121,9 @@ func cDecodePaddedPath(payload []byte) ([]int32, []byte) {
 	return cDecodePathKey(payload[k:end]), payload[end:]
 }
 
-// cNewQueue builds the frontier queue for a concheck BFS engine; ordered
-// selects hop-key order (the macro bucket engine) over arrival order
-// (the per-statement level engine).
+// cNewQueue builds the level engine's frontier queue; ordered selects
+// hop-key order (the macro search) over arrival order (the per-statement
+// search).
 func cNewQueue(c *sem.Compiled, opts Options, ordered bool) *frontier.Queue[searchState] {
 	// The queue calls Key and Encode from one goroutine, so each keeps
 	// one scratch buffer.
@@ -232,12 +232,11 @@ func cNewVisited(opts Options) visited.Store {
 	return visited.NewCompact(opts.VisitedBytes)
 }
 
-// cMemoryRecord assembles the Result.Memory diagnostics; nil when neither
-// memory-bounding feature engaged.
-func cMemoryRecord(opts Options, vis visited.Store, fst frontier.Stats) *stats.Memory {
-	if !opts.VisitedCompact && opts.FrontierBudget <= 0 {
-		return nil
-	}
+// cMemoryRecord assembles the Result.Memory diagnostics from the visited
+// store and a breadth-first frontier's budget and stats (budget 0: no
+// spilling frontier, as in the depth-first search); nil when neither the
+// compact filter nor a frontier budget engaged.
+func cMemoryRecord(vis visited.Store, budget int64, fst frontier.Stats) *stats.Memory {
 	m := &stats.Memory{VisitedMode: "exact"}
 	var filter *visited.Compact
 	switch v := vis.(type) {
@@ -247,14 +246,17 @@ func cMemoryRecord(opts Options, vis visited.Store, fst frontier.Stats) *stats.M
 		filter = v.Filter()
 		m.VisitedFalsePositives = v.FalsePositives()
 	}
+	if filter == nil && budget <= 0 {
+		return nil
+	}
 	if filter != nil {
 		m.VisitedMode = "compact"
 		m.VisitedBytes = filter.SizeBytes()
 		m.VisitedOccupancy = filter.Occupancy()
 		m.VisitedFPRate = filter.EstFPRate()
 	}
-	if opts.FrontierBudget > 0 {
-		m.SpillBudgetBytes = opts.FrontierBudget
+	if budget > 0 {
+		m.SpillBudgetBytes = budget
 		m.SpilledBytes = fst.SpilledBytes
 		m.SpilledFrames = fst.SpilledFrames
 		m.SpilledRuns = fst.Runs

@@ -19,10 +19,10 @@ func stripMemory(r Result) Result {
 
 // TestSpillIdenticalToResident: the disk-spilling frontier is eviction
 // only. With a budget tiny enough to spill every level, the whole
-// Result is bit-identical to the fully resident search for both
-// interleaving BFS engines, sequential (workers 0) and parallel, across
-// scheduling shapes (unbounded, context-bounded, POR) and across budget
-// trips mid-level.
+// Result is bit-identical to the fully resident search for the level
+// engine in both step modes, sequential (workers 0) and parallel, across
+// scheduling shapes (unbounded, context-bounded) and across budget trips
+// mid-level.
 func TestSpillIdenticalToResident(t *testing.T) {
 	engines := []Options{
 		{ContextBound: -1, BFS: true},
@@ -30,7 +30,6 @@ func TestSpillIdenticalToResident(t *testing.T) {
 		{ContextBound: -1, SearchWorkers: 1},
 		{ContextBound: -1, SearchWorkers: 8},
 		{ContextBound: 2, SearchWorkers: 8},
-		{ContextBound: -1, POR: true, SearchWorkers: 8},
 		{ContextBound: -1, SearchWorkers: 1, DisableMacroSteps: true},
 		{ContextBound: -1, SearchWorkers: 8, DisableMacroSteps: true},
 		{ContextBound: -1, SearchWorkers: 8, MaxStates: 150},
@@ -116,7 +115,6 @@ func TestHopKeyOrderMatchesPaddedPaths(t *testing.T) {
 		for _, opts := range []Options{
 			{ContextBound: -1, SearchWorkers: 1},
 			{ContextBound: 2, SearchWorkers: 8},
-			{ContextBound: -1, POR: true, SearchWorkers: 1},
 			{ContextBound: -1, SearchWorkers: 1, FrontierBudget: 2048, SpillDir: t.TempDir()},
 		} {
 			opts.MaxStates = 100000

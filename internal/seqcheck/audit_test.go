@@ -38,9 +38,9 @@ func TestAuditFingerprints(t *testing.T) {
 	}
 }
 
-// TestBFSQueueReleasesFrames is a structural regression test for the BFS
-// dequeue: a breadth-first run over a wide state space must visit every
-// state exactly once (head-index dequeue, compaction and all).
+// TestBFSQueueReleasesFrames is a structural regression test for the
+// level engine's frontier: a breadth-first run over a wide state space
+// must visit every state exactly once, as the depth-first run does.
 func TestBFSQueueReleasesFrames(t *testing.T) {
 	// A 3-deep tree of binary choices over three variables: 27 leaf
 	// valuations, fully enumerable.

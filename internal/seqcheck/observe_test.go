@@ -9,8 +9,8 @@ import (
 	"repro/internal/stats"
 )
 
-// ctxPollStride is how many iterations concheck's sequential searches
-// run between context polls.
+// ctxPollStride is how many iterations concheck's depth-first search
+// runs between context polls.
 const ctxPollStride = 512
 
 // loopSrc explores a large-but-bounded state space: two nondet counters

@@ -14,8 +14,8 @@
 //
 // Sequential semantics is the interleaving explorer's at context bound 0:
 // thread 0 runs alone and is never switched away from. So the search
-// itself is concheck's: Check runs concheck's engines with ContextBound 0
-// and partial-order reduction off. At bound 0 the visited keys are the
+// itself is concheck's: Check runs concheck's two engines, depth-first
+// and level, with ContextBound 0. At bound 0 the visited keys are the
 // bare state fingerprints, so on a one-threaded program (every KISS
 // translation) bound 0 and no bound explore the same states in the same
 // order and report the same results.
