@@ -28,12 +28,13 @@ bench-test:
 
 # race runs the race detector over the packages that own concurrency:
 # the eval worker pool (and, transitively, the shared parsed-harness and
-# model caches it hands to concurrent field checks), the parallel
-# state-space searches in concheck with their sharded visited set —
-# including the macro-step engines and their sync.Pool buffer reuse,
-# exercised by the TestMacro* differential tests — which seqcheck's
-# tests drive too, since every sequential check runs on concheck's
-# engines, and the copy-on-write state representation their workers
+# model caches it hands to concurrent field checks), concheck's two
+# engines — the depth-first loop and the level engine, whose worker pool
+# expands over a sharded visited set with sync.Pool buffer reuse, in
+# both step modes (macro and per-statement, e.g. at 8 workers in
+# TestParallelIdenticalAcrossWorkerCounts and TestSpillIdenticalToResident)
+# — which seqcheck's tests drive too, since every sequential check runs
+# on them, and the copy-on-write state representation their workers
 # share, plus the kissd service layer (queue admission vs. drain, the
 # worker scheduler, and the result cache) and the kiss-coord cluster
 # coordinator (ring swaps, health transitions, batch fan-out, tenant

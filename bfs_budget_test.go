@@ -85,6 +85,32 @@ func TestBFSHonoursMemoryBudget(t *testing.T) {
 	}
 }
 
+// TestDFSHonoursCompactVisited: the default depth-first search, with
+// and without macro steps, in Check and Explore, puts a compact visited
+// set sized by the memory budget to use: half of a 1 MiB budget sizes
+// the filter, the budget is not reported ignored, and the memory record
+// carries no spill budget, since a depth-first stack never spills.
+func TestDFSHonoursCompactVisited(t *testing.T) {
+	for _, explore := range []bool{false, true} {
+		src := wideSrc(6, "")
+		if explore {
+			src = wideSrc(6, "last")
+		}
+		for _, macro := range []bool{true, false} {
+			cfg := &kiss.Config{DisableMacroSteps: !macro, ContextBound: -1,
+				VisitedMode: kiss.VisitedCompact, MemBudgetMB: 1}
+			if cfg.MemBudgetIgnored() {
+				t.Errorf("explore=%v macro=%v: compact DFS config reports its memory budget ignored", explore, macro)
+			}
+			m := checkOrExplore(t, src, cfg, explore).Stats.Memory
+			if m == nil || m.VisitedMode != kiss.VisitedCompact || m.VisitedBytes != 1<<19 || m.SpillBudgetBytes != 0 {
+				t.Errorf("explore=%v macro=%v: memory stats %+v, want a compact %d-byte filter and no spill budget",
+					explore, macro, m, 1<<19)
+			}
+		}
+	}
+}
+
 // TestExploreHonoursBFS: Explore's breadth-first search at SearchWorkers 0
 // is the level engine run inline, so it reports exactly what one search
 // worker does, and its counterexample is no longer than the depth-first

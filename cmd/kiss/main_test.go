@@ -180,7 +180,8 @@ func TestRunCheckWithCertifyAndEngines(t *testing.T) {
 
 // TestExploreWarnsOnIgnoredMemBudget: explore points out a memory budget
 // its default depth-first search ignores, as check and race do, and
-// stays quiet once a search worker puts the budget to use.
+// stays quiet once a search worker or a compact visited set, which the
+// budget sizes, puts the budget to use.
 func TestExploreWarnsOnIgnoredMemBudget(t *testing.T) {
 	path := writeTemp(t, racySrc)
 	for _, tc := range []struct {
@@ -189,6 +190,7 @@ func TestExploreWarnsOnIgnoredMemBudget(t *testing.T) {
 	}{
 		{[]string{"-mem-budget-mb", "1", path}, true},
 		{[]string{"-mem-budget-mb", "1", "-search-workers", "1", path}, false},
+		{[]string{"-mem-budget-mb", "1", "-visited", "compact", path}, false},
 	} {
 		r, w, err := os.Pipe()
 		if err != nil {

@@ -267,7 +267,8 @@ type Config struct {
 	// A compact filter's only error is a false "already seen" — it can
 	// *shrink* the explored set (possibly missing a failure) but never
 	// fabricate one, and Stats.Memory reports its occupancy and estimated
-	// false-positive rate.
+	// false-positive rate. Every engine honours it, depth- and
+	// breadth-first, with and without macro steps.
 	VisitedMode string
 	// MemBudgetMB caps the search's memory footprint in MiB; 0 means
 	// unlimited (no frontier spilling; a compact filter takes its default
@@ -275,16 +276,18 @@ type Config struct {
 	// buckets to sorted on-disk runs and streams them back in order —
 	// results stay bit-identical at every worker count — and under
 	// VisitedCompact the budget is split evenly between the frontier's
-	// in-RAM share and the filter. Spill files go to the system temp
-	// directory (os.TempDir, which TMPDIR redirects).
+	// in-RAM share and the filter (the depth-first search, which never
+	// spills, uses only the filter's half). Spill files go to the system
+	// temp directory (os.TempDir, which TMPDIR redirects).
 	MemBudgetMB int
 	// SearchWorkers >= 1 runs the state-space search of a *single* check
 	// with that many concurrent workers over a level-synchronized
 	// breadth-first frontier and a sharded visited set (both Check and
 	// Explore). Results are bit-identical at every worker count — only
 	// wall-clock and the Stats.Parallel diagnostics vary; 1 selects the
-	// same deterministic search single-threaded. 0 (the default) keeps the
-	// classic sequential search. Ignored under Summaries. When combining
+	// same deterministic search single-threaded. 0 (the default) runs the
+	// search on the calling goroutine, depth-first unless BFS is set.
+	// Ignored under Summaries. When combining
 	// with corpus-level parallelism, split the core budget (see
 	// eval.Options.SearchWorkers).
 	SearchWorkers int
@@ -393,8 +396,8 @@ func WithVisitedMode(mode string) Option { return func(c *Config) { c.VisitedMod
 func WithMemBudgetMB(n int) Option { return func(c *Config) { c.MemBudgetMB = n } }
 
 // WithSearchWorkers runs the state-space search with n concurrent workers
-// (n >= 1; results are bit-identical at every n). 0 restores the classic
-// sequential search.
+// (n >= 1; results are bit-identical at every n). 0 restores the
+// single-goroutine search, depth-first unless WithBFS is given.
 func WithSearchWorkers(n int) Option { return func(c *Config) { c.SearchWorkers = n } }
 
 // WithContextBound bounds context switches in Explore (negative:
@@ -504,10 +507,11 @@ func (c *Config) cbOptions() cbseq.Options {
 }
 
 // MemBudgetIgnored reports whether MemBudgetMB is set but the selected
-// engine silently ignores it: the budget's frontier spilling and filter
-// sizing live in the BFS engines (BFS, or SearchWorkers >= 1, in Check
-// and Explore alike), and the summary engine has no frontier at all —
-// the sequential DFS default pays it no attention. CLIs use this to warn
+// engine silently ignores it: the budget's frontier spilling lives in
+// the breadth-first engine (BFS, or SearchWorkers >= 1, in Check and
+// Explore alike), its filter sizing in every engine under VisitedCompact,
+// and the summary engine has no frontier or filter at all — the default
+// exact depth-first search pays it no attention. CLIs use this to warn
 // and point at -bfs or -search-workers.
 func (c *Config) MemBudgetIgnored() bool {
 	if c.MemBudgetMB <= 0 {
@@ -516,7 +520,7 @@ func (c *Config) MemBudgetIgnored() bool {
 	if c.Summaries {
 		return true
 	}
-	return !c.BFS && c.SearchWorkers < 1
+	return !c.BFS && c.SearchWorkers < 1 && c.VisitedMode != VisitedCompact
 }
 
 // TransformRace applies the race-checking translation (Figure 5) for the
