@@ -25,7 +25,7 @@
 // check and a heap profile taken after it (runtime/pprof format).
 //
 // Memory knobs (PR 9): -mem-budget-mb M caps search memory — the BFS
-// frontier spills frames to sorted disk runs past its share (results
+// frontier spills frames to disk runs past its share (results
 // stay bit-identical; spilling is pure eviction) and, under -visited
 // compact, the rest sizes a blocked-Bloom visited filter (~8-16
 // bits/state instead of a full snapshot per state; may prune revisits

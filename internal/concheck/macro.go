@@ -1,10 +1,6 @@
 package concheck
 
-import (
-	"bytes"
-
-	"repro/internal/sem"
-)
+import "repro/internal/sem"
 
 // Macro-step compression (sem.MacroStep) folds each maximal deterministic
 // run into one transition, so the search stores, fingerprints, and
@@ -34,14 +30,15 @@ import (
 //   - checkLevel, the breadth-first level engine (parallel.go). Folded
 //     edges span several micro depths, so a flat level queue would order
 //     states by *decision* depth and change which failure is "shortest".
-//     Instead the macro search's frontier is a bucket queue keyed by micro
-//     depth, each bucket sorted by hop key, which orders it as the padded
-//     (thread, successor-index) path does — exactly the per-statement
-//     search's within-level arrival order — and a failure discovered
-//     mid-run at micro depth F is held as a candidate until every stored
-//     state shallower than F has been expanded, then reported lex-first
-//     among depth-F competitors. That reproduces the per-statement BFS's
-//     first failure bit-for-bit.
+//     Instead the frontier is a bucket queue keyed by micro depth, each
+//     bucket drained in arrival order, and a failure discovered mid-run
+//     at micro depth F is held as a candidate: it is reported before
+//     bucket F is drained, once every stored state shallower than F has
+//     been expanded. The shallowest candidate wins, the first found on a
+//     tie. The verdict and the trace length are the per-statement BFS's;
+//     which of several equally short failures is reported, and so the
+//     trace itself, may differ, because a fold reaches a bucket ahead of
+//     siblings that the per-statement search would have put first.
 //
 // Soundness of the fold (see DESIGN.md): a deterministic run has no
 // branching, so its intermediate states can reach exactly the suffix of
@@ -92,85 +89,24 @@ func cProgressed(mr *sem.MacroResult, perStmt bool) bool {
 	return !perStmt || len(mr.Outcomes) > 0
 }
 
-// pathEntry packs a (thread, raw successor index) pair into one ordered
-// key: the per-statement BFS emits an item's successors in ascending
-// (thread, index) order, which this encoding preserves.
+// pathEntry packs a (thread, raw successor index) pair into the one
+// int32 that a padded path holds per micro step (see cAppendPath).
 func pathEntry(ti, idx int32) int32 {
 	return ti<<16 | idx
 }
 
-// cPathLess is lexicographic order on padded (thread, successor-index)
-// paths; folded positions use the folding thread's id. The engines
-// compare key-encoded hop keys with bytes.Compare instead (see
-// cAppendHopKey); cPathLess is the specification that order is tested
-// against.
-func cPathLess(a, b []int32) bool {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	for i := 0; i < n; i++ {
-		if a[i] != b[i] {
-			return a[i] < b[i]
-		}
-	}
-	return len(a) < len(b)
-}
-
-// cMacroCand is a mid-run failure deferred until every stored state
-// shallower than its micro depth has been expanded. key is the origin
-// node's hop key plus the failing thread's first folded entry. Only a
-// sole-live item folds, and its failing fold is its only expansion, so
-// nothing at the candidate's depth descends from the origin: the key and
-// a frame's (or another candidate's) first differ under their lowest
-// common ancestor, where the padded paths do.
+// cMacroCand is a mid-run failure at micro depth depth, found by folding
+// thread ti from node nd through the successor indices prefixIdx, and
+// deferred until every stored state shallower than depth has been
+// expanded.
 type cMacroCand struct {
 	depth     int
-	key       []byte
 	nd        *node
 	ti        int
 	prefixIdx []int32
 	fail      *sem.Failure
 }
 
-func cMinCand(cands []cMacroCand) int {
-	h := -1
-	for i := range cands {
-		if h < 0 || cands[i].depth < cands[h].depth ||
-			(cands[i].depth == cands[h].depth && bytes.Compare(cands[i].key, cands[h].key) < 0) {
-			h = i
-		}
-	}
-	return h
-}
-
 func cFailFromCand(c *sem.Compiled, res *Result, cd *cMacroCand) *Result {
 	return cFailAt(c, res, cd.nd, cd.ti, cd.prefixIdx, cd.fail)
-}
-
-// cDrainHook, when set, sees every chunk the macro level search drains,
-// with its hop keys; tests use it to check the bucket order.
-var cDrainHook func(depth int, chunk []searchState, keys [][]byte)
-
-// SetDrainHook installs f as the drain hook, handing it each drained
-// frame's padded path as read back from its spill encoding (nil removes
-// it). It lets the tests of seqcheck, which runs on these engines, check
-// the bucket order.
-func SetDrainHook(f func(depth int, paths [][]int32, keys [][]byte)) {
-	if f == nil {
-		cDrainHook = nil
-		return
-	}
-	cDrainHook = func(depth int, chunk []searchState, keys [][]byte) {
-		paths := make([][]int32, len(chunk))
-		for i, s := range chunk {
-			buf, _ := cAppendPaddedPath(nil, nil, s.nd)
-			path, rest := cDecodePaddedPath(buf)
-			if len(rest) != 0 {
-				panic("concheck: padded path encoding has trailing bytes")
-			}
-			paths[i] = path
-		}
-		f(depth, paths, keys)
-	}
 }

@@ -85,42 +85,47 @@ func TestMacroIdenticalAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
-// candidateRaces are single-threaded programs where a failure found
-// mid-fold (a deferred candidate) competes with another failure at the
-// same micro depth: a stored frame failing on its first step, before or
-// after the candidate in within-level order, or a second candidate whose
-// origin node is deeper yet lex-smaller. %s pads one branch so that, for
-// some padding, the two failures land on the same depth.
-var candidateRaces = []string{
-	`var x; func main() { choice {
+// candidateRaces are single-threaded programs in which a failure met
+// mid-fold (a candidate) competes with another failure. A one-threaded
+// program keeps every state sole-live, so every deterministic run folds.
+// want is the expression of the assertion the macro BFS must report:
+//   - a candidate beats a frame that fails on its first step at the
+//     candidate's micro depth (the per-statement BFS reports the frame's
+//     assertion, x == 1, which comes first in its within-level order);
+//   - a shallower candidate found later beats a deeper one found earlier
+//     (branch 1 folds to its failure in bucket 1, branch 2's inner
+//     choice reaches a shallower one in bucket 2);
+//   - of two candidates at one depth, the first found wins (branch 2's,
+//     found in bucket 1, over branch 1's, found in bucket 2; the
+//     per-statement BFS reports x == 1).
+var candidateRaces = []struct{ name, src, want string }{
+	{"candidate beats frame", `var x; func main() { choice {
 	   { choice { { assert(x == 1); } [] { x = 5; } } }
-	[] { x = 2; %s assert(x == 0); } } }`,
-	`var x; func main() { choice {
-	   { x = 2; %s assert(x == 0); }
-	[] { choice { { assert(x == 1); } [] { x = 5; } } } } }`,
-	`var x; func main() { choice {
-	   { choice { { x = 7; assert(x == 0); } [] { x = 5; } } }
-	[] { x = 2; %s assert(x == 0); } } }`,
+	[] { x = 2; assert(x == 0); } } }`, "x == 0"},
+	{"shallower candidate found later", `var x; func main() { choice {
+	   { x = 1; x = 1; x = 1; x = 1; x = 1; assert(x == 0); }
+	[] { choice { { x = 2; assert(x == 3); } [] { x = 4; } } } } }`, "x == 3"},
+	{"first candidate wins a tie", `var x; func main() { choice {
+	   { choice { { x = 7; assert(x == 1); } [] { x = 5; } } }
+	[] { x = 2; x = 2; assert(x == 0); } } }`, "x == 0"},
 }
 
-// padded instantiates a candidateRaces program with k padding statements.
-func padded(race string, k int) string {
-	return strings.Replace(race, "%s", strings.Repeat("x = x + 1; ", k), 1)
-}
-
-// TestMacroCandidateOrder: the macro bucket BFS reports the same first
-// failure and trace as the per-statement BFS when a mid-fold candidate,
-// keyed by its origin's hop key and its thread's first folded entry,
-// competes with another failure at its depth. A single-threaded program
-// keeps every state sole-live, so every deterministic run folds.
+// TestMacroCandidateOrder: the macro BFS resolves a mid-fold failure
+// candidate by micro depth and then by discovery order, at every worker
+// count: it reports the assertion each candidateRaces program names, with
+// a trace as long as the per-statement BFS's.
 func TestMacroCandidateOrder(t *testing.T) {
-	for ri, race := range candidateRaces {
-		for k := 0; k < 5; k++ {
-			src := padded(race, k)
-			on := Check(compile(t, src), Options{ContextBound: -1, SearchWorkers: 1})
-			off := Check(compile(t, src), Options{ContextBound: -1, SearchWorkers: 1, DisableMacroSteps: true})
-			if on.Verdict != Error || !reflect.DeepEqual(on.Failure, off.Failure) || !reflect.DeepEqual(on.Trace, off.Trace) {
-				t.Errorf("race %d pad %d: macro %v, per-statement %v", ri, k, on.Failure, off.Failure)
+	for _, race := range candidateRaces {
+		off := Check(compile(t, race.src), Options{ContextBound: -1, SearchWorkers: 1, DisableMacroSteps: true})
+		for _, opts := range []Options{{BFS: true}, {SearchWorkers: 1}, {SearchWorkers: 8}} {
+			opts.ContextBound = -1
+			on := Check(compile(t, race.src), opts)
+			if on.Verdict != Error || !strings.Contains(on.Failure.Msg, "("+race.want+")") {
+				t.Errorf("%s %+v: macro reports %v, want the failure of (%s)", race.name, opts, on.Failure, race.want)
+				continue
+			}
+			if len(on.Trace) != len(off.Trace) {
+				t.Errorf("%s %+v: macro trace has %d events, per-statement %d", race.name, opts, len(on.Trace), len(off.Trace))
 			}
 		}
 	}

@@ -127,9 +127,13 @@ func kissCompiled(t *testing.T, src string, maxTS int, target *ast.RaceTarget) *
 // the KISS translations of random programs in assertion and race mode,
 // and on the race translations of Table 1 racing fields, the trace must
 // equal the one the event-carrying reference search builds in the same
-// order — depth-first for the DFS engines, breadth-first for every
-// level engine, resident or spilled — and each reported failure must
-// cost exactly one replay.
+// order — depth-first for the DFS engines, breadth-first for the
+// per-statement level engine, resident or spilled — and each reported
+// failure must cost exactly one replay. The macro BFS drains its
+// micro-depth buckets in arrival order, which is not the per-statement
+// BFS's order, so of several shortest failures it may report another:
+// its trace must be as long as the breadth-first reference's, and
+// identical at every worker count and budget.
 func TestReplayedTraceMatchesReference(t *testing.T) {
 	type subject struct {
 		name  string
@@ -171,19 +175,23 @@ func TestReplayedTraceMatchesReference(t *testing.T) {
 		name string
 		opts Options
 		bfs  bool
+		// macro marks the macro BFS engines: their trace must be as long
+		// as the breadth-first reference's, and they must all report one
+		// failure and one trace.
+		macro bool
 	}
 	engines := []engine{
-		{"macro-dfs", Options{}, false},
-		{"macro-bfs-w0", Options{BFS: true}, true},
-		{"macro-bfs-w1", Options{SearchWorkers: 1}, true},
-		{"macro-bfs-w8", Options{SearchWorkers: 8}, true},
-		{"stmt-dfs", Options{DisableMacroSteps: true}, false},
-		{"stmt-bfs-w0", Options{DisableMacroSteps: true, BFS: true}, true},
-		{"stmt-bfs-w1", Options{DisableMacroSteps: true, SearchWorkers: 1}, true},
-		{"stmt-bfs-w8", Options{DisableMacroSteps: true, SearchWorkers: 8}, true},
-		{"macro-bfs-spill", Options{SearchWorkers: 1, FrontierBudget: 2048}, true},
-		{"macro-bfs-w0-spill", Options{BFS: true, FrontierBudget: 2048}, true},
-		{"stmt-bfs-spill", Options{DisableMacroSteps: true, SearchWorkers: 1, FrontierBudget: 2048}, true},
+		{"macro-dfs", Options{}, false, false},
+		{"macro-bfs-w0", Options{BFS: true}, true, true},
+		{"macro-bfs-w1", Options{SearchWorkers: 1}, true, true},
+		{"macro-bfs-w8", Options{SearchWorkers: 8}, true, true},
+		{"stmt-dfs", Options{DisableMacroSteps: true}, false, false},
+		{"stmt-bfs-w0", Options{DisableMacroSteps: true, BFS: true}, true, false},
+		{"stmt-bfs-w1", Options{DisableMacroSteps: true, SearchWorkers: 1}, true, false},
+		{"stmt-bfs-w8", Options{DisableMacroSteps: true, SearchWorkers: 8}, true, false},
+		{"macro-bfs-spill", Options{SearchWorkers: 1, FrontierBudget: 2048}, true, true},
+		{"macro-bfs-w0-spill", Options{BFS: true, FrontierBudget: 2048}, true, true},
+		{"stmt-bfs-spill", Options{DisableMacroSteps: true, SearchWorkers: 1, FrontierBudget: 2048}, true, false},
 	}
 	replays := 0
 	cReplayHook = func([]int32) { replays++ }
@@ -205,6 +213,7 @@ func TestReplayedTraceMatchesReference(t *testing.T) {
 				races++
 			}
 		}
+		var macro *Result // the first macro BFS engine's result
 		for _, eng := range engines {
 			opts := eng.opts
 			opts.ContextBound = sub.bound
@@ -229,6 +238,19 @@ func TestReplayedTraceMatchesReference(t *testing.T) {
 			}
 			if got := replays - before; got != 1 {
 				t.Errorf("%s %s: %d replays for one reported failure", sub.name, eng.name, got)
+			}
+			if eng.macro {
+				if len(res.Trace) != len(want.trace) {
+					t.Errorf("%s %s: replayed trace has %d events, the reference's %d",
+						sub.name, eng.name, len(res.Trace), len(want.trace))
+				}
+				if macro == nil {
+					macro = res
+				} else if !reflect.DeepEqual(res.Failure, macro.Failure) || !reflect.DeepEqual(res.Trace, macro.Trace) {
+					t.Errorf("%s %s: failure %v differs from the first macro BFS engine's %v, or its trace does",
+						sub.name, eng.name, res.Failure, macro.Failure)
+				}
+				continue
 			}
 			if !reflect.DeepEqual(res.Failure, want.fail) {
 				t.Errorf("%s %s: failure %v, reference %v", sub.name, eng.name, res.Failure, want.fail)

@@ -1,7 +1,6 @@
 package concheck
 
 import (
-	"bytes"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -75,97 +74,6 @@ func TestSpillIdenticalToResident(t *testing.T) {
 	// Every trace is rebuilt by exactly one replay, resident or spilled.
 	if replayed != 2*errors {
 		t.Errorf("%d replays for %d erroring runs; want one per reported failure", replayed, 2*errors)
-	}
-}
-
-// TestHopKeyOrderMatchesPaddedPaths: the macro bucket BFS sorts each
-// micro-depth bucket by hop key, one pathEntry(thread, index) per
-// stored-node hop. Over random two-threaded programs, across scheduling
-// shapes, and over the one-threaded KISS translations of random
-// programs, resident and spilled, every drained chunk must come out in
-// cPathLess order on its frames' padded (thread, index) paths (the
-// per-statement BFS's within-level order), and every padded path must
-// be as long as the bucket is deep.
-func TestHopKeyOrderMatchesPaddedPaths(t *testing.T) {
-	pairs, folded := 0, 0
-	cDrainHook = func(depth int, chunk []searchState, keys [][]byte) {
-		var prev []int32
-		for i, s := range chunk {
-			buf, _ := cAppendPaddedPath(nil, nil, s.nd)
-			path, rest := cDecodePaddedPath(buf)
-			if len(path) != depth || len(rest) != 0 {
-				t.Fatalf("depth %d: padded path %v (%d bytes left over)", depth, path, len(rest))
-			}
-			if len(keys[i]) < 4*len(path) {
-				folded++
-			}
-			if i > 0 {
-				pairs++
-				if !cPathLess(prev, path) {
-					t.Fatalf("depth %d: hop keys %x < %x, but padded paths %v then %v",
-						depth, keys[i-1], keys[i], prev, path)
-				}
-			}
-			prev = path
-		}
-	}
-	defer func() { cDrainHook = nil }()
-	for seed := int64(0); seed < 25; seed++ {
-		src := randprog.GenerateTwoThreaded(seed, randprog.Default)
-		for _, opts := range []Options{
-			{ContextBound: -1, SearchWorkers: 1},
-			{ContextBound: 2, SearchWorkers: 8},
-			{ContextBound: -1, SearchWorkers: 1, FrontierBudget: 2048, SpillDir: t.TempDir()},
-		} {
-			opts.MaxStates = 100000
-			Check(compile(t, src), opts)
-		}
-		kiss := kissCompiled(t, randprog.Generate(seed, randprog.Default), 1, nil)
-		for _, opts := range []Options{
-			{ContextBound: -1, BFS: true},
-			{ContextBound: -1, SearchWorkers: 8, MaxStates: 150},
-			{ContextBound: -1, BFS: true, FrontierBudget: 2048, SpillDir: t.TempDir()},
-		} {
-			Check(kiss, opts)
-		}
-	}
-	if pairs == 0 || folded == 0 {
-		t.Errorf("vacuous: %d ordered pairs, %d frames whose hop key is shorter than their padded path", pairs, folded)
-	}
-}
-
-// TestPathKeyEncodingMatchesSpec: bytes.Compare on the frontier's key
-// encoding is exactly cPathLess on pathEntry-packed (thread, index)
-// slices — including the shorter-prefix-first tiebreak.
-func TestPathKeyEncodingMatchesSpec(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	randPath := func() []int32 {
-		p := make([]int32, rng.Intn(6))
-		for i := range p {
-			p[i] = pathEntry(int32(rng.Intn(8)), int32(rng.Intn(1<<12)))
-		}
-		return p
-	}
-	encode := func(p []int32) []byte {
-		var buf []byte
-		for _, entry := range p {
-			buf = cAppendPathEntry(buf, entry)
-		}
-		return buf
-	}
-	for trial := 0; trial < 5000; trial++ {
-		a, b := randPath(), randPath()
-		cmp := bytes.Compare(encode(a), encode(b))
-		want := 0
-		if cPathLess(a, b) {
-			want = -1
-		} else if cPathLess(b, a) {
-			want = 1
-		}
-		if cmp != want {
-			t.Fatalf("trial %d: bytes.Compare=%d, cPathLess spec says %d\n  a=%v\n  b=%v",
-				trial, cmp, want, a, b)
-		}
 	}
 }
 

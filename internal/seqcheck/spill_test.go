@@ -75,62 +75,6 @@ func TestSpillIdenticalToResident(t *testing.T) {
 	}
 }
 
-// TestHopKeyOrderMatchesPaddedPaths: the macro bucket BFS sorts each
-// micro-depth bucket by hop key, one entry per stored-node hop. Over
-// random programs, resident and spilled, every drained chunk must come
-// out in pathLess order on its frames' padded paths (the per-statement
-// BFS's within-level order), and every padded path must be as long as
-// the bucket is deep.
-func TestHopKeyOrderMatchesPaddedPaths(t *testing.T) {
-	pairs, folded := 0, 0
-	concheck.SetDrainHook(func(depth int, paths [][]int32, keys [][]byte) {
-		var prev []int32
-		for i, path := range paths {
-			if len(path) != depth {
-				t.Fatalf("depth %d: padded path %v", depth, path)
-			}
-			if len(keys[i]) < 4*len(path) {
-				folded++
-			}
-			if i > 0 {
-				pairs++
-				if !pathLess(prev, path) {
-					t.Fatalf("depth %d: hop keys %x < %x, but padded paths %v then %v",
-						depth, keys[i-1], keys[i], prev, path)
-				}
-			}
-			prev = path
-		}
-	})
-	defer concheck.SetDrainHook(nil)
-	for seed := int64(0); seed < 30; seed++ {
-		src := randprog.Generate(seed, randprog.Default)
-		for _, opts := range []Options{
-			{BFS: true},
-			{SearchWorkers: 8, MaxStates: 150},
-			{BFS: true, FrontierBudget: 2048, SpillDir: t.TempDir()},
-		} {
-			Check(compile(t, src, 0), opts)
-		}
-	}
-	if pairs == 0 || folded == 0 {
-		t.Errorf("vacuous: %d ordered pairs, %d frames whose hop key is shorter than their padded path", pairs, folded)
-	}
-}
-
-// pathLess is lexicographic order on padded successor-index paths, a
-// shorter prefix first: the per-statement BFS's within-level order. Only
-// thread 0 runs, so a path's entries are the raw successor indices.
-func pathLess(a, b []int32) bool {
-	n := min(len(a), len(b))
-	for i := 0; i < n; i++ {
-		if a[i] != b[i] {
-			return a[i] < b[i]
-		}
-	}
-	return len(a) < len(b)
-}
-
 // TestCompactVisitedShrinkOnly: a Bloom false positive marks a fresh
 // state as already seen, so the compact visited set can only ever
 // *shrink* the explored set — never flip a reachable failure into a
