@@ -291,6 +291,13 @@ const oldSummaryStats = `"stats":{"states":12,"steps":30,` +
 const oldMemoStats = `"stats":{"states":12,"steps":30,` +
 	`"memo":{"hits":1,"misses":2,"hit_ratio":0.33,"stores":2,"evictions":0,"steps_saved":5,"entries":2,"bytes":100,"audit_mismatches":0}}`
 
+// oldMergeStats is a result "stats" object as builds that still
+// pre-merged spilled runs rendered it: a "merge_passes" count in the
+// memory record.
+const oldMergeStats = `"stats":{"states":12,"steps":30,` +
+	`"memory":{"visited_mode":"compact","spill_budget_bytes":524288,"spilled_bytes":9000,` +
+	`"spilled_frames":40,"spilled_runs":20,"merge_passes":1,"frontier_peak_ram":600000}}`
+
 // decodesOldStats serves a CheckResponse and a BatchItem whose result
 // carries stats from an older daemon, and requires both to decode
 // through the client with the fields this build knows intact.
@@ -340,4 +347,10 @@ func TestClientDecodesRetiredSummaryStats(t *testing.T) {
 // "memo" record.
 func TestClientDecodesRetiredMemoStats(t *testing.T) {
 	decodesOldStats(t, oldMemoStats)
+}
+
+// TestClientDecodesRetiredMergePasses: likewise for the retired
+// "merge_passes" count of the memory record.
+func TestClientDecodesRetiredMergePasses(t *testing.T) {
+	decodesOldStats(t, oldMergeStats)
 }

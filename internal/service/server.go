@@ -83,7 +83,6 @@ type Server struct {
 	spilledBytes   *stats.Counter
 	spilledFrames  *stats.Counter
 	spilledRuns    *stats.Counter
-	mergePasses    *stats.Counter
 	visitedFPs     *stats.Counter
 	phaseParse     *stats.Histogram
 	phaseTransform *stats.Histogram

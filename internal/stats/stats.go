@@ -262,7 +262,6 @@ type Memory struct {
 	SpilledBytes     int64 `json:"spilled_bytes,omitempty"`
 	SpilledFrames    int64 `json:"spilled_frames,omitempty"`
 	SpilledRuns      int64 `json:"spilled_runs,omitempty"`
-	MergePasses      int64 `json:"merge_passes,omitempty"`
 	FrontierPeakRAM  int64 `json:"frontier_peak_ram,omitempty"`
 }
 
