@@ -87,9 +87,9 @@ func TestBFSHonoursMemoryBudget(t *testing.T) {
 
 // TestDFSHonoursCompactVisited: the default depth-first search, with
 // and without macro steps, in Check and Explore, puts a compact visited
-// set sized by the memory budget to use: half of a 1 MiB budget sizes
-// the filter, the budget is not reported ignored, and the memory record
-// carries no spill budget, since a depth-first stack never spills.
+// set sized by the memory budget to use: a depth-first stack never
+// spills, so the whole 1 MiB budget sizes the filter, the budget is not
+// reported ignored, and the memory record carries no spill budget.
 func TestDFSHonoursCompactVisited(t *testing.T) {
 	for _, explore := range []bool{false, true} {
 		src := wideSrc(6, "")
@@ -103,9 +103,9 @@ func TestDFSHonoursCompactVisited(t *testing.T) {
 				t.Errorf("explore=%v macro=%v: compact DFS config reports its memory budget ignored", explore, macro)
 			}
 			m := checkOrExplore(t, src, cfg, explore).Stats.Memory
-			if m == nil || m.VisitedMode != kiss.VisitedCompact || m.VisitedBytes != 1<<19 || m.SpillBudgetBytes != 0 {
+			if m == nil || m.VisitedMode != kiss.VisitedCompact || m.VisitedBytes != 1<<20 || m.SpillBudgetBytes != 0 {
 				t.Errorf("explore=%v macro=%v: memory stats %+v, want a compact %d-byte filter and no spill budget",
-					explore, macro, m, 1<<19)
+					explore, macro, m, 1<<20)
 			}
 		}
 	}
