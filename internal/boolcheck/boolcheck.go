@@ -134,7 +134,7 @@ func encodeVal(b *strings.Builder, v sem.Value) {
 	case sem.KBool:
 		fmt.Fprintf(b, "b%d,", v.I)
 	case sem.KFunc:
-		fmt.Fprintf(b, "f%s,", v.Fn)
+		fmt.Fprintf(b, "f%d,", v.I) // an index into the program's name table
 	case sem.KNull:
 		b.WriteString("n,")
 	case sem.KUnit:
@@ -427,7 +427,11 @@ func (ck *checker) step(pe pathEdge) *sem.Failure {
 			}
 			args[i] = av
 		}
-		ne.ts = append(ne.ts, sem.Pending{Fn: fv.Fn, Args: args})
+		name := ""
+		if fv.Kind == sem.KFunc {
+			name = fv.Fn(ck.c)
+		}
+		ne.ts = append(ne.ts, sem.Pending{Fn: name, Args: args})
 		ck.enqueue(pathEdge{entry: pe.entry, pc: pe.pc + 1, e: ne})
 	case sem.OpTsDispatch:
 		// One call edge per distinct pending entry.
@@ -471,7 +475,7 @@ func (ck *checker) call(pe pathEdge, cf *sem.CompiledFunc, in *sem.Instr) *sem.F
 		return failf(sem.RuntimeFail, pe.entry.fn, err.pos, err.msg)
 	}
 	if fv.Kind != sem.KFunc {
-		return failf(sem.RuntimeFail, pe.entry.fn, in.Pos, "call of non-function value "+fv.String())
+		return failf(sem.RuntimeFail, pe.entry.fn, in.Pos, "call of non-function value "+fv.Text(ck.c))
 	}
 	args := make([]sem.Value, len(in.Args))
 	for i, a := range in.Args {
@@ -481,7 +485,7 @@ func (ck *checker) call(pe pathEdge, cf *sem.CompiledFunc, in *sem.Instr) *sem.F
 		}
 		args[i] = av
 	}
-	return ck.callInto(pe, pe.e, fv.Fn, args, in.Result)
+	return ck.callInto(pe, pe.e, fv.Fn(ck.c), args, in.Result)
 }
 
 // callInto creates the interprocedural edge: suspend the caller at pe,
@@ -595,7 +599,10 @@ func (ck *checker) eval(cf *sem.CompiledFunc, e *env, x ast.Expr) (sem.Value, *e
 	case *ast.BoolLit:
 		return sem.BoolV(x.Value), nil
 	case *ast.FuncLit:
-		return sem.FuncV(x.Name), nil
+		if v, ok := ck.c.FuncV(x.Name); ok {
+			return v, nil
+		}
+		return sem.Value{}, &evalErr{x.Pos, "function constant @" + x.Name + " missing from the name table"}
 	case *ast.VarExpr:
 		if idx, ok := cf.VarIdx[x.Name]; ok {
 			return e.locals[idx], nil

@@ -125,6 +125,7 @@ type simFrame struct {
 // (P's globals, then the heap reachable from them in first-reach order,
 // as the fingerprints number it) and one string per thread stack.
 type encoder struct {
+	c       *sem.Compiled  // names function values
 	owner   map[int][2]int // frame id -> (thread, depth)
 	objNum  map[int]int
 	objList []int
@@ -137,7 +138,7 @@ func (e *encoder) val(b *strings.Builder, v sem.Value, thread int) {
 	case sem.KBool:
 		fmt.Fprintf(b, "b%d,", v.I)
 	case sem.KFunc:
-		name := v.Fn
+		name := v.Fn(e.c)
 		if orig, ok := OriginalName(name); ok {
 			name = orig
 		}
@@ -147,7 +148,7 @@ func (e *encoder) val(b *strings.Builder, v sem.Value, thread int) {
 	case sem.KUnit:
 		b.WriteString("u,")
 	case sem.KPtr:
-		c := v.Ptr
+		c := v.Ptr()
 		switch c.Kind {
 		case sem.CGlobal:
 			fmt.Fprintf(b, "pg%d,", c.Idx)
@@ -180,7 +181,7 @@ func (e *encoder) val(b *strings.Builder, v sem.Value, thread int) {
 // encode returns the shared key and the sorted stack keys of a
 // configuration given in P's terms.
 func encode(s *sem.State, nGlobals int, threads [][]simFrame) (string, []string) {
-	e := &encoder{owner: map[int][2]int{}, objNum: map[int]int{}}
+	e := &encoder{c: s.C, owner: map[int][2]int{}, objNum: map[int]int{}}
 	for ti, th := range threads {
 		for d, f := range th {
 			if f.fr != nil {

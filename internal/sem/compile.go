@@ -113,6 +113,34 @@ type Compiled struct {
 	Records   map[string]*ast.Record
 	// RaceGlobalIdx is the global index of a global race target, or -1.
 	RaceGlobalIdx int
+	// FuncNames is the program's function-name table: a KFunc value
+	// holds an index into it. It lists the defined functions in program
+	// order, then every other name a function constant of the code
+	// mentions. Function values arise only from constants, so the table
+	// is complete for every state of the program.
+	FuncNames []string
+
+	funcID   map[string]int64 // name -> index into FuncNames
+	funcHash []uint64         // hashString of each name, for fingerprints
+	funcDef  []*CompiledFunc  // definition of each name, nil if undefined
+}
+
+// FuncV returns the function value naming name, and false if no function
+// constant of the program names it.
+func (c *Compiled) FuncV(name string) (Value, bool) {
+	id, ok := c.funcID[name]
+	return Value{Kind: KFunc, I: id}, ok
+}
+
+// internFunc adds name to the function-name table if it is new.
+func (c *Compiled) internFunc(name string) {
+	if _, ok := c.funcID[name]; ok {
+		return
+	}
+	c.funcID[name] = int64(len(c.FuncNames))
+	c.FuncNames = append(c.FuncNames, name)
+	c.funcHash = append(c.funcHash, hashString(name))
+	c.funcDef = append(c.funcDef, c.Funcs[name])
 }
 
 // Compile translates a core-form program into instruction form. The
@@ -128,6 +156,7 @@ func Compile(p *ast.Program) (*Compiled, error) {
 		GlobalIdx:     make(map[string]int, len(p.Globals)),
 		Records:       make(map[string]*ast.Record, len(p.Records)),
 		RaceGlobalIdx: -1,
+		funcID:        make(map[string]int64, len(p.Funcs)),
 	}
 	for i, g := range p.Globals {
 		c.Globals = append(c.Globals, g.Name)
@@ -150,6 +179,19 @@ func Compile(p *ast.Program) (*Compiled, error) {
 	}
 	if _, ok := c.Funcs["main"]; !ok {
 		return nil, fmt.Errorf("sem: program has no main function")
+	}
+	for _, f := range p.Funcs {
+		c.internFunc(f.Name)
+	}
+	for _, f := range p.Funcs {
+		ast.WalkStmts(f.Body, func(s ast.Stmt) bool {
+			ast.WalkExprs(s, func(e ast.Expr) {
+				if fl, ok := e.(*ast.FuncLit); ok {
+					c.internFunc(fl.Name)
+				}
+			})
+			return true
+		})
 	}
 	return c, nil
 }

@@ -79,16 +79,16 @@ func (s *State) fieldCell(pv Value, field string, pos ast.Pos) (Cell, *RuntimeEr
 	if pv.Kind == KNull {
 		return Cell{}, rterrf(pos, "null pointer dereference (->%s)", field)
 	}
-	if pv.Kind != KPtr || pv.Ptr.Kind != CObject {
-		return Cell{}, rterrf(pos, "->%s applied to non-object value %s", field, pv)
+	if pv.Kind != KPtr || pv.cell != CObject {
+		return Cell{}, rterrf(pos, "->%s applied to non-object value %s", field, pv.Text(s.C))
 	}
-	obj := s.Heap[pv.Ptr.Idx]
+	obj := s.Heap[pv.I]
 	rec := s.C.Records[obj.Rec]
 	fi := rec.FieldIndex(field)
 	if fi < 0 {
 		return Cell{}, rterrf(pos, "record %s has no field %q", obj.Rec, field)
 	}
-	return Cell{Kind: CHeapField, Idx: pv.Ptr.Idx, Field: fi}, nil
+	return Cell{Kind: CHeapField, Idx: int(pv.I), Field: fi}, nil
 }
 
 // Eval evaluates a core expression in the scope of frame fr. `new`
@@ -100,7 +100,10 @@ func (s *State) Eval(fr *Frame, e ast.Expr) (Value, *RuntimeError) {
 	case *ast.BoolLit:
 		return BoolV(e.Value), nil
 	case *ast.FuncLit:
-		return FuncV(e.Name), nil
+		if v, ok := s.C.FuncV(e.Name); ok {
+			return v, nil
+		}
+		return Value{}, rterrf(e.Pos, "function constant @%s missing from the name table", e.Name)
 	case *ast.NullLit:
 		return NullV(), nil
 	case *ast.VarExpr:
@@ -124,9 +127,9 @@ func (s *State) Eval(fr *Frame, e ast.Expr) (Value, *RuntimeError) {
 			return Value{}, rterrf(e.Pos, "null pointer dereference")
 		}
 		if pv.Kind != KPtr {
-			return Value{}, rterrf(e.Pos, "dereference of non-pointer value %s", pv)
+			return Value{}, rterrf(e.Pos, "dereference of non-pointer value %s", pv.Text(s.C))
 		}
-		return s.Load(pv.Ptr, e.Pos)
+		return s.Load(pv.Ptr(), e.Pos)
 	case *ast.FieldExpr:
 		pv, err := s.Eval(fr, e.X)
 		if err != nil {
@@ -155,12 +158,12 @@ func (s *State) Eval(fr *Frame, e ast.Expr) (Value, *RuntimeError) {
 		switch e.Op {
 		case "!":
 			if x.Kind != KBool {
-				return Value{}, rterrf(e.Pos, "'!' applied to non-boolean %s", x)
+				return Value{}, rterrf(e.Pos, "'!' applied to non-boolean %s", x.Text(s.C))
 			}
 			return BoolV(!x.Bool()), nil
 		case "-":
 			if x.Kind != KInt {
-				return Value{}, rterrf(e.Pos, "unary '-' applied to non-integer %s", x)
+				return Value{}, rterrf(e.Pos, "unary '-' applied to non-integer %s", x.Text(s.C))
 			}
 			return IntV(-x.I), nil
 		}
@@ -174,7 +177,7 @@ func (s *State) Eval(fr *Frame, e ast.Expr) (Value, *RuntimeError) {
 		if err != nil {
 			return Value{}, err
 		}
-		return binop(e.Op, x, y, e.Pos)
+		return binop(s.C, e.Op, x, y, e.Pos)
 	case *ast.NewExpr:
 		rec, ok := s.C.Records[e.Record]
 		if !ok {
@@ -207,7 +210,7 @@ func (s *State) isRaceCell(x Value) bool {
 	if t == nil || x.Kind != KPtr {
 		return false
 	}
-	c := x.Ptr
+	c := x.Ptr()
 	if t.Global != "" {
 		return c.Kind == CGlobal && c.Idx == s.C.RaceGlobalIdx
 	}
@@ -222,11 +225,11 @@ func (s *State) isRaceCell(x Value) bool {
 	return rec.FieldIndex(t.Field) == c.Field
 }
 
-func binop(op string, x, y Value, pos ast.Pos) (Value, *RuntimeError) {
+func binop(c *Compiled, op string, x, y Value, pos ast.Pos) (Value, *RuntimeError) {
 	switch op {
 	case "+", "-", "*":
 		if x.Kind != KInt || y.Kind != KInt {
-			return Value{}, rterrf(pos, "arithmetic %q on non-integers %s, %s", op, x, y)
+			return Value{}, rterrf(pos, "arithmetic %q on non-integers %s, %s", op, x.Text(c), y.Text(c))
 		}
 		switch op {
 		case "+":
@@ -242,7 +245,7 @@ func binop(op string, x, y Value, pos ast.Pos) (Value, *RuntimeError) {
 		return BoolV(!x.Equal(y)), nil
 	case "<", "<=", ">", ">=":
 		if x.Kind != KInt || y.Kind != KInt {
-			return Value{}, rterrf(pos, "comparison %q on non-integers %s, %s", op, x, y)
+			return Value{}, rterrf(pos, "comparison %q on non-integers %s, %s", op, x.Text(c), y.Text(c))
 		}
 		switch op {
 		case "<":
@@ -256,7 +259,7 @@ func binop(op string, x, y Value, pos ast.Pos) (Value, *RuntimeError) {
 		}
 	case "&&", "||":
 		if x.Kind != KBool || y.Kind != KBool {
-			return Value{}, rterrf(pos, "boolean %q on non-booleans %s, %s", op, x, y)
+			return Value{}, rterrf(pos, "boolean %q on non-booleans %s, %s", op, x.Text(c), y.Text(c))
 		}
 		if op == "&&" {
 			return BoolV(x.Bool() && y.Bool()), nil
@@ -273,7 +276,7 @@ func (s *State) evalBool(fr *Frame, e ast.Expr) (bool, *RuntimeError) {
 		return false, err
 	}
 	if v.Kind != KBool {
-		return false, rterrf(e.ExprPos(), "condition evaluated to non-boolean %s", v)
+		return false, rterrf(e.ExprPos(), "condition evaluated to non-boolean %s", v.Text(s.C))
 	}
 	return v.Bool(), nil
 }
@@ -292,9 +295,9 @@ func (s *State) lvalueCell(fr *Frame, lhs ast.Expr) (Cell, *RuntimeError) {
 			return Cell{}, rterrf(l.Pos, "null pointer dereference in assignment")
 		}
 		if pv.Kind != KPtr {
-			return Cell{}, rterrf(l.Pos, "assignment through non-pointer value %s", pv)
+			return Cell{}, rterrf(l.Pos, "assignment through non-pointer value %s", pv.Text(s.C))
 		}
-		return pv.Ptr, nil
+		return pv.Ptr(), nil
 	case *ast.FieldExpr:
 		pv, err := s.Eval(fr, l.X)
 		if err != nil {

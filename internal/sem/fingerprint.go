@@ -15,7 +15,8 @@ package sem
 // its block index and probe positions straight from those bits. A string
 // token is the word hashString returns: its length, then its bytes eight
 // at a time. Function names are hashed once at compile time
-// (CompiledFunc.nameHash).
+// (CompiledFunc.nameHash for frames, Compiled.funcHash for function
+// values), so a function value hashes exactly as its name would.
 //
 // Soundness note: a 64-bit collision makes a search treat a genuinely new
 // state as visited, so a collision can only cause a *missed* state (and
@@ -139,13 +140,13 @@ func (e *FPHasher) val(v Value) {
 		e.word(uint64(v.I))
 	case KFunc:
 		e.word('f')
-		e.word(hashString(v.Fn))
+		e.word(e.s.C.funcHash[v.I])
 	case KNull:
 		e.word('n')
 	case KUnit:
 		e.word('u')
 	case KPtr:
-		c := v.Ptr
+		c := v.Ptr()
 		switch c.Kind {
 		case CGlobal:
 			e.word('g')

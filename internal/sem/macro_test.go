@@ -83,7 +83,7 @@ func TestMacroStepPrunesDeadBranch(t *testing.T) {
 	if !st.Threads[0].Done() {
 		t.Fatal("fold did not consume the whole program")
 	}
-	if got := st.Globals[0].String(); got != "4" {
+	if got := st.Globals[0].Text(c); got != "4" {
 		t.Errorf("x = %s after fold, want 4 (else-path taken)", got)
 	}
 	nonZero := false

@@ -70,7 +70,7 @@ func run(t *testing.T, c *Compiled) (*Failure, map[string]bool) {
 		if !progress && allThreadsDone(s) {
 			var b strings.Builder
 			for i, g := range s.Globals {
-				b.WriteString(c.Globals[i] + "=" + g.String() + ";")
+				b.WriteString(c.Globals[i] + "=" + g.Text(c) + ";")
 			}
 			finals[b.String()] = true
 		}
@@ -453,6 +453,14 @@ func TestFingerprintDistinguishesStates(t *testing.T) {
 }
 
 func TestValueEquality(t *testing.T) {
+	c := compile(t, `func f() { } func g() { } func main() { }`)
+	fv := func(name string) Value {
+		v, ok := c.FuncV(name)
+		if !ok {
+			t.Fatalf("no function value %s", name)
+		}
+		return v
+	}
 	cases := []struct {
 		a, b Value
 		eq   bool
@@ -461,8 +469,8 @@ func TestValueEquality(t *testing.T) {
 		{IntV(1), IntV(2), false},
 		{BoolV(true), BoolV(true), true},
 		{BoolV(true), IntV(1), false},
-		{FuncV("f"), FuncV("f"), true},
-		{FuncV("f"), FuncV("g"), false},
+		{fv("f"), fv("f"), true},
+		{fv("f"), fv("g"), false},
 		{NullV(), NullV(), true},
 		{NullV(), IntV(0), false},
 		{PtrV(Cell{Kind: CGlobal, Idx: 1}), PtrV(Cell{Kind: CGlobal, Idx: 1}), true},
@@ -471,7 +479,7 @@ func TestValueEquality(t *testing.T) {
 	}
 	for i, tc := range cases {
 		if got := tc.a.Equal(tc.b); got != tc.eq {
-			t.Errorf("case %d: %s == %s is %v, want %v", i, tc.a, tc.b, got, tc.eq)
+			t.Errorf("case %d: %s == %s is %v, want %v", i, tc.a.Text(c), tc.b.Text(c), got, tc.eq)
 		}
 		if got := tc.b.Equal(tc.a); got != tc.eq {
 			t.Errorf("case %d: equality not symmetric", i)

@@ -27,16 +27,17 @@ import (
 // AppendSnapshot appends the snapshot encoding of s to buf and returns
 // the extended slice.
 func AppendSnapshot(buf []byte, s *State) []byte {
+	c := s.C
 	buf = binary.AppendUvarint(buf, uint64(len(s.Globals)))
 	for _, v := range s.Globals {
-		buf = appendValue(buf, v)
+		buf = appendValue(buf, c, v)
 	}
 	buf = binary.AppendUvarint(buf, uint64(len(s.Heap)))
 	for _, o := range s.Heap {
 		buf = appendString(buf, o.Rec)
 		buf = binary.AppendUvarint(buf, uint64(len(o.Fields)))
 		for _, v := range o.Fields {
-			buf = appendValue(buf, v)
+			buf = appendValue(buf, c, v)
 		}
 	}
 	buf = binary.AppendUvarint(buf, uint64(len(s.Threads)))
@@ -50,7 +51,7 @@ func AppendSnapshot(buf []byte, s *State) []byte {
 			buf = appendString(buf, fr.Result)
 			buf = binary.AppendUvarint(buf, uint64(len(fr.Locals)))
 			for _, v := range fr.Locals {
-				buf = appendValue(buf, v)
+				buf = appendValue(buf, c, v)
 			}
 		}
 	}
@@ -59,7 +60,7 @@ func AppendSnapshot(buf []byte, s *State) []byte {
 		buf = appendString(buf, p.Fn)
 		buf = binary.AppendUvarint(buf, uint64(len(p.Args)))
 		for _, v := range p.Args {
-			buf = appendValue(buf, v)
+			buf = appendValue(buf, c, v)
 		}
 	}
 	buf = binary.AppendUvarint(buf, uint64(s.nextFrameID))
@@ -70,7 +71,7 @@ func AppendSnapshot(buf []byte, s *State) []byte {
 // DecodeSnapshot rebuilds a state of program c from a snapshot produced
 // by AppendSnapshot. The returned state owns all of its components.
 func DecodeSnapshot(c *Compiled, data []byte) (*State, error) {
-	d := &snapDecoder{data: data}
+	d := &snapDecoder{c: c, data: data}
 	s := &State{C: c}
 	n := d.uvarint()
 	s.Globals = make([]Value, n)
@@ -142,8 +143,14 @@ func DecodeSnapshot(c *Compiled, data []byte) (*State, error) {
 // copy-on-write shares it with siblings — an overcount that makes the
 // budget conservative (the frontier spills no later than a precise count
 // would allow).
+//
+// valueBytes no longer equals unsafe.Sizeof(Value{}) (16 since values
+// became pointer-free words; DESIGN.md decision 25). It keeps the old
+// 56-byte charge because the estimate decides where the frontier spills:
+// a smaller charge would move spill points and so the states a budgeted
+// search explores, a change of results of its own.
 func (s *State) MemSize() int {
-	const valueBytes = 56 // unsafe.Sizeof(Value{}) rounded up
+	const valueBytes = 56
 	n := 160 + valueBytes*len(s.Globals)
 	for _, o := range s.Heap {
 		n += 64 + len(o.Rec) + valueBytes*len(o.Fields)
@@ -165,18 +172,21 @@ func appendString(buf []byte, s string) []byte {
 	return append(buf, s...)
 }
 
-func appendValue(buf []byte, v Value) []byte {
+// appendValue encodes v, a function value by its name in c's table so
+// the bytes do not depend on table indices.
+func appendValue(buf []byte, c *Compiled, v Value) []byte {
 	buf = append(buf, byte(v.Kind))
 	switch v.Kind {
 	case KInt, KBool:
 		buf = binary.AppendVarint(buf, v.I)
 	case KFunc:
-		buf = appendString(buf, v.Fn)
+		buf = appendString(buf, v.Fn(c))
 	case KPtr:
-		buf = append(buf, byte(v.Ptr.Kind))
-		buf = binary.AppendUvarint(buf, uint64(v.Ptr.Idx))
-		buf = binary.AppendUvarint(buf, uint64(v.Ptr.Field))
-		buf = binary.AppendUvarint(buf, uint64(v.Ptr.FrameID))
+		p := v.Ptr()
+		buf = append(buf, byte(p.Kind))
+		buf = binary.AppendUvarint(buf, uint64(p.Idx))
+		buf = binary.AppendUvarint(buf, uint64(p.Field))
+		buf = binary.AppendUvarint(buf, uint64(p.FrameID))
 	case KNull, KUnit:
 	}
 	return buf
@@ -186,6 +196,7 @@ func appendValue(buf []byte, v Value) []byte {
 // after the first malformed read every accessor returns zero values and
 // the error surfaces once at the end.
 type snapDecoder struct {
+	c    *Compiled // resolves function names to table indices
 	data []byte
 	pos  int
 	err  error
@@ -252,17 +263,22 @@ func (d *snapDecoder) value() Value {
 	case KInt, KBool:
 		v.I = d.varint()
 	case KFunc:
-		v.Fn = d.str()
+		name := d.str()
+		fv, ok := d.c.FuncV(name)
+		if !ok && d.err == nil {
+			d.err = fmt.Errorf("sem: snapshot references unknown function %q", name)
+		}
+		v = fv
 	case KPtr:
 		if d.pos >= len(d.data) {
 			d.fail()
 			return Value{}
 		}
-		v.Ptr.Kind = CellKind(d.data[d.pos])
+		ck := CellKind(d.data[d.pos])
 		d.pos++
-		v.Ptr.Idx = int(d.uvarint())
-		v.Ptr.Field = int(d.uvarint())
-		v.Ptr.FrameID = int(d.uvarint())
+		idx := int(d.uvarint())
+		field := int(d.uvarint())
+		v = PtrV(Cell{Kind: ck, Idx: idx, Field: field, FrameID: int(d.uvarint())})
 	case KNull, KUnit:
 	default:
 		if d.err == nil {

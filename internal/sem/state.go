@@ -25,10 +25,12 @@ type Pending struct {
 	Args []Value
 }
 
-func (p Pending) String() string {
+// Text renders p as the ts multiset orders and traces print it, naming
+// function values through c's table.
+func (p Pending) Text(c *Compiled) string {
 	parts := make([]string, len(p.Args))
 	for i, a := range p.Args {
-		parts[i] = a.String()
+		parts[i] = a.Text(c)
 	}
 	return p.Fn + "(" + strings.Join(parts, ",") + ")"
 }
@@ -407,13 +409,13 @@ func (e *fpEncoder) val(b *strings.Builder, v Value) {
 	case KBool:
 		fmt.Fprintf(b, "b%d,", v.I)
 	case KFunc:
-		fmt.Fprintf(b, "f%s,", v.Fn)
+		fmt.Fprintf(b, "f%s,", v.Fn(e.s.C))
 	case KNull:
 		b.WriteString("n,")
 	case KUnit:
 		b.WriteString("u,")
 	case KPtr:
-		c := v.Ptr
+		c := v.Ptr()
 		switch c.Kind {
 		case CGlobal:
 			fmt.Fprintf(b, "pg%d,", c.Idx)
@@ -439,7 +441,7 @@ func (s *State) appendTsOrder(order []int) []int {
 		order = append(order, i)
 	}
 	sort.SliceStable(order, func(a, c int) bool {
-		return s.Ts[order[a]].String() < s.Ts[order[c]].String()
+		return s.Ts[order[a]].Text(s.C) < s.Ts[order[c]].Text(s.C)
 	})
 	return order
 }

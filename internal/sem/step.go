@@ -227,15 +227,15 @@ func step(s *State, ti int, owned bool) StepResult {
 			return fail(RuntimeFail, err.Pos, err.Msg)
 		}
 		if fv.Kind != KFunc {
-			return fail(RuntimeFail, in.Pos, fmt.Sprintf("call of non-function value %s", fv))
+			return fail(RuntimeFail, in.Pos, fmt.Sprintf("call of non-function value %s", fv.Text(ns.C)))
 		}
-		callee, ok := ns.C.Funcs[fv.Fn]
-		if !ok {
-			return fail(RuntimeFail, in.Pos, fmt.Sprintf("call of undefined function %q", fv.Fn))
+		callee := ns.C.funcDef[fv.I]
+		if callee == nil {
+			return fail(RuntimeFail, in.Pos, fmt.Sprintf("call of undefined function %q", fv.Fn(ns.C)))
 		}
 		if len(in.Args) != callee.NumParam {
 			return fail(RuntimeFail, in.Pos,
-				fmt.Sprintf("call of %q with %d arguments, want %d", fv.Fn, len(in.Args), callee.NumParam))
+				fmt.Sprintf("call of %q with %d arguments, want %d", fv.Fn(ns.C), len(in.Args), callee.NumParam))
 		}
 		args := make([]Value, len(in.Args))
 		for i, a := range in.Args {
@@ -250,7 +250,7 @@ func step(s *State, ti int, owned bool) StepResult {
 		ns.pushFrame(ti, ns.newFrame(callee, args, in.Result))
 		cev := ev
 		cev.Kind = EvCall
-		cev.Callee = fv.Fn
+		cev.Callee = callee.Fn.Name
 		return StepResult{Outcomes: []Outcome{{State: ns, Event: cev}}}
 
 	case OpAsync:
@@ -260,15 +260,15 @@ func step(s *State, ti int, owned bool) StepResult {
 			return fail(RuntimeFail, err.Pos, err.Msg)
 		}
 		if fv.Kind != KFunc {
-			return fail(RuntimeFail, in.Pos, fmt.Sprintf("async call of non-function value %s", fv))
+			return fail(RuntimeFail, in.Pos, fmt.Sprintf("async call of non-function value %s", fv.Text(ns.C)))
 		}
-		callee, ok := ns.C.Funcs[fv.Fn]
-		if !ok {
-			return fail(RuntimeFail, in.Pos, fmt.Sprintf("async call of undefined function %q", fv.Fn))
+		callee := ns.C.funcDef[fv.I]
+		if callee == nil {
+			return fail(RuntimeFail, in.Pos, fmt.Sprintf("async call of undefined function %q", fv.Fn(ns.C)))
 		}
 		if len(in.Args) != callee.NumParam {
 			return fail(RuntimeFail, in.Pos,
-				fmt.Sprintf("async call of %q with %d arguments, want %d", fv.Fn, len(in.Args), callee.NumParam))
+				fmt.Sprintf("async call of %q with %d arguments, want %d", fv.Fn(ns.C), len(in.Args), callee.NumParam))
 		}
 		args := make([]Value, len(in.Args))
 		for i, a := range in.Args {
@@ -285,7 +285,7 @@ func step(s *State, ti int, owned bool) StepResult {
 		ns.appendThread(newT)
 		aev := ev
 		aev.Kind = EvAsync
-		aev.Callee = fv.Fn
+		aev.Callee = callee.Fn.Name
 		return StepResult{Outcomes: []Outcome{{State: ns, Event: aev}}}
 
 	case OpReturn:
@@ -309,7 +309,7 @@ func step(s *State, ti int, owned bool) StepResult {
 			return fail(RuntimeFail, err.Pos, err.Msg)
 		}
 		if fv.Kind != KFunc {
-			return fail(RuntimeFail, in.Pos, fmt.Sprintf("__ts_put of non-function value %s", fv))
+			return fail(RuntimeFail, in.Pos, fmt.Sprintf("__ts_put of non-function value %s", fv.Text(ns.C)))
 		}
 		args := make([]Value, len(in.Args))
 		for i, a := range in.Args {
@@ -322,11 +322,12 @@ func step(s *State, ti int, owned bool) StepResult {
 		if len(ns.Ts) >= ns.C.Prog.MaxTS {
 			return fail(RuntimeFail, in.Pos, "__ts_put on full ts (transformation invariant violated)")
 		}
-		ns.appendTs(Pending{Fn: fv.Fn, Args: args})
+		name := fv.Fn(ns.C)
+		ns.appendTs(Pending{Fn: name, Args: args})
 		nfr.PC++
 		resolveJumps(nfr)
 		pev := ev
-		pev.Callee = fv.Fn
+		pev.Callee = name
 		return StepResult{Outcomes: []Outcome{{State: ns, Event: pev}}}
 
 	case OpTsDispatch:
@@ -338,7 +339,7 @@ func step(s *State, ti int, owned bool) StepResult {
 		var outs []Outcome
 		seen := map[string]bool{}
 		for i := range s.Ts {
-			key := s.Ts[i].String()
+			key := s.Ts[i].Text(s.C)
 			if seen[key] {
 				continue
 			}
@@ -381,7 +382,7 @@ func doReturn(s *State, ti int, rv Value, pos ast.Pos, fnName string, owned bool
 			return StepResult{Failure: &Failure{Kind: RuntimeFail, Pos: pos, Msg: err.Msg, ThreadID: tid, Fn: fnName}}
 		}
 	}
-	ev := Event{Kind: EvReturn, ThreadID: tid, Fn: fnName, Pos: pos, Text: "return " + rv.String()}
+	ev := Event{Kind: EvReturn, ThreadID: tid, Fn: fnName, Pos: pos, Text: "return " + rv.Text(s.C)}
 	return StepResult{Outcomes: []Outcome{{State: ns, Event: ev}}}
 }
 

@@ -11,6 +11,7 @@ package sem
 
 import (
 	"fmt"
+	"strconv"
 )
 
 // Kind classifies runtime values. All data is dynamically typed.
@@ -25,12 +26,18 @@ const (
 	KUnit             // value of a bare return
 )
 
-// Value is a runtime value. Bool is stored in I (0/1).
+// Value is a runtime value: 16 bytes holding no Go pointer, so every
+// []Value of a state (globals, locals, object fields, ts arguments) is
+// small to copy and never scanned by the garbage collector. Bool is stored
+// in I (0/1). A function value holds in I its index into the program's
+// function-name table (Compiled.FuncNames); a pointer holds its cell kind
+// and field index in the small fields and the global or object index, or
+// the frame id, in I. Read them through Fn and Ptr.
 type Value struct {
-	Kind Kind
-	I    int64
-	Fn   string
-	Ptr  Cell
+	Kind  Kind
+	cell  CellKind // KPtr: the target's cell kind
+	field int32    // KPtr: field or local index
+	I     int64
 }
 
 // IntV returns an integer value.
@@ -44,11 +51,14 @@ func BoolV(b bool) Value {
 	return Value{Kind: KBool}
 }
 
-// FuncV returns a function-name value.
-func FuncV(name string) Value { return Value{Kind: KFunc, Fn: name} }
-
 // PtrV returns a pointer value.
-func PtrV(c Cell) Value { return Value{Kind: KPtr, Ptr: c} }
+func PtrV(c Cell) Value {
+	v := Value{Kind: KPtr, cell: c.Kind, field: int32(c.Field), I: int64(c.Idx)}
+	if c.Kind == CLocal {
+		v.I = int64(c.FrameID)
+	}
+	return v
+}
 
 // NullV returns the null value.
 func NullV() Value { return Value{Kind: KNull} }
@@ -59,38 +69,42 @@ func UnitV() Value { return Value{Kind: KUnit} }
 // Bool reports the boolean content; callers must ensure Kind==KBool.
 func (v Value) Bool() bool { return v.I != 0 }
 
-// Equal reports value equality. Values of different kinds are unequal,
-// except that null compares equal to null only.
-func (v Value) Equal(w Value) bool {
-	if v.Kind != w.Kind {
-		return false
+// Ptr returns the cell a pointer value addresses; callers must ensure
+// Kind==KPtr.
+func (v Value) Ptr() Cell {
+	c := Cell{Kind: v.cell, Field: int(v.field)}
+	if v.cell == CLocal {
+		c.FrameID = int(v.I)
+	} else {
+		c.Idx = int(v.I)
 	}
-	switch v.Kind {
-	case KInt, KBool:
-		return v.I == w.I
-	case KFunc:
-		return v.Fn == w.Fn
-	case KPtr:
-		return v.Ptr == w.Ptr
-	case KNull, KUnit:
-		return true
-	}
-	return false
+	return c
 }
 
-func (v Value) String() string {
+// Fn returns the name of a function value of program c; callers must
+// ensure Kind==KFunc.
+func (v Value) Fn(c *Compiled) string { return c.FuncNames[v.I] }
+
+// Equal reports value equality. Values of different kinds are unequal,
+// except that null compares equal to null only. Every constructor leaves
+// the fields its kind does not use zero, so equal values are equal words.
+func (v Value) Equal(w Value) bool { return v == w }
+
+// Text renders v as traces and error messages print it, naming function
+// values through c's table.
+func (v Value) Text(c *Compiled) string {
 	switch v.Kind {
 	case KInt:
-		return fmt.Sprintf("%d", v.I)
+		return strconv.FormatInt(v.I, 10)
 	case KBool:
 		if v.I != 0 {
 			return "true"
 		}
 		return "false"
 	case KFunc:
-		return "@" + v.Fn
+		return "@" + v.Fn(c)
 	case KPtr:
-		return v.Ptr.String()
+		return v.Ptr().String()
 	case KNull:
 		return "null"
 	case KUnit:
