@@ -229,10 +229,12 @@ func (c *Config) UnmarshalJSON(data []byte) error {
 //
 //   - Context, Progress, ProgressStates, ProgressEvery: runtime plumbing,
 //     invisible to the verdict.
-//   - SearchWorkers: the parallel search is bit-identical at every
-//     worker count (property-tested in internal/seqcheck and
-//     internal/concheck), so it only moves wall clock and the
-//     scheduling-dependent Stats.Parallel diagnostics.
+//   - SearchWorkers, folded into BFS: 0 runs the depth-first search and
+//     every count >= 1 the breadth-first level engine, whose results are
+//     identical at every worker count and to BFS at 0 workers
+//     (property-tested in internal/seqcheck and internal/concheck), so
+//     a count >= 1 is kept as BFS set and the count itself only moves
+//     wall clock and the scheduling-dependent Stats.Parallel diagnostics.
 //   - ContextBound: consulted only by Explore, ignored by Check.
 //   - MemBudgetMB, except under VisitedCompact: frontier spilling is
 //     bit-identical (eviction only, property-tested in internal/seqcheck
@@ -265,6 +267,9 @@ func (c *Config) Normalized() Config {
 	n.Progress = nil
 	n.ProgressStates = 0
 	n.ProgressEvery = 0
+	if n.SearchWorkers >= 1 {
+		n.BFS = true
+	}
 	n.SearchWorkers = 0
 	n.ContextBound = 0
 	if n.VisitedMode != VisitedCompact {

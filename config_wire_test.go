@@ -3,10 +3,12 @@ package kiss_test
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
 	kiss "repro"
+	"repro/internal/randprog"
 )
 
 // TestConfigWireGolden pins the canonical wire rendering byte-for-byte.
@@ -237,38 +239,92 @@ func TestConfigCanonicalJSONCarriesVersion(t *testing.T) {
 }
 
 // TestConfigCanonicalJSONInvariance: configs differing only in
-// result-invariant knobs (search workers, shards, runtime context,
-// progress plumbing, Explore-only context bound) must share one
-// canonical form — that is what lets a warm cache serve a -search-workers 8
-// resubmission of a -search-workers 0 run.
+// result-invariant knobs (the count of search workers >= 1, runtime
+// context, progress plumbing, Explore-only context bound) must share one
+// canonical form — that is what lets a warm cache serve a
+// -search-workers 8 resubmission of a -search-workers 1 or -bfs run. The
+// count's step from 0 to 1 is not invariant: it switches the depth-first
+// search for the breadth-first one.
 func TestConfigCanonicalJSONInvariance(t *testing.T) {
-	base := kiss.NewConfig(kiss.WithMaxStates(500))
-	variant := kiss.NewConfig(
-		kiss.WithMaxStates(500),
-		kiss.WithSearchWorkers(8),
-		kiss.WithContextBound(3),
-		kiss.WithProgress(func(kiss.Event) {}),
-		kiss.WithProgressCadence(10, 0),
-	)
-	a, err := base.CanonicalJSON()
-	if err != nil {
-		t.Fatal(err)
+	canon := func(opts ...kiss.Option) string {
+		t.Helper()
+		b, err := kiss.NewConfig(append([]kiss.Option{kiss.WithMaxStates(500)}, opts...)...).CanonicalJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
 	}
-	b, err := variant.CanonicalJSON()
-	if err != nil {
-		t.Fatal(err)
+	bfs := canon(kiss.WithBFS())
+	for _, variant := range []string{
+		canon(kiss.WithSearchWorkers(1)),
+		canon(kiss.WithSearchWorkers(8),
+			kiss.WithContextBound(3),
+			kiss.WithProgress(func(kiss.Event) {}),
+			kiss.WithProgressCadence(10, 0)),
+		canon(kiss.WithBFS(), kiss.WithSearchWorkers(8)),
+	} {
+		if variant != bfs {
+			t.Errorf("result-invariant knobs leaked into the canonical form:\n%s\n%s", bfs, variant)
+		}
 	}
-	if string(a) != string(b) {
-		t.Errorf("result-invariant knobs leaked into the canonical form:\n%s\n%s", a, b)
+	dfs := canon()
+	if dfs != canon(kiss.WithContextBound(3)) {
+		t.Error("the context bound leaked into the depth-first canonical form")
+	}
+	if dfs == canon(kiss.WithSearchWorkers(1)) {
+		t.Error("search workers 0 (depth-first) and 1 (breadth-first) share a canonical form")
 	}
 
 	// And a knob that does change the result must change the bytes.
-	c, err := kiss.NewConfig(kiss.WithMaxStates(501)).CanonicalJSON()
+	if dfs == canon(kiss.WithMaxStates(501)) {
+		t.Error("different budgets share a canonical form")
+	}
+}
+
+// TestCanonicalFormSeparatesSearchEngines is the regression case of the
+// result cache keying two search engines as one: on this program the
+// depth-first search (search workers 0) and the breadth-first one (1)
+// report different traces and state counts, so their canonical forms
+// must differ, while the breadth-first configs that share a form report
+// one result.
+func TestCanonicalFormSeparatesSearchEngines(t *testing.T) {
+	prog, err := kiss.Parse(randprog.Generate(6, randprog.Default))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(a) == string(c) {
-		t.Error("different budgets share a canonical form")
+	base := []kiss.Option{kiss.WithMaxTS(1), kiss.WithRaceTarget(kiss.RaceTarget{Global: "g0"})}
+	run := func(opts ...kiss.Option) (string, string) {
+		t.Helper()
+		cfg := kiss.NewConfig(append(append([]kiss.Option(nil), base...), opts...)...)
+		cj, err := cfg.CanonicalJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := cfg.Check(prog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Verdict != kiss.Error {
+			t.Fatalf("verdict %s, want an error", res.Verdict)
+		}
+		return string(cj), fmt.Sprintf("%d events, %d states, %s", len(res.SeqEvents), res.States, res.Message)
+	}
+	dfsKey, dfsRes := run()
+	bfsKey, bfsRes := run(kiss.WithBFS())
+	if dfsRes == bfsRes {
+		t.Fatalf("the engines agree (%s); the case no longer separates them", dfsRes)
+	}
+	if dfsKey == bfsKey {
+		t.Error("depth-first and breadth-first configs share a canonical form")
+	}
+	for _, w := range []int{1, 8} {
+		key, res := run(kiss.WithSearchWorkers(w))
+		if key != bfsKey {
+			t.Errorf("search workers %d: canonical form differs from BFS's", w)
+		}
+		if res != bfsRes {
+			t.Errorf("search workers %d reports %s under BFS's key, which holds %s", w, res, bfsRes)
+		}
 	}
 }
 

@@ -328,7 +328,12 @@ func (c *Coordinator) execute(ctx context.Context, src string, cfg *kiss.Config,
 	if cfg == nil {
 		cfg = kiss.NewConfig()
 	}
-	key, err := service.CacheKey(prog.Source(), cfg)
+	// A backend keys on the config with its own search workers applied;
+	// the coordinator cannot know them, so it keys as a backend at the
+	// default (0, depth-first) does, with the submitted count cleared.
+	keyed := *cfg
+	keyed.SearchWorkers = 0
+	key, err := service.CacheKey(prog.Source(), &keyed)
 	if err != nil {
 		return nil, &requestError{msg: fmt.Sprintf("canonicalizing config: %v", err)}
 	}

@@ -392,6 +392,31 @@ func TestProxyCheckAndShardedCache(t *testing.T) {
 	}
 }
 
+// TestCoordinatorKeysAtDefaultSearchWorkers: backends key a job with
+// their own search workers applied (0 here), so the coordinator keys it
+// with the submitted count cleared; a resubmission asking for 8 workers
+// then finds the entry under the owner's key.
+func TestCoordinatorKeysAtDefaultSearchWorkers(t *testing.T) {
+	c := newCluster(t, Config{HealthEvery: 50 * time.Millisecond}, "a")
+	ctx := context.Background()
+	src := chaosSrc(3)
+	req := service.CheckRequest{Source: src, Config: kiss.NewConfig(kiss.WithSearchWorkers(8))}
+	if _, err := c.cl.Do(ctx, req); err != nil {
+		t.Fatal(err)
+	}
+	before := c.metric("kiss_coord_owner_cache_hits_total")
+	again, err := c.cl.Do(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !again.Cached || c.metric("kiss_coord_owner_cache_hits_total") != before+1 {
+		t.Error("the resubmission missed the owner's cache under the coordinator's key")
+	}
+	if got, want := normalize(t, again.Result), normalize(t, localWire(t, src)); got != want {
+		t.Fatalf("cluster result differs from a local depth-first run:\n got %s\nwant %s", got, want)
+	}
+}
+
 // TestTenantAdmission: named tenants draw from their bucket and get 429
 // + Retry-After when it runs dry; unnamed tenants are not charged.
 func TestTenantAdmission(t *testing.T) {

@@ -88,12 +88,21 @@ func TestCacheKeyStability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := CacheKey(src, kiss.NewConfig(kiss.WithMaxStates(100), kiss.WithSearchWorkers(8)))
+	bfs, err := CacheKey(src, kiss.NewConfig(kiss.WithMaxStates(100), kiss.WithBFS()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a != b {
-		t.Error("search-workers changed the content address")
+	for _, w := range []int{1, 8} {
+		b, err := CacheKey(src, kiss.NewConfig(kiss.WithMaxStates(100), kiss.WithSearchWorkers(w)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b != bfs {
+			t.Errorf("search workers %d and BFS have different content addresses", w)
+		}
+	}
+	if a == bfs {
+		t.Error("search workers 0 (depth-first) and BFS share a content address")
 	}
 	cDiff, err := CacheKey(src, kiss.NewConfig(kiss.WithMaxStates(101)))
 	if err != nil {

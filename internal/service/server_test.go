@@ -314,6 +314,25 @@ func TestMemBudgetCeiling(t *testing.T) {
 	}
 }
 
+// TestSearchWorkersKey: the server applies its own search workers before
+// the cache key is computed. At 1 worker every job runs the breadth-first
+// engine, so a job submitted without BFS is cached under BFS's key and a
+// BFS resubmission hits it, whatever worker count either job asked for.
+func TestSearchWorkersKey(t *testing.T) {
+	_, cl := newTestServer(t, Config{Workers: 1, SearchWorkers: 1})
+	ctx := context.Background()
+	if _, err := cl.Check(ctx, bigSrc, kiss.NewConfig(kiss.WithMaxStates(2000)), 0); err != nil {
+		t.Fatal(err)
+	}
+	hit, err := cl.Check(ctx, bigSrc, kiss.NewConfig(kiss.WithBFS(), kiss.WithMaxStates(2000)), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !hit.Cached {
+		t.Error("a BFS job missed the entry a job run breadth-first under the server's workers wrote")
+	}
+}
+
 // TestHealthz: version and counters surface through /healthz.
 func TestHealthz(t *testing.T) {
 	_, cl := newTestServer(t, Config{Workers: 1, Version: "v1.2.3-test"})
