@@ -9,17 +9,23 @@ import (
 )
 
 // TestMacroDifferential: on fully explored two-threaded random programs,
-// macro-step compression on and off produce the same verdict, failure,
-// and counterexample trace at SearchWorkers 0, 1, and 8, in both
-// unbounded and context-bounded modes. Deadlocks is deliberately not
-// compared: pruning drops infeasible sole-live branch endpoints that the
-// per-statement search counts as blocked states (see the
+// macro-step compression on and off produce the same verdict at
+// SearchWorkers 0, 1, and 8, in both unbounded and context-bounded modes.
+// At 0 (depth-first) they also report the same failure and counterexample
+// trace. At 1 and 8 (the breadth-first level engine) the macro search
+// drains its frontier in arrival order and may report another of several
+// shortest failures, so it must report a trace as long as the
+// per-statement one, and one failure and trace at both worker counts (as
+// TestReplayedTraceMatchesReference checks). Deadlocks is deliberately
+// not compared: pruning drops infeasible sole-live branch endpoints that
+// the per-statement search counts as blocked states (see the
 // DisableMacroSteps doc), and stored-state counters may only shrink.
 func TestMacroDifferential(t *testing.T) {
 	var onStates, offStates, errors int
 	for seed := int64(0); seed < 25; seed++ {
 		src := randprog.GenerateTwoThreaded(seed, randprog.Default)
 		for _, bound := range []int{-1, 2} {
+			var level *Result // the macro level engine's result at 1 worker
 			for _, w := range []int{0, 1, 8} {
 				base := Options{ContextBound: bound, SearchWorkers: w, MaxStates: 200000}
 				offOpts := base
@@ -34,13 +40,24 @@ func TestMacroDifferential(t *testing.T) {
 						seed, bound, w, on.Verdict, off.Verdict, src)
 					continue
 				}
-				if !reflect.DeepEqual(on.Failure, off.Failure) {
-					t.Errorf("seed %d bound %d workers %d: failure diverged:\n on  %v\n off %v",
-						seed, bound, w, on.Failure, off.Failure)
-				}
-				if !reflect.DeepEqual(on.Trace, off.Trace) {
-					t.Errorf("seed %d bound %d workers %d: trace diverged (%d vs %d events):\n on  %v\n off %v",
-						seed, bound, w, len(on.Trace), len(off.Trace), on.Trace, off.Trace)
+				switch {
+				case w == 0:
+					if !reflect.DeepEqual(on.Failure, off.Failure) {
+						t.Errorf("seed %d bound %d workers %d: failure diverged:\n on  %v\n off %v",
+							seed, bound, w, on.Failure, off.Failure)
+					}
+					if !reflect.DeepEqual(on.Trace, off.Trace) {
+						t.Errorf("seed %d bound %d workers %d: trace diverged (%d vs %d events):\n on  %v\n off %v",
+							seed, bound, w, len(on.Trace), len(off.Trace), on.Trace, off.Trace)
+					}
+				case len(on.Trace) != len(off.Trace):
+					t.Errorf("seed %d bound %d workers %d: macro trace has %d events, per-statement %d",
+						seed, bound, w, len(on.Trace), len(off.Trace))
+				case level == nil:
+					level = on
+				case !reflect.DeepEqual(on.Failure, level.Failure) || !reflect.DeepEqual(on.Trace, level.Trace):
+					t.Errorf("seed %d bound %d workers %d: macro failure %v or its trace differs from 1 worker's %v",
+						seed, bound, w, on.Failure, level.Failure)
 				}
 				if on.States > off.States {
 					t.Errorf("seed %d bound %d workers %d: compression stored more states (%d) than per-statement (%d)",
