@@ -5,7 +5,7 @@ GO ?= go
 VERSION ?= $(shell git describe --tags --always --dirty 2>/dev/null || echo dev)
 LDFLAGS := -ldflags "-X main.version=$(VERSION)"
 
-.PHONY: build test vet fmt bench-test race verify bench bench-smoke serve-smoke cluster-smoke benchall
+.PHONY: build test vet fmt bench-test race verify bench bench-smoke bench-ab serve-smoke cluster-smoke benchall
 
 build:
 	$(GO) build $(LDFLAGS) ./...
@@ -78,6 +78,24 @@ bench-smoke:
 	@grep -q '"cb_only": true' .bench-smoke.json && grep -q '"sound": true' .bench-smoke.json || { echo "bench-smoke: seqbench found no CB-only bug"; rm -f .bench-smoke.json; exit 1; }
 	@rm -f .bench-smoke.json
 	@echo "bench-smoke: seqbench artifact non-empty; CB finds scenario bugs KISS misses"
+
+# bench-ab is the end-to-end A/B of a change: it extracts AB_BASE and
+# AB_HEAD with git archive into temp directories, runs PAIRS alternating
+# pairs of `bash bench/run.sh` (AB_SECONDS each, seeds AB_SEED,
+# AB_SEED+1, ...) on every workload of BENCHMARK.json (or AB_WORKLOADS),
+# appends each run's JSON result to AB_OUT, and prints every end-to-end
+# metric's medians, quartiles and the pairs the head wins. With the
+# defaults it takes about an hour; `go run ./cmd/benchab -summary FILE`
+# reprints a table from an artifact. Not part of verify or CI.
+AB_BASE ?= HEAD~1
+AB_HEAD ?= HEAD
+PAIRS ?= 10
+AB_SECONDS ?= 40
+AB_SEED ?= 1
+AB_OUT ?= BENCH_AB.jsonl
+AB_WORKLOADS ?=
+bench-ab:
+	$(GO) run ./cmd/benchab -base $(AB_BASE) -head $(AB_HEAD) -pairs $(PAIRS) -seconds $(AB_SECONDS) -seed $(AB_SEED) -o $(AB_OUT) $(AB_WORKLOADS)
 
 # serve-smoke is the kissd acceptance loop: start the daemon on a
 # loopback port, run a two-driver corpus slice through it twice, require
