@@ -85,8 +85,9 @@ bench-smoke:
 # AB_SEED+1, ...) on every workload of BENCHMARK.json (or AB_WORKLOADS),
 # appends each run's JSON result to AB_OUT, and prints every end-to-end
 # metric's medians, quartiles and the pairs the head wins. With the
-# defaults it takes about an hour; `go run ./cmd/benchab -summary FILE`
-# reprints a table from an artifact. Not part of verify or CI.
+# defaults it takes about 45 minutes on 2 CPUs; `go run ./cmd/benchab
+# -summary FILE` reprints the table from an artifact. Not part of verify
+# or CI.
 AB_BASE ?= HEAD~1
 AB_HEAD ?= HEAD
 PAIRS ?= 10

@@ -144,11 +144,11 @@ func DecodeSnapshot(c *Compiled, data []byte) (*State, error) {
 // budget conservative (the frontier spills no later than a precise count
 // would allow).
 //
-// valueBytes no longer equals unsafe.Sizeof(Value{}) (16 since values
-// became pointer-free words; DESIGN.md decision 25). It keeps the old
-// 56-byte charge because the estimate decides where the frontier spills:
-// a smaller charge would move spill points and so the states a budgeted
-// search explores, a change of results of its own.
+// valueBytes is not unsafe.Sizeof(Value{}), which is 16 (DESIGN.md
+// decision 25). It keeps a 56-byte charge because the estimate decides
+// where the frontier spills: a smaller charge would move spill points,
+// and so the spill counters a search reports, a change of results of
+// its own.
 func (s *State) MemSize() int {
 	const valueBytes = 56
 	n := 160 + valueBytes*len(s.Globals)

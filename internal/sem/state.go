@@ -25,8 +25,8 @@ type Pending struct {
 	Args []Value
 }
 
-// Text renders p as the ts multiset orders and traces print it, naming
-// function values through c's table.
+// Text renders p as the canonical ts multiset order sorts and
+// deduplicates entries, naming function values through c's table.
 func (p Pending) Text(c *Compiled) string {
 	parts := make([]string, len(p.Args))
 	for i, a := range p.Args {
