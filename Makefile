@@ -81,22 +81,17 @@ bench-smoke:
 
 # bench-ab is the end-to-end A/B of a change: it extracts AB_BASE and
 # AB_HEAD with git archive into temp directories, runs PAIRS alternating
-# pairs of `bash bench/run.sh` (AB_SECONDS each, seeds AB_SEED,
-# AB_SEED+1, ...) on every workload of BENCHMARK.json (or AB_WORKLOADS),
-# appends each run's JSON result to AB_OUT, and prints every end-to-end
-# metric's medians, quartiles and the pairs the head wins. With the
-# defaults it takes about 45 minutes on 2 CPUs; `go run ./cmd/benchab
+# pairs of `bash bench/run.sh` (run_seconds of BENCHMARK.json each, seeds
+# AB_SEED, AB_SEED+1, ...) on every workload of BENCHMARK.json, writes
+# each run's JSON result to AB_OUT, which must not exist yet, and prints
+# every end-to-end metric's medians, quartiles and the pairs the head
+# wins. AB_OUT is required; the other variables are passed only when set,
+# so their defaults are cmd/benchab's (HEAD~1, HEAD, 10 pairs, seed 1).
+# With those it takes about 45 minutes on 2 CPUs; `go run ./cmd/benchab
 # -summary FILE` reprints the table from an artifact. Not part of verify
 # or CI.
-AB_BASE ?= HEAD~1
-AB_HEAD ?= HEAD
-PAIRS ?= 10
-AB_SECONDS ?= 40
-AB_SEED ?= 1
-AB_OUT ?= BENCH_AB.jsonl
-AB_WORKLOADS ?=
 bench-ab:
-	$(GO) run ./cmd/benchab -base $(AB_BASE) -head $(AB_HEAD) -pairs $(PAIRS) -seconds $(AB_SECONDS) -seed $(AB_SEED) -o $(AB_OUT) $(AB_WORKLOADS)
+	$(GO) run ./cmd/benchab -o "$(AB_OUT)" $(if $(AB_BASE),-base $(AB_BASE)) $(if $(AB_HEAD),-head $(AB_HEAD)) $(if $(PAIRS),-pairs $(PAIRS)) $(if $(AB_SEED),-seed $(AB_SEED))
 
 # serve-smoke is the kissd acceptance loop: start the daemon on a
 # loopback port, run a two-driver corpus slice through it twice, require

@@ -1,15 +1,16 @@
 // Command benchab runs the end-to-end benchmark (BENCHMARK.json) as an
 // A/B comparison of two revisions and summarizes it.
 //
-//	go run ./cmd/benchab -base HEAD~1 -head HEAD -pairs 10 -seconds 40 -seed 1 -o ab.jsonl
+//	go run ./cmd/benchab -base HEAD~1 -head HEAD -pairs 10 -seed 1 -o ab.jsonl
 //	go run ./cmd/benchab -summary ab.jsonl
 //
 // Each revision is extracted with `git archive` into a directory of its
 // own under the system temp directory, and `bash bench/run.sh` runs
 // there, so both sides build from committed files only. For every
-// workload, pair i runs both revisions on seed+i, alternating which goes
-// first. Every run's JSON result is appended to the -o file as one line
-// as soon as it finishes; the summary (per metric: each side's median
+// workload of BENCHMARK.json, pair i runs both revisions on seed+i for
+// the file's run_seconds, alternating which goes first. The -o file must
+// not exist yet; every run's JSON result is appended to it as one line
+// as soon as it finishes. The summary (per metric: each side's median
 // and quartiles, the ratio of medians, and the pairs the head wins) is
 // printed at the end, and -summary reprints it from such a file.
 package main
@@ -30,7 +31,8 @@ import (
 
 // benchSpec is the part of BENCHMARK.json the comparison reads.
 type benchSpec struct {
-	Workloads []struct {
+	RunSeconds float64 `json:"run_seconds"`
+	Workloads  []struct {
 		Name string `json:"name"`
 	} `json:"workloads"`
 	EndToEnd []struct {
@@ -65,9 +67,8 @@ func main() {
 	base := flag.String("base", "HEAD~1", "base revision")
 	head := flag.String("head", "HEAD", "head revision (the change)")
 	pairs := flag.Int("pairs", 10, "alternating pairs per workload")
-	seconds := flag.Float64("seconds", 40, "length of one run")
 	seed := flag.Int64("seed", 1, "seed of the first pair; pair i runs seed+i")
-	out := flag.String("o", "", "artifact: one JSON line per run (required unless -summary)")
+	out := flag.String("o", "", "artifact to create: one JSON line per run (required unless -summary)")
 	summary := flag.String("summary", "", "only print the summary of an existing artifact")
 	flag.Parse()
 
@@ -86,21 +87,28 @@ func main() {
 	if *out == "" {
 		fatal(fmt.Errorf("-o is required"))
 	}
-	workloads := flag.Args()
-	if len(workloads) == 0 {
-		for _, w := range spec.Workloads {
-			workloads = append(workloads, w.Name)
-		}
+	if flag.NArg() > 0 {
+		fatal(fmt.Errorf("unexpected arguments %q: every run covers all workloads of BENCHMARK.json", flag.Args()))
+	}
+	if spec.RunSeconds <= 0 {
+		fatal(fmt.Errorf("BENCHMARK.json has no run_seconds"))
 	}
 
-	if err := compare(spec, *base, *head, *out, workloads, *pairs, *seed, *seconds); err != nil {
+	if err := compare(spec, *base, *head, *out, *pairs, *seed); err != nil {
 		fatal(err)
 	}
 }
 
 // compare extracts both revisions, runs the pairs, writes the artifact
 // and prints the summary.
-func compare(spec *benchSpec, base, head, out string, workloads []string, pairs int, seed int64, seconds float64) error {
+func compare(spec *benchSpec, base, head, out string, pairs int, seed int64) error {
+	// Create the artifact first, so an existing one is never overwritten
+	// and a bad path fails before any run.
+	f, err := os.OpenFile(out, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
 	tmp, err := os.MkdirTemp("", "bench-ab-")
 	if err != nil {
 		return err
@@ -117,13 +125,9 @@ func compare(spec *benchSpec, base, head, out string, workloads []string, pairs 
 		}
 	}
 
-	f, err := os.Create(out)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
 	var recs []record
-	for _, w := range workloads {
+	for _, wl := range spec.Workloads {
+		w := wl.Name
 		for i := 0; i < pairs; i++ {
 			order := []string{"base", "head"}
 			if i%2 == 1 {
@@ -132,7 +136,7 @@ func compare(spec *benchSpec, base, head, out string, workloads []string, pairs 
 			for k, arm := range order {
 				s := seed + int64(i)
 				fmt.Fprintf(os.Stderr, "benchab: %s pair %d/%d seed %d %s\n", w, i+1, pairs, s, arm)
-				res, err := runBench(dirs[arm], w, s, seconds)
+				res, err := runBench(dirs[arm], w, s, spec.RunSeconds)
 				if err != nil {
 					return fmt.Errorf("%s %s seed %d: %w", arm, w, s, err)
 				}

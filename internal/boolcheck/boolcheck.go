@@ -599,10 +599,7 @@ func (ck *checker) eval(cf *sem.CompiledFunc, e *env, x ast.Expr) (sem.Value, *e
 	case *ast.BoolLit:
 		return sem.BoolV(x.Value), nil
 	case *ast.FuncLit:
-		if v, ok := ck.c.FuncV(x.Name); ok {
-			return v, nil
-		}
-		return sem.Value{}, &evalErr{x.Pos, "function constant @" + x.Name + " missing from the name table"}
+		return ck.c.FuncV(x.Name), nil
 	case *ast.VarExpr:
 		if idx, ok := cf.VarIdx[x.Name]; ok {
 			return e.locals[idx], nil

@@ -125,9 +125,20 @@ type Compiled struct {
 	funcDef  []*CompiledFunc  // definition of each name, nil if undefined
 }
 
-// FuncV returns the function value naming name, and false if no function
-// constant of the program names it.
-func (c *Compiled) FuncV(name string) (Value, bool) {
+// FuncV returns the value of the program's function constant @name.
+// Compile puts every function constant of the code into the name table,
+// so a name that is not there is a caller's bug and FuncV panics.
+func (c *Compiled) FuncV(name string) Value {
+	v, ok := c.lookupFunc(name)
+	if !ok {
+		panic("sem: function constant @" + name + " missing from the name table")
+	}
+	return v
+}
+
+// lookupFunc returns the function value naming name, and false if no
+// function constant of the program names it.
+func (c *Compiled) lookupFunc(name string) (Value, bool) {
 	id, ok := c.funcID[name]
 	return Value{Kind: KFunc, I: id}, ok
 }

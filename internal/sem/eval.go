@@ -100,10 +100,7 @@ func (s *State) Eval(fr *Frame, e ast.Expr) (Value, *RuntimeError) {
 	case *ast.BoolLit:
 		return BoolV(e.Value), nil
 	case *ast.FuncLit:
-		if v, ok := s.C.FuncV(e.Name); ok {
-			return v, nil
-		}
-		return Value{}, rterrf(e.Pos, "function constant @%s missing from the name table", e.Name)
+		return s.C.FuncV(e.Name), nil
 	case *ast.NullLit:
 		return NullV(), nil
 	case *ast.VarExpr:

@@ -454,13 +454,7 @@ func TestFingerprintDistinguishesStates(t *testing.T) {
 
 func TestValueEquality(t *testing.T) {
 	c := compile(t, `func f() { } func g() { } func main() { }`)
-	fv := func(name string) Value {
-		v, ok := c.FuncV(name)
-		if !ok {
-			t.Fatalf("no function value %s", name)
-		}
-		return v
-	}
+	fv := c.FuncV
 	cases := []struct {
 		a, b Value
 		eq   bool

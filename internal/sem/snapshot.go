@@ -264,7 +264,7 @@ func (d *snapDecoder) value() Value {
 		v.I = d.varint()
 	case KFunc:
 		name := d.str()
-		fv, ok := d.c.FuncV(name)
+		fv, ok := d.c.lookupFunc(name)
 		if !ok && d.err == nil {
 			d.err = fmt.Errorf("sem: snapshot references unknown function %q", name)
 		}
