@@ -10,7 +10,10 @@
 // cache. Identical work lands on the same backend and is answered from
 // its cache; after a membership change (a backend died or came back)
 // the coordinator probes the other members' caches before recomputing,
-// so a rebalance costs lookups, not re-exploration.
+// so a rebalance costs lookups, not re-exploration. A backend keys a
+// job on the config with its own -search-workers and -mem-budget-mb
+// applied, which its /healthz reports, so each lookup uses the key that
+// the probed backend stores the job under.
 //
 // Endpoints:
 //
@@ -72,15 +75,19 @@ type Config struct {
 
 // backend is one kissd plus its routing state. healthy is flipped by
 // the health loop and by request-time failures; the last health poll's
-// queue depth and jobs-done counters feed the coordinator gauges.
+// queue depth and jobs-done counters feed the coordinator gauges, and
+// its search workers and memory ceiling give the key the backend caches
+// a job under (the kissd defaults, 0 and none, until the first poll).
 type backend struct {
 	name string
 	url  string
 	cl   *service.Client
 
-	healthy    atomic.Bool
-	queueDepth atomic.Int64
-	jobsDone   atomic.Int64
+	healthy       atomic.Bool
+	queueDepth    atomic.Int64
+	jobsDone      atomic.Int64
+	searchWorkers atomic.Int64
+	memBudgetMB   atomic.Int64
 }
 
 // Coordinator routes checks across the backend fleet. Create with New,
@@ -228,29 +235,31 @@ func (c *Coordinator) registerMetrics() {
 		"Batch submissions accepted.", nil)
 }
 
-// healthLoop polls one backend's /healthz on the configured cadence,
-// updating its gauges and flipping it in or out of the ring on status
-// transitions.
+// healthLoop polls one backend's /healthz at once and then on the
+// configured cadence, updating its gauges and key settings and flipping
+// it in or out of the ring on status transitions.
 func (c *Coordinator) healthLoop(b *backend) {
 	defer c.wg.Done()
 	tick := time.NewTicker(c.cfg.HealthEvery)
 	defer tick.Stop()
 	for {
-		select {
-		case <-c.stop:
-			return
-		case <-tick.C:
-		}
 		ctx, cancel := context.WithTimeout(context.Background(), c.cfg.ProbeTimeout)
 		h, err := b.cl.Health(ctx)
 		cancel()
 		if err != nil || h.Status != "ok" {
 			c.markDown(b)
-			continue
+		} else {
+			b.queueDepth.Store(int64(h.QueueDepth))
+			b.jobsDone.Store(h.JobsDone)
+			b.searchWorkers.Store(int64(h.SearchWorkers))
+			b.memBudgetMB.Store(int64(h.MemBudgetMB))
+			c.markUp(b)
 		}
-		b.queueDepth.Store(int64(h.QueueDepth))
-		b.jobsDone.Store(h.JobsDone)
-		c.markUp(b)
+		select {
+		case <-c.stop:
+			return
+		case <-tick.C:
+		}
 	}
 }
 
@@ -286,7 +295,7 @@ func (c *Coordinator) rebuildRing() {
 }
 
 // outcome is one job's resolved result, shared between the proxy and
-// batch paths.
+// batch paths. key is the job's routing key.
 type outcome struct {
 	key     string
 	backend string
@@ -328,12 +337,14 @@ func (c *Coordinator) execute(ctx context.Context, src string, cfg *kiss.Config,
 	if cfg == nil {
 		cfg = kiss.NewConfig()
 	}
-	// A backend keys on the config with its own search workers applied;
-	// the coordinator cannot know them, so it keys as a backend at the
-	// default (0, depth-first) does, with the submitted count cleared.
-	keyed := *cfg
-	keyed.SearchWorkers = 0
-	key, err := service.CacheKey(prog.Source(), &keyed)
+	// The routing key must not depend on which backend runs the job, and
+	// every backend replaces the submitted search workers with its own,
+	// so it is the key of the submitted config with the count cleared.
+	// Flights are deduplicated on it too.
+	canon := prog.Source()
+	routed := *cfg
+	routed.SearchWorkers = 0
+	key, err := service.CacheKey(canon, &routed)
 	if err != nil {
 		return nil, &requestError{msg: fmt.Sprintf("canonicalizing config: %v", err)}
 	}
@@ -352,7 +363,7 @@ func (c *Coordinator) execute(ctx context.Context, src string, cfg *kiss.Config,
 	c.flights[key] = f
 	c.flightMu.Unlock()
 
-	f.out, f.err = c.resolve(ctx, key, src, cfg, timeoutMS)
+	f.out, f.err = c.resolve(ctx, key, src, canon, cfg, timeoutMS)
 	c.flightMu.Lock()
 	delete(c.flights, key)
 	c.flightMu.Unlock()
@@ -360,7 +371,9 @@ func (c *Coordinator) execute(ctx context.Context, src string, cfg *kiss.Config,
 	return f.out, f.err
 }
 
-func (c *Coordinator) resolve(ctx context.Context, key, src string, cfg *kiss.Config, timeoutMS int64) (*outcome, error) {
+// resolve finds or computes the outcome of the job routed by key: src as
+// submitted, canon its canonical form.
+func (c *Coordinator) resolve(ctx context.Context, key, src, canon string, cfg *kiss.Config, timeoutMS int64) (*outcome, error) {
 	succ := c.ringPtr.Load().successors(key)
 	if len(succ) == 0 {
 		return nil, errNoBackends
@@ -368,7 +381,7 @@ func (c *Coordinator) resolve(ctx context.Context, key, src string, cfg *kiss.Co
 	owner := succ[0]
 
 	// 1. The owner's cache: the common warm path — same key, same shard.
-	if resp, ok := c.probe(ctx, owner, key); ok {
+	if resp, ok := c.probe(ctx, owner, canon, cfg); ok {
 		c.ownerHits.Inc()
 		return &outcome{key: key, backend: owner.name, cached: true, result: resp.Result}, nil
 	}
@@ -381,7 +394,7 @@ func (c *Coordinator) resolve(ctx context.Context, key, src string, cfg *kiss.Co
 	// state space.
 	if c.epoch.Load() > 0 {
 		for _, p := range succ[1:] {
-			if resp, ok := c.probe(ctx, p, key); ok {
+			if resp, ok := c.probe(ctx, p, canon, cfg); ok {
 				c.peerHits.Inc()
 				return &outcome{key: key, backend: p.name, peer: true, result: resp.Result}, nil
 			}
@@ -445,9 +458,14 @@ func (c *Coordinator) resolve(ctx context.Context, key, src string, cfg *kiss.Co
 	}
 }
 
-// probe asks one backend's content-addressed cache for key. A transport
+// probe asks one backend's content-addressed cache for the job (canon,
+// cfg), under the key that backend's settings give it. A transport
 // failure takes the backend out of the ring and reads as a miss.
-func (c *Coordinator) probe(ctx context.Context, b *backend, key string) (*service.CheckResponse, bool) {
+func (c *Coordinator) probe(ctx context.Context, b *backend, canon string, cfg *kiss.Config) (*service.CheckResponse, bool) {
+	key, err := service.CacheKey(canon, service.Applied(cfg, int(b.searchWorkers.Load()), int(b.memBudgetMB.Load())))
+	if err != nil {
+		return nil, false
+	}
 	pctx, cancel := context.WithTimeout(ctx, c.cfg.ProbeTimeout)
 	defer cancel()
 	resp, ok, err := b.cl.CacheLookup(pctx, key)
@@ -620,12 +638,16 @@ func (c *Coordinator) handleBatch(w http.ResponseWriter, r *http.Request) {
 }
 
 // BackendHealth is one backend's row in the coordinator /healthz body.
+// SearchWorkers and MemBudgetMB are the settings the backend reported at
+// its last health poll.
 type BackendHealth struct {
-	Name       string `json:"name"`
-	URL        string `json:"url"`
-	Healthy    bool   `json:"healthy"`
-	QueueDepth int64  `json:"queue_depth"`
-	JobsDone   int64  `json:"jobs_done"`
+	Name          string `json:"name"`
+	URL           string `json:"url"`
+	Healthy       bool   `json:"healthy"`
+	QueueDepth    int64  `json:"queue_depth"`
+	JobsDone      int64  `json:"jobs_done"`
+	SearchWorkers int64  `json:"search_workers"`
+	MemBudgetMB   int64  `json:"mem_budget_mb,omitempty"`
 }
 
 // Health is the GET /healthz body.
@@ -647,6 +669,7 @@ func (c *Coordinator) Health() Health {
 		h.Backends = append(h.Backends, BackendHealth{
 			Name: b.name, URL: b.url, Healthy: healthy,
 			QueueDepth: b.queueDepth.Load(), JobsDone: b.jobsDone.Load(),
+			SearchWorkers: b.searchWorkers.Load(), MemBudgetMB: b.memBudgetMB.Load(),
 		})
 	}
 	return h

@@ -155,16 +155,23 @@ func (f *flakyBackend) serve(s *service.Server) {
 }
 
 type cluster struct {
-	t        *testing.T
-	co       *Coordinator
-	cl       *service.Client
-	flaky    map[string]*flakyBackend
-	backends map[string]*service.Server
+	t             *testing.T
+	co            *Coordinator
+	cl            *service.Client
+	flaky         map[string]*flakyBackend
+	backends      map[string]*service.Server
+	searchWorkers int // every backend's -search-workers
 }
 
 func newCluster(t *testing.T, cfg Config, names ...string) *cluster {
 	t.Helper()
-	c := &cluster{t: t, flaky: map[string]*flakyBackend{}, backends: map[string]*service.Server{}}
+	return newClusterAt(t, cfg, 0, names...)
+}
+
+// newClusterAt is newCluster with every backend at searchWorkers.
+func newClusterAt(t *testing.T, cfg Config, searchWorkers int, names ...string) *cluster {
+	t.Helper()
+	c := &cluster{t: t, flaky: map[string]*flakyBackend{}, backends: map[string]*service.Server{}, searchWorkers: searchWorkers}
 	for _, name := range names {
 		f := &flakyBackend{}
 		c.flaky[name] = f
@@ -187,7 +194,7 @@ func newCluster(t *testing.T, cfg Config, names ...string) *cluster {
 
 // newBackend swaps a freshly started kissd (empty cache) behind name.
 func (c *cluster) newBackend(name string) {
-	s := service.New(service.Config{Workers: 2, QueueSize: 64})
+	s := service.New(service.Config{Workers: 2, QueueSize: 64, SearchWorkers: c.searchWorkers})
 	c.t.Cleanup(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
@@ -393,9 +400,9 @@ func TestProxyCheckAndShardedCache(t *testing.T) {
 }
 
 // TestCoordinatorKeysAtDefaultSearchWorkers: backends key a job with
-// their own search workers applied (0 here), so the coordinator keys it
-// with the submitted count cleared; a resubmission asking for 8 workers
-// then finds the entry under the owner's key.
+// their own search workers applied (0 here), not the submitted 8, so a
+// resubmission asking for 8 workers finds the entry under the owner's
+// key.
 func TestCoordinatorKeysAtDefaultSearchWorkers(t *testing.T) {
 	c := newCluster(t, Config{HealthEvery: 50 * time.Millisecond}, "a")
 	ctx := context.Background()
@@ -414,6 +421,65 @@ func TestCoordinatorKeysAtDefaultSearchWorkers(t *testing.T) {
 	}
 	if got, want := normalize(t, again.Result), normalize(t, localWire(t, src)); got != want {
 		t.Fatalf("cluster result differs from a local depth-first run:\n got %s\nwant %s", got, want)
+	}
+}
+
+// TestCoordinatorKeysPerBackendSearchWorkers: backends at
+// -search-workers 1 key a job as breadth-first. The coordinator probes
+// each backend under the key its reported setting gives, so a
+// resubmission is an owner-cache hit, and after a ring change the
+// result is found on the backend that computed it while the owner was
+// out, not computed again.
+func TestCoordinatorKeysPerBackendSearchWorkers(t *testing.T) {
+	c := newClusterAt(t, Config{HealthEvery: 50 * time.Millisecond}, 1, "a", "b")
+	ctx := context.Background()
+	deadline := time.Now().Add(10 * time.Second)
+	for reported := 0; reported < 2; {
+		if time.Now().After(deadline) {
+			t.Fatal("backends never reported their search workers")
+		}
+		time.Sleep(10 * time.Millisecond)
+		reported = 0
+		for _, b := range c.co.Health().Backends {
+			if b.SearchWorkers == 1 {
+				reported++
+			}
+		}
+	}
+
+	req := service.CheckRequest{Source: chaosSrc(3)}
+	if _, err := c.cl.Do(ctx, req); err != nil {
+		t.Fatal(err)
+	}
+	again, err := c.cl.Do(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !again.Cached || c.metric("kiss_coord_owner_cache_hits_total") != 1 {
+		t.Fatal("the resubmission missed the owner's cache")
+	}
+
+	// A second job, computed while its home is out of the ring: when
+	// the home returns with an empty cache, the lookup on the backend
+	// that computed it must hit.
+	req = service.CheckRequest{Source: chaosSrc(6)}
+	home := c.co.fullRing.owner(keyOf(t, req.Source)).name
+	c.kill(home)
+	c.waitHealthy(home, false)
+	if _, err := c.cl.Do(ctx, req); err != nil {
+		t.Fatal(err)
+	}
+	c.revive(home)
+	c.waitHealthy(home, true)
+	again, err = c.cl.Do(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !again.Cached || c.metric("kiss_coord_peer_cache_hits_total") != 1 {
+		t.Fatal("after the ring change the lookup missed the cache of the backend that computed the job")
+	}
+	if n := c.metric("kiss_coord_computed_total"); n != 2 {
+		t.Fatalf("%v jobs computed, want 2", n)
 	}
 }
 

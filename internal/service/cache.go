@@ -17,16 +17,19 @@ import (
 // The source half is the parsed program rendered back to concrete syntax
 // (Program.Source), so submissions differing only in whitespace or
 // formatting address the same entry. The config half is
-// Config.CanonicalJSON, which strips runtime plumbing and the
-// result-invariant parallelism knobs — a -search-workers 8 resubmission
-// of a sequential run is, by the PR 3 bit-identity invariant, the same
-// problem and hits the same entry. The canonical form is version-stamped
+// Config.CanonicalJSON, which strips runtime plumbing and folds the
+// search-worker count into the engine it picks: every count >= 1 runs
+// the breadth-first level engine, whose results are identical at every
+// count, so 1 and 8 workers share an entry with bfs, while 0 (the
+// depth-first loop) keys apart. The canonical form is version-stamped
 // ("v":1), so entries from incompatible wire formats can never collide.
+// A server keys the config Applied returns, not the submitted one.
 //
 // The key is exported because it is also the cluster's unit of routing:
 // internal/coord consistent-hashes it to pick the owning backend, making
-// each backend's LRU a shard of one distributed cache, and uses it
-// verbatim for GET /v1/cache/{key} peer lookups.
+// each backend's LRU a shard of one distributed cache, and looks a job
+// up on each backend with GET /v1/cache/{key} under the key that
+// backend's own settings give it.
 func CacheKey(canonSource string, cfg *kiss.Config) (string, error) {
 	cj, err := cfg.CanonicalJSON()
 	if err != nil {
@@ -37,6 +40,20 @@ func CacheKey(canonSource string, cfg *kiss.Config) (string, error) {
 	h.Write([]byte{0}) // unambiguous separator: 0 never appears in source text
 	h.Write(cj)
 	return hex.EncodeToString(h.Sum(nil)), nil
+}
+
+// Applied returns cfg as a server started with searchWorkers
+// (-search-workers) and memBudgetMB (-mem-budget-mb) runs it, which is
+// the config its cache keys the job on: the server's worker count
+// replaces the submitted one, and its memory ceiling replaces a larger
+// or absent budget. cfg itself is not modified.
+func Applied(cfg *kiss.Config, searchWorkers, memBudgetMB int) *kiss.Config {
+	applied := *cfg
+	applied.SearchWorkers = searchWorkers
+	if memBudgetMB > 0 && (cfg.MemBudgetMB == 0 || cfg.MemBudgetMB > memBudgetMB) {
+		applied.MemBudgetMB = memBudgetMB
+	}
+	return &applied
 }
 
 // entryOverhead approximates the per-entry bookkeeping bytes (map slot,

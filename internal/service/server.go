@@ -246,12 +246,7 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 	// the key is computed, so the cache is always keyed on the config the
 	// check actually ran under: the worker count picks the search engine
 	// (0 depth-first, >= 1 breadth-first), which can change the result.
-	applied := *cfg
-	applied.SearchWorkers = s.cfg.SearchWorkers
-	if s.cfg.MemBudgetMB > 0 && (cfg.MemBudgetMB == 0 || cfg.MemBudgetMB > s.cfg.MemBudgetMB) {
-		applied.MemBudgetMB = s.cfg.MemBudgetMB
-	}
-	cfg = &applied
+	cfg = Applied(cfg, s.cfg.SearchWorkers, s.cfg.MemBudgetMB)
 	key, err := CacheKey(prog.Source(), cfg)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, fmt.Sprintf("canonicalizing config: %v", err))
