@@ -11,8 +11,12 @@ import (
 	"testing"
 
 	kiss "repro"
+	"repro/internal/ast"
+	"repro/internal/concheck"
 	"repro/internal/drivers"
 	"repro/internal/eval"
+	ikiss "repro/internal/kiss"
+	"repro/internal/sem"
 )
 
 // BenchmarkTable1 regenerates Table 1: per-field race checking of all 18
@@ -186,9 +190,9 @@ func BenchmarkContextBound(b *testing.B) {
 }
 
 // BenchmarkSummaryVsExplicit compares the two sequential engines on the
-// same KISS-transformed program: the explicit-state explorer (seqcheck)
-// and the summary-based tabulation (boolcheck, the Bebop/RHS
-// architecture).
+// same KISS-transformed program: the explicit-state explorer (concheck
+// at context bound 0) and the summary-based tabulation (boolcheck, the
+// Bebop/RHS architecture).
 func BenchmarkSummaryVsExplicit(b *testing.B) {
 	src := `
 var x;
@@ -305,7 +309,10 @@ func tsName(n int) string { return "ts=" + string(rune('0'+n)) }
 // BenchmarkAliasElision is the ablation for the Section 5 design choice:
 // "We use a static alias analysis to optimize away most of the calls to
 // check_r and check_w." It compares the race-checking state space on a
-// driver field with and without elision.
+// driver field with and without elision. The switch is a transform
+// option only (kiss.Config does not carry it), so the benchmark runs the
+// pipeline's stages directly: race translation, compile, and the
+// sequential check (the explorer at context bound 0).
 func BenchmarkAliasElision(b *testing.B) {
 	model := drivers.Generate(drivers.FindSpec("fdc"))
 	var field string
@@ -316,7 +323,7 @@ func BenchmarkAliasElision(b *testing.B) {
 		}
 	}
 	src := model.HarnessProgram(field, false)
-	target := kiss.RaceTarget{Record: "DEVICE_EXTENSION", Field: field}
+	target := ast.RaceTarget{Record: "DEVICE_EXTENSION", Field: field}
 
 	for _, disable := range []bool{false, true} {
 		name := "elision-on"
@@ -329,10 +336,15 @@ func BenchmarkAliasElision(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				res, err := (&kiss.Config{RaceTarget: &target, DisableAliasElision: disable, MaxStates: 500000}).Check(prog)
+				seq, err := ikiss.TransformRace(prog.AST(), target, ikiss.Options{DisableAliasElision: disable})
 				if err != nil {
 					b.Fatal(err)
 				}
+				c, err := sem.Compile(seq)
+				if err != nil {
+					b.Fatal(err)
+				}
+				res := concheck.Check(c, concheck.Options{MaxStates: 500000})
 				b.ReportMetric(float64(res.States), "states")
 			}
 		})

@@ -20,8 +20,8 @@ func main() {
 }
 `
 
-// bigConfigSrc explores tens of thousands of states — enough for budgets,
-// cancellation, and progress cadences to trip mid-run.
+// bigConfigSrc explores hundreds of thousands of states — enough for
+// budgets, cancellation, and the default progress cadence to trip mid-run.
 const bigConfigSrc = `
 var a;
 var b;
@@ -134,7 +134,8 @@ func TestResultStats(t *testing.T) {
 }
 
 // TestProgressHook: WithProgress receives cadence events mid-run and a
-// final event; the final event carries the run's totals.
+// final event; the final event carries the run's totals. 60,000 states
+// span at least two of the default cadence's 25,000-state intervals.
 func TestProgressHook(t *testing.T) {
 	prog, err := kiss.Parse(bigConfigSrc)
 	if err != nil {
@@ -142,9 +143,8 @@ func TestProgressHook(t *testing.T) {
 	}
 	var events []kiss.Event
 	res, err := kiss.Check(prog,
-		kiss.WithMaxStates(10000),
-		kiss.WithProgress(func(e kiss.Event) { events = append(events, e) }),
-		kiss.WithProgressCadence(1000, time.Hour))
+		kiss.WithMaxStates(60000),
+		kiss.WithProgress(func(e kiss.Event) { events = append(events, e) }))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,8 +182,7 @@ func TestContextCancellationPartialResult(t *testing.T) {
 			if !e.Final && fired.CompareAndSwap(false, true) {
 				cancel()
 			}
-		}),
-		kiss.WithProgressCadence(500, time.Hour))
+		}))
 	if err != nil {
 		t.Fatalf("cancellation surfaced as an error: %v", err)
 	}

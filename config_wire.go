@@ -14,10 +14,10 @@ import (
 // in wireConfig with a fixed snake_case name, and the golden test in
 // config_wire_test.go pins the rendered bytes.
 //
-// The runtime-only fields — Context, Progress, and the progress cadence —
-// are deliberately absent: they parameterize *how* a check runs (who is
-// watching, when it may be interrupted), never *what* it computes, so
-// they have no business in a wire request or a cache key.
+// The runtime-only fields — Context and Progress — are deliberately
+// absent: they parameterize *how* a check runs (who is watching, when it
+// may be interrupted), never *what* it computes, so they have no business
+// in a wire request or a cache key.
 //
 // Every payload leads with an explicit version field "v". The format was
 // frozen as v1 together with the service envelope (internal/service) and
@@ -61,9 +61,16 @@ func CheckWireV(what string, v int) error {
 // wireConfig is the serialized shape of Config. Field order is the
 // canonical order; tags are the canonical names.
 type wireConfig struct {
-	V                   int             `json:"v"`
-	MaxTS               int             `json:"max_ts"`
-	DisableAliasElision bool            `json:"disable_alias_elision"`
+	V     int `json:"v"`
+	MaxTS int `json:"max_ts"`
+	// The Retired* fields are the knobs of deleted mechanisms: the
+	// alias-elision ablation switch (disable_alias_elision, now only an
+	// internal/kiss transform option), the fold memo (disable_fold_memo,
+	// memo_mb), the call-summary table (disable_call_summaries,
+	// summary_mb) and the visited-set shard count (num_shards). Decoding
+	// accepts and ignores them and encoding always renders false/0, so
+	// older payloads still decode and every cache key keeps its bytes.
+	RetiredAliasElision bool            `json:"disable_alias_elision"`
 	Scheduler           string          `json:"scheduler"`
 	RaceTarget          *wireRaceTarget `json:"race_target,omitempty"`
 	Summaries           bool            `json:"summaries"`
@@ -72,19 +79,13 @@ type wireConfig struct {
 	MaxDepth            int             `json:"max_depth"`
 	BFS                 bool            `json:"bfs"`
 	DisableMacroSteps   bool            `json:"disable_macro_steps"`
-	// The Retired* fields are the knobs of deleted mechanisms: the fold
-	// memo (disable_fold_memo, memo_mb), the call-summary table
-	// (disable_call_summaries, summary_mb) and the visited-set shard count
-	// (num_shards). Decoding accepts and ignores them and encoding always
-	// renders false/0, so older payloads still decode and every cache key
-	// keeps its bytes.
-	RetiredFoldMemo  bool `json:"disable_fold_memo"`
-	RetiredMemoMB    int  `json:"memo_mb"`
-	RetiredCallSum   bool `json:"disable_call_summaries"`
-	RetiredSummaryMB int  `json:"summary_mb"`
-	SearchWorkers    int  `json:"search_workers"`
-	RetiredShards    int  `json:"num_shards"`
-	ContextBound     int  `json:"context_bound"`
+	RetiredFoldMemo     bool            `json:"disable_fold_memo"`
+	RetiredMemoMB       int             `json:"memo_mb"`
+	RetiredCallSum      bool            `json:"disable_call_summaries"`
+	RetiredSummaryMB    int             `json:"summary_mb"`
+	SearchWorkers       int             `json:"search_workers"`
+	RetiredShards       int             `json:"num_shards"`
+	ContextBound        int             `json:"context_bound"`
 	// The memory-budget knobs are omitempty: payloads and cache keys
 	// written before they existed decode and re-render byte-identically,
 	// so the v1 freeze holds without a version bump.
@@ -123,30 +124,29 @@ func parseScheduler(s string) (Scheduler, error) {
 }
 
 // MarshalJSON renders the serializable Config knobs in the stable wire
-// format. The runtime-only fields (Context, Progress, ProgressStates,
-// ProgressEvery) are dropped; schedulers render by name.
+// format. The runtime-only fields (Context, Progress) are dropped;
+// schedulers render by name.
 func (c *Config) MarshalJSON() ([]byte, error) {
 	name, ok := schedulerNames[c.Scheduler]
 	if !ok {
 		return nil, fmt.Errorf("kiss: cannot marshal unknown scheduler %d", int(c.Scheduler))
 	}
 	w := wireConfig{
-		V:                   WireV,
-		MaxTS:               c.MaxTS,
-		DisableAliasElision: c.DisableAliasElision,
-		Scheduler:           name,
-		Summaries:           c.Summaries,
-		MaxStates:           c.MaxStates,
-		MaxSteps:            c.MaxSteps,
-		MaxDepth:            c.MaxDepth,
-		BFS:                 c.BFS,
-		DisableMacroSteps:   c.DisableMacroSteps,
-		SearchWorkers:       c.SearchWorkers,
-		ContextBound:        c.ContextBound,
-		VisitedMode:         c.VisitedMode,
-		MemBudgetMB:         c.MemBudgetMB,
-		Sequentialization:   c.Sequentialization,
-		ContextSwitches:     c.ContextSwitches,
+		V:                 WireV,
+		MaxTS:             c.MaxTS,
+		Scheduler:         name,
+		Summaries:         c.Summaries,
+		MaxStates:         c.MaxStates,
+		MaxSteps:          c.MaxSteps,
+		MaxDepth:          c.MaxDepth,
+		BFS:               c.BFS,
+		DisableMacroSteps: c.DisableMacroSteps,
+		SearchWorkers:     c.SearchWorkers,
+		ContextBound:      c.ContextBound,
+		VisitedMode:       c.VisitedMode,
+		MemBudgetMB:       c.MemBudgetMB,
+		Sequentialization: c.Sequentialization,
+		ContextSwitches:   c.ContextSwitches,
 	}
 	if c.RaceTarget != nil {
 		w.RaceTarget = &wireRaceTarget{
@@ -196,21 +196,20 @@ func (c *Config) UnmarshalJSON(data []byte) error {
 		return fmt.Errorf("kiss: negative context-switch bound %d", w.ContextSwitches)
 	}
 	*c = Config{
-		MaxTS:               w.MaxTS,
-		DisableAliasElision: w.DisableAliasElision,
-		Scheduler:           sched,
-		Summaries:           w.Summaries,
-		MaxStates:           w.MaxStates,
-		MaxSteps:            w.MaxSteps,
-		MaxDepth:            w.MaxDepth,
-		BFS:                 w.BFS,
-		DisableMacroSteps:   w.DisableMacroSteps,
-		SearchWorkers:       w.SearchWorkers,
-		ContextBound:        w.ContextBound,
-		VisitedMode:         w.VisitedMode,
-		MemBudgetMB:         w.MemBudgetMB,
-		Sequentialization:   w.Sequentialization,
-		ContextSwitches:     w.ContextSwitches,
+		MaxTS:             w.MaxTS,
+		Scheduler:         sched,
+		Summaries:         w.Summaries,
+		MaxStates:         w.MaxStates,
+		MaxSteps:          w.MaxSteps,
+		MaxDepth:          w.MaxDepth,
+		BFS:               w.BFS,
+		DisableMacroSteps: w.DisableMacroSteps,
+		SearchWorkers:     w.SearchWorkers,
+		ContextBound:      w.ContextBound,
+		VisitedMode:       w.VisitedMode,
+		MemBudgetMB:       w.MemBudgetMB,
+		Sequentialization: w.Sequentialization,
+		ContextSwitches:   w.ContextSwitches,
 	}
 	if w.RaceTarget != nil {
 		c.RaceTarget = &RaceTarget{
@@ -227,19 +226,18 @@ func (c *Config) UnmarshalJSON(data []byte) error {
 // guaranteed to produce identical Check outcomes on the same program, so
 // the normalized form is what a result cache may key on. Dropped fields:
 //
-//   - Context, Progress, ProgressStates, ProgressEvery: runtime plumbing,
-//     invisible to the verdict.
+//   - Context, Progress: runtime plumbing, invisible to the verdict.
 //   - SearchWorkers, folded into BFS: 0 runs the depth-first search and
 //     every count >= 1 the breadth-first level engine, whose results are
 //     identical at every worker count and to BFS at 0 workers
-//     (property-tested in internal/seqcheck and internal/concheck), so
+//     (property-tested in internal/concheck, at context bound 0 too), so
 //     a count >= 1 is kept as BFS set and the count itself only moves
 //     wall clock and the scheduling-dependent Stats.Parallel diagnostics.
 //   - ContextBound: consulted only by Explore, ignored by Check.
 //   - MemBudgetMB, except under VisitedCompact: frontier spilling is
-//     bit-identical (eviction only, property-tested in internal/seqcheck
-//     and internal/concheck), but the budget also sizes the compact
-//     filter, whose false positives are part of the result.
+//     bit-identical (eviction only, property-tested in internal/concheck),
+//     but the budget also sizes the compact filter, whose false positives
+//     are part of the result.
 //
 // Everything else — the transformation knobs, the engine selection, the
 // budgets, BFS, and macro-step compression (which changes the stored-state
@@ -247,9 +245,9 @@ func (c *Config) UnmarshalJSON(data []byte) error {
 // verdict-affecting and is kept, in canonical spelling: "kiss" reduces to
 // "" (they select the same transform), ContextSwitches is zeroed under
 // KISS (ignored there) and defaulted under cb, and the KISS-only
-// transform knobs (MaxTS, Scheduler, alias elision) are zeroed under cb,
-// which never consults them — so configs that must compute the same
-// result render the same bytes.
+// transform knobs (MaxTS, Scheduler) are zeroed under cb, which never
+// consults them — so configs that must compute the same result render the
+// same bytes.
 func (c *Config) Normalized() Config {
 	n := *c
 	if n.Sequentialization == SeqKISS {
@@ -259,14 +257,11 @@ func (c *Config) Normalized() Config {
 		n.ContextSwitches = n.EffectiveContextSwitches()
 		n.MaxTS = 0
 		n.Scheduler = SchedulerNondet
-		n.DisableAliasElision = false
 	} else {
 		n.ContextSwitches = 0
 	}
 	n.Context = nil
 	n.Progress = nil
-	n.ProgressStates = 0
-	n.ProgressEvery = 0
 	if n.SearchWorkers >= 1 {
 		n.BFS = true
 	}

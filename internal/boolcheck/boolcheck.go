@@ -6,11 +6,12 @@
 // analysis) is O(|C| · 2^(g+l))" (Section 4), citing Sharir-Pnueli [37]
 // and Reps-Horwitz-Sagiv [34].
 //
-// Where package seqcheck explores whole configurations (stack included)
-// and therefore diverges on unbounded recursion, boolcheck tabulates
-// *procedure summaries*: path edges (proc, entry valuation, pc, current
-// valuation) and summary edges (proc, entry valuation) -> (exit globals,
-// return value). Recursive programs with finite data terminate — the
+// Where the explicit-state sequential check (package concheck at context
+// bound 0) explores whole configurations (stack included) and therefore
+// diverges on unbounded recursion, boolcheck tabulates *procedure
+// summaries*: path edges (proc, entry valuation, pc, current valuation)
+// and summary edges (proc, entry valuation) -> (exit globals, return
+// value). Recursive programs with finite data terminate — the
 // decidability result the paper leans on.
 //
 // Supported fragment: no heap (new/records), no pointers (&v, *p, p->f),
@@ -33,7 +34,7 @@ import (
 	"repro/internal/stats"
 )
 
-// Verdict mirrors seqcheck's verdicts.
+// Verdict mirrors concheck's verdicts.
 type Verdict int
 
 const (
@@ -72,8 +73,8 @@ const ctxPollStride = 512
 
 // Result reports the verdict and tabulation statistics. Summary-based
 // search does not retain linear counterexample traces (a path edge
-// conflates all call stacks reaching it); use seqcheck when a trace is
-// needed.
+// conflates all call stacks reaching it); use the explicit-state check
+// (concheck) when a trace is needed.
 type Result struct {
 	Verdict   Verdict
 	Failure   *sem.Failure

@@ -3,12 +3,12 @@ package boolcheck
 import (
 	"testing"
 
+	"repro/internal/concheck"
 	ikiss "repro/internal/kiss"
 	"repro/internal/lower"
 	"repro/internal/parser"
 	"repro/internal/randprog"
 	"repro/internal/sem"
-	"repro/internal/seqcheck"
 )
 
 func compile(t *testing.T, src string, maxTS int) *sem.Compiled {
@@ -118,8 +118,8 @@ func main() {
 
 	// The whole-configuration explorer cannot: each recursion depth is a
 	// distinct state, so it exhausts any finite budget.
-	sr := seqcheck.Check(compile(t, src, 0), seqcheck.Options{MaxStates: 2000})
-	if sr.Verdict != seqcheck.ResourceBound {
+	sr := concheck.Check(compile(t, src, 0), concheck.Options{MaxStates: 2000})
+	if sr.Verdict != concheck.ResourceBound {
 		t.Fatalf("expected the explicit-state checker to hit its budget on recursion, got %v", sr)
 	}
 }
@@ -266,14 +266,14 @@ func TestAgreesWithSeqcheckOnKissOutputs(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: unexpectedly out of fragment: %v", seed, err)
 		}
-		sr := seqcheck.Check(c, seqcheck.Options{})
+		sr := concheck.Check(c, concheck.Options{})
 		want := Safe
-		if sr.Verdict == seqcheck.Error {
+		if sr.Verdict == concheck.Error {
 			want = Error
 			agreeErrors++
 		}
 		if br.Verdict != want {
-			t.Errorf("seed %d: boolcheck %v, seqcheck %v\n%s", seed, br.Verdict, sr.Verdict, src)
+			t.Errorf("seed %d: boolcheck %v, explicit-state %v\n%s", seed, br.Verdict, sr.Verdict, src)
 		}
 	}
 	if agreeErrors == 0 {

@@ -18,7 +18,7 @@
 // final assert after linking, for the same reason.
 //
 // Like package kiss, the output is a program in the sequential fragment,
-// checked by package seqcheck unchanged. Unlike KISS's ts-multiset
+// checked by the sequential check (concheck at context bound 0) unchanged. Unlike KISS's ts-multiset
 // discipline — where a killed thread never resumes — CB(K) lets every
 // thread resume K times, making a strictly richer class of interleavings
 // reachable as K grows (the guess domain does not depend on K, so the
@@ -117,7 +117,7 @@ func (o Options) maxPending() int {
 }
 
 // Transform applies the CB(K) translation to a core-form concurrent
-// program, producing a sequential program for seqcheck. Programs outside
+// program, producing a sequential program for the sequential check. Programs outside
 // the supported fragment (heap or pointer operations, indirect asyncs,
 // shared globals without a kind-stable finite guess domain) are rejected
 // with an *UnsupportedError.

@@ -4,12 +4,12 @@ import (
 	"testing"
 
 	"repro/internal/ast"
+	"repro/internal/concheck"
 	"repro/internal/kiss"
 	"repro/internal/lower"
 	"repro/internal/parser"
 	"repro/internal/sem"
 	"repro/internal/sema"
-	"repro/internal/seqcheck"
 )
 
 func parseLowered(t *testing.T, src string) *ast.Program {
@@ -25,8 +25,9 @@ func parseLowered(t *testing.T, src string) *ast.Program {
 	return p
 }
 
-// checkCB transforms under CB(K) and runs seqcheck, returning the verdict.
-func checkCB(t *testing.T, src string, k int) seqcheck.Verdict {
+// checkCB transforms under CB(K) and runs the sequential check, returning
+// the verdict.
+func checkCB(t *testing.T, src string, k int) concheck.Verdict {
 	t.Helper()
 	out, err := Transform(parseLowered(t, src), Options{ContextSwitches: k})
 	if err != nil {
@@ -36,15 +37,15 @@ func checkCB(t *testing.T, src string, k int) seqcheck.Verdict {
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
-	r := seqcheck.Check(c, seqcheck.Options{MaxStates: 2_000_000})
-	if r.Verdict == seqcheck.ResourceBound {
+	r := concheck.Check(c, concheck.Options{MaxStates: 2_000_000})
+	if r.Verdict == concheck.ResourceBound {
 		t.Fatalf("cb(%d): resource bound tripped on a test program", k)
 	}
 	return r.Verdict
 }
 
 // checkKISS runs the KISS pipeline (ts bound 2) on the same source.
-func checkKISS(t *testing.T, src string) seqcheck.Verdict {
+func checkKISS(t *testing.T, src string) concheck.Verdict {
 	t.Helper()
 	out, err := kiss.Transform(parseLowered(t, src), kiss.Options{MaxTS: 2})
 	if err != nil {
@@ -54,8 +55,8 @@ func checkKISS(t *testing.T, src string) seqcheck.Verdict {
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
-	r := seqcheck.Check(c, seqcheck.Options{MaxStates: 2_000_000})
-	if r.Verdict == seqcheck.ResourceBound {
+	r := concheck.Check(c, concheck.Options{MaxStates: 2_000_000})
+	if r.Verdict == concheck.ResourceBound {
 		t.Fatalf("kiss: resource bound tripped on a test program")
 	}
 	return r.Verdict
@@ -132,14 +133,14 @@ func main() {
 `
 
 func TestWorkerResumptionFoundAtK1MissedByKiss(t *testing.T) {
-	if v := checkKISS(t, resume2Src); v != seqcheck.Safe {
+	if v := checkKISS(t, resume2Src); v != concheck.Safe {
 		t.Fatalf("kiss verdict = %v, want Safe (ts discipline cannot resume the worker)", v)
 	}
-	if v := checkCB(t, resume2Src, 0); v != seqcheck.Safe {
+	if v := checkCB(t, resume2Src, 0); v != concheck.Safe {
 		t.Fatalf("cb(0) verdict = %v, want Safe (no switches, handshake cannot complete)", v)
 	}
 	for k := 1; k <= 3; k++ {
-		if v := checkCB(t, resume2Src, k); v != seqcheck.Error {
+		if v := checkCB(t, resume2Src, k); v != concheck.Error {
 			t.Fatalf("cb(%d) verdict = %v, want Error", k, v)
 		}
 	}
@@ -167,14 +168,14 @@ func main() {
 `
 
 func TestThreePhaseHandshakeNeedsTwoSwitches(t *testing.T) {
-	if v := checkKISS(t, resume3Src); v != seqcheck.Safe {
+	if v := checkKISS(t, resume3Src); v != concheck.Safe {
 		t.Fatalf("kiss verdict = %v, want Safe", v)
 	}
-	if v := checkCB(t, resume3Src, 1); v != seqcheck.Safe {
+	if v := checkCB(t, resume3Src, 1); v != concheck.Safe {
 		t.Fatalf("cb(1) verdict = %v, want Safe", v)
 	}
 	for k := 2; k <= 4; k++ {
-		if v := checkCB(t, resume3Src, k); v != seqcheck.Error {
+		if v := checkCB(t, resume3Src, k); v != concheck.Error {
 			t.Fatalf("cb(%d) verdict = %v, want Error", k, v)
 		}
 	}
@@ -194,7 +195,7 @@ func main() {
 }
 `
 	for k := 0; k <= 3; k++ {
-		if v := checkCB(t, src, k); v != seqcheck.Safe {
+		if v := checkCB(t, src, k); v != concheck.Safe {
 			t.Fatalf("cb(%d) verdict = %v, want Safe", k, v)
 		}
 	}
@@ -219,7 +220,7 @@ func main() {
 }
 `
 	for k := 0; k <= 3; k++ {
-		if v := checkCB(t, src, k); v != seqcheck.Safe {
+		if v := checkCB(t, src, k); v != concheck.Safe {
 			t.Fatalf("cb(%d) verdict = %v, want Safe (guess g=2 must not link)", k, v)
 		}
 	}
@@ -246,8 +247,8 @@ func main() {
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
-	r := seqcheck.Check(c, seqcheck.Options{MaxStates: 2_000_000})
-	if r.Verdict != seqcheck.Error {
+	r := concheck.Check(c, concheck.Options{MaxStates: 2_000_000})
+	if r.Verdict != concheck.Error {
 		t.Fatalf("verdict = %v, want Error (three increments reach g == 3)", r.Verdict)
 	}
 }
@@ -267,7 +268,7 @@ func main() {
 }
 `
 	for k := 0; k <= 2; k++ {
-		if v := checkCB(t, src, k); v != seqcheck.Safe {
+		if v := checkCB(t, src, k); v != concheck.Safe {
 			t.Fatalf("cb(%d) verdict = %v, want Safe", k, v)
 		}
 	}
@@ -315,7 +316,7 @@ func main() {
   assert(false);
 }
 `
-	if v := checkCB(t, src, 1); v != seqcheck.Error {
+	if v := checkCB(t, src, 1); v != concheck.Error {
 		t.Fatalf("cb(1) verdict = %v, want Error (done can be observed true)", v)
 	}
 }

@@ -5,7 +5,7 @@
 // number of threads — which is exactly the blowup KISS avoids, and which
 // the blowup benchmark quantifies.
 //
-// The checker serves three roles in this reproduction:
+// The checker serves four roles in this reproduction:
 //
 //  1. Ground truth on small programs: the unsoundness characterization
 //     (Theorem 1) and the no-false-errors property are tested by comparing
@@ -16,9 +16,10 @@
 //     sequential program covers all executions with at most two context
 //     switches.
 //  3. The baseline in the interleaving-blowup study.
-//  4. The search engine of the sequential checker: internal/seqcheck runs
-//     it at ContextBound 0, where only thread 0 ever runs, on the KISS
-//     and CB translations.
+//  4. The sequential checker (SLAM's role in the paper's Figure 1): at
+//     ContextBound 0, the zero value, only thread 0 ever runs, so the
+//     explorer checks the KISS and CB translations under sequential
+//     semantics. kiss.Config.Check calls it there directly.
 package concheck
 
 import (

@@ -9,12 +9,12 @@ import (
 	kiss "repro"
 	"repro/internal/ast"
 	"repro/internal/cbseq"
+	"repro/internal/concheck"
 	"repro/internal/drivers"
 	"repro/internal/lower"
 	"repro/internal/parser"
 	"repro/internal/sem"
 	"repro/internal/sema"
-	"repro/internal/seqcheck"
 )
 
 // parseCore parses and lowers a source into the core form the cbseq
@@ -75,11 +75,11 @@ func TestScenarioMetadataMatchesCheckers(t *testing.T) {
 				if err != nil {
 					t.Fatalf("cb(%d) compile: %v", k, err)
 				}
-				r := seqcheck.Check(c, seqcheck.Options{MaxStates: 2_000_000})
+				r := concheck.Check(c, concheck.Options{MaxStates: 2_000_000})
 				switch r.Verdict {
-				case seqcheck.Safe:
+				case concheck.Safe:
 					return kiss.Safe
-				case seqcheck.Error:
+				case concheck.Error:
 					return kiss.Error
 				default:
 					t.Fatalf("cb(%d): resource bound tripped", k)

@@ -4,10 +4,10 @@ import (
 	"testing"
 
 	"repro/internal/ast"
+	"repro/internal/concheck"
 	"repro/internal/drivers"
 	"repro/internal/randprog"
 	"repro/internal/sem"
-	"repro/internal/seqcheck"
 )
 
 // The thinned transform against the prefix-everywhere reference of
@@ -18,7 +18,7 @@ import (
 
 // verdictOf transforms p (thinned, or with a prefix everywhere) and
 // checks the result with the default sequential search.
-func verdictOf(t *testing.T, p *ast.Program, opts Options, target *ast.RaceTarget, everywhere bool, maxStates int) seqcheck.Verdict {
+func verdictOf(t *testing.T, p *ast.Program, opts Options, target *ast.RaceTarget, everywhere bool, maxStates int) concheck.Verdict {
 	t.Helper()
 	out, err := (&transformer{opts: opts, target: target, everywhere: everywhere}).run(p)
 	if err != nil {
@@ -28,7 +28,7 @@ func verdictOf(t *testing.T, p *ast.Program, opts Options, target *ast.RaceTarge
 	if err != nil {
 		t.Fatal(err)
 	}
-	return seqcheck.Check(c, seqcheck.Options{MaxStates: maxStates}).Verdict
+	return concheck.Check(c, concheck.Options{MaxStates: maxStates}).Verdict
 }
 
 func TestThinnedMatchesEverywhere(t *testing.T) {
@@ -50,11 +50,11 @@ func TestThinnedMatchesEverywhere(t *testing.T) {
 				opts := Options{MaxTS: ts}
 				thin := verdictOf(t, p, opts, target, false, maxStates)
 				ref := verdictOf(t, p, opts, target, true, maxStates)
-				if thin == seqcheck.ResourceBound || ref == seqcheck.ResourceBound {
+				if thin == concheck.ResourceBound || ref == concheck.ResourceBound {
 					continue
 				}
 				compared++
-				if thin == seqcheck.Error {
+				if thin == concheck.Error {
 					errs++
 				}
 				if thin != ref {

@@ -26,7 +26,7 @@
 //
 // The output is a program in the *sequential* fragment of the language
 // (no async, no atomic), to be analyzed by any sequential checker — here
-// package seqcheck, standing in for SLAM.
+// package concheck at context bound 0, standing in for SLAM.
 package kiss
 
 import (

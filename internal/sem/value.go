@@ -3,10 +3,11 @@
 // form, program states with multiple threads, a small-step successor
 // relation, and canonical state fingerprints for explicit-state search.
 //
-// The same semantics serves both checkers: package concheck explores
-// interleavings of all threads (the concurrent semantics of Section 3),
-// while package seqcheck restricts execution to a single thread plus the ts
-// intrinsics (the sequential target semantics of Section 4).
+// The same semantics serves both uses of package concheck: unbounded it
+// explores interleavings of all threads (the concurrent semantics of
+// Section 3), while at context bound 0 it restricts execution to a single
+// thread plus the ts intrinsics (the sequential target semantics of
+// Section 4).
 package sem
 
 import (

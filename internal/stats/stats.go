@@ -2,13 +2,12 @@
 // wall-clock timing, search-loop metrics (states/sec, peak frontier and
 // depth, visited-set size, fingerprint-audit collisions), the Reason enum
 // naming which resource bound ended a search early, and a pluggable
-// progress-event hook fired on a configurable state-count or time cadence
-// so long corpus runs stream liveness instead of going silent.
+// progress-event hook fired on a state-count or time cadence so long
+// corpus runs stream liveness instead of going silent.
 //
-// The package sits below the public facade: both model checkers
-// (internal/seqcheck, internal/concheck) and the summary engine
-// (internal/boolcheck) accept a *Collector and sample into it from their
-// search loops; the facade assembles the final Stats record carried on
+// The package sits below the public facade: the explicit-state model
+// checker (internal/concheck) and the summary engine (internal/boolcheck)
+// accept a *Collector and sample into it from their search loops; the facade assembles the final Stats record carried on
 // kiss.Result, and cmd/kissbench serializes it per corpus entry under
 // -json. A nil *Collector is valid everywhere and costs one predictable
 // branch per sample, so the hot paths need no conditional plumbing.
@@ -359,7 +358,8 @@ type Collector struct {
 // for timing-only collection) on the given cadence: an event fires when
 // the state count grows by everyStates or when every elapses, whichever
 // comes first. Non-positive cadence values fall back to DefaultEveryStates
-// and DefaultEvery.
+// and DefaultEvery, which is all kiss.Config uses; the tests of the
+// searches pass a tighter cadence to see events on small state spaces.
 func NewCollector(hook func(Event), everyStates int, every time.Duration) *Collector {
 	if everyStates <= 0 {
 		everyStates = DefaultEveryStates

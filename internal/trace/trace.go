@@ -70,8 +70,8 @@ type blockState struct {
 	depth    int // frames belonging to this block still on the stack
 }
 
-// Reconstruct converts a sequential error trace produced by seqcheck on a
-// KISS-transformed program into a concurrent trace of the original
+// Reconstruct converts a sequential error trace produced by the sequential
+// check (concheck at context bound 0) on a KISS-transformed program into a concurrent trace of the original
 // program. Thread ids are assigned in fork order: the main thread is 0,
 // and each asynchronous fork (a ts put, or an inlined synchronous
 // execution when ts is full) allocates the next id.

@@ -4,11 +4,11 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/concheck"
 	ikiss "repro/internal/kiss"
 	"repro/internal/lower"
 	"repro/internal/parser"
 	"repro/internal/sem"
-	"repro/internal/seqcheck"
 )
 
 // checkSeq transforms src and model-checks it, returning the sequential
@@ -28,8 +28,8 @@ func checkSeq(t *testing.T, src string, maxTS int) []sem.Event {
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
-	r := seqcheck.Check(c, seqcheck.Options{})
-	if r.Verdict != seqcheck.Error {
+	r := concheck.Check(c, concheck.Options{})
+	if r.Verdict != concheck.Error {
 		t.Fatalf("expected error, got %v", r)
 	}
 	return r.Trace

@@ -1,5 +1,5 @@
 // Package visited provides the sharded visited set shared by the parallel
-// state-space searches (seqcheck, concheck).
+// state-space searches of internal/concheck.
 //
 // The set maps 64-bit state fingerprints to "seen". Sharding by fingerprint
 // bits lets N workers deduplicate concurrently with contention limited to

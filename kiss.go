@@ -7,16 +7,17 @@
 //
 // The pipeline (the paper's Figure 1) is:
 //
-//	concurrent program --Transform--> sequential program --seqcheck--> error trace
-//	                                                          |
-//	                                       reconstructed concurrent trace
+//	concurrent program --Transform--> sequential program --concheck(bound 0)--> error trace
+//	                                                              |
+//	                                           reconstructed concurrent trace
 //
 // This package is the public facade over the internal packages:
 //
 //	internal/lexer,parser,sema,lower  — the parallel-language front end
 //	internal/kiss                     — the Figure 4/5 transformations
-//	internal/seqcheck                 — sequential model checker (SLAM's role)
-//	internal/concheck                 — interleaving explorer (baseline)
+//	internal/concheck                 — explicit-state model checker: at context
+//	                                    bound 0 the sequential checker (SLAM's
+//	                                    role), unbounded the interleaving baseline
 //	internal/trace                    — sequential-to-concurrent trace mapping
 //	internal/alias                    — unification-based alias analysis
 //	internal/stats                    — observability: metrics + progress
@@ -53,7 +54,6 @@ import (
 	"repro/internal/parser"
 	"repro/internal/sem"
 	"repro/internal/sema"
-	"repro/internal/seqcheck"
 	"repro/internal/stats"
 	"repro/internal/trace"
 )
@@ -204,9 +204,6 @@ type Config struct {
 	// MaxTS is the bound MAX on the multiset ts of forked-but-unscheduled
 	// threads (Section 4) — the knob trading coverage for analysis cost.
 	MaxTS int
-	// DisableAliasElision keeps all race checks regardless of the alias
-	// analysis (ablation only; see BenchmarkAliasElision).
-	DisableAliasElision bool
 	// Scheduler selects the scheduling policy of the generated schedule
 	// function (Section 4's pluggable-scheduler remark). The zero value
 	// is the paper's fully nondeterministic scheduler.
@@ -305,16 +302,11 @@ type Config struct {
 	// ReasonDeadline — never an error.
 	Context context.Context
 	// Progress, when non-nil, receives progress events streamed from
-	// inside the search loop on the ProgressStates/ProgressEvery cadence,
-	// plus one final event when the check completes. Hooks must be safe
-	// for concurrent use when the same Config serves concurrent checks.
+	// inside the search loop (one every 25,000 states or 250 ms, whichever
+	// comes first), plus one final event when the check completes. Hooks
+	// must be safe for concurrent use when the same Config serves
+	// concurrent checks.
 	Progress func(Event)
-	// ProgressStates and ProgressEvery set the event cadence (an event
-	// when the state count grows by ProgressStates or ProgressEvery
-	// elapses, whichever is first). Zero values use the defaults
-	// (stats.DefaultEveryStates, stats.DefaultEvery).
-	ProgressStates int
-	ProgressEvery  time.Duration
 }
 
 // Option is a functional option mutating a Config.
@@ -344,10 +336,6 @@ func WithContextSwitches(k int) Option { return func(c *Config) { c.ContextSwitc
 
 // WithScheduler selects the generated schedule function's policy.
 func WithScheduler(s Scheduler) Option { return func(c *Config) { c.Scheduler = s } }
-
-// WithoutAliasElision disables the alias-analysis elision of race checks
-// (ablation only).
-func WithoutAliasElision() Option { return func(c *Config) { c.DisableAliasElision = true } }
 
 // WithRaceTarget selects race checking (Figure 5) on the distinguished
 // variable t.
@@ -420,19 +408,10 @@ func WithContext(ctx context.Context) Option { return func(c *Config) { c.Contex
 // WithProgress registers a progress-event hook.
 func WithProgress(fn func(Event)) Option { return func(c *Config) { c.Progress = fn } }
 
-// WithProgressCadence sets how often progress events fire: when the state
-// count grows by everyStates, or when every elapses, whichever is first.
-func WithProgressCadence(everyStates int, every time.Duration) Option {
-	return func(c *Config) {
-		c.ProgressStates = everyStates
-		c.ProgressEvery = every
-	}
-}
-
 // collector builds this run's stats collector (always non-nil; timing-only
 // when no progress hook is registered).
 func (c *Config) collector() *stats.Collector {
-	return stats.NewCollector(c.Progress, c.ProgressStates, c.ProgressEvery)
+	return stats.NewCollector(c.Progress, 0, 0)
 }
 
 // visitedCompact validates VisitedMode, reporting whether the compact
@@ -469,7 +448,7 @@ func (c *Config) memoryBudget(compact bool) (frontierBytes, filterBytes int64) {
 
 // ikissOptions lowers the transformation knobs.
 func (c *Config) ikissOptions() ikiss.Options {
-	return ikiss.Options{MaxTS: c.MaxTS, DisableAliasElision: c.DisableAliasElision, Scheduler: c.Scheduler}
+	return ikiss.Options{MaxTS: c.MaxTS, Scheduler: c.Scheduler}
 }
 
 // Transform applies the assertion-checking translation (Figure 4) under
@@ -658,22 +637,67 @@ func (c *Config) Check(p *Program) (*Result, error) {
 		return c.checkSummaries(seq, col)
 	}
 
+	out, fail, err := c.search(seq.ast, 0, col)
+	if err != nil {
+		return nil, err
+	}
+	if fail != nil {
+		// A failing assert inside the generated check_r/check_w bodies is
+		// the race monitor firing (Section 5): report it as a race on the
+		// distinguished variable rather than as a raw assertion.
+		if t := seq.ast.RaceTarget; t != nil &&
+			(fail.Fn == ikiss.CheckRFn || fail.Fn == ikiss.CheckWFn) {
+			kind := "read/write"
+			if fail.Fn == ikiss.CheckWFn {
+				kind = "write/write or read/write"
+			}
+			out.Message = fmt.Sprintf("race condition on %s (%s conflict)", t, kind)
+		}
+		if cb {
+			// CB failures surface at the deferred assert in __cb_fin,
+			// after the linking assumes validated the guessed snapshots.
+			// Trace reconstruction assumes KISS-shaped events, so the raw
+			// sequential counterexample is all the CB pipeline reports.
+			if fail.Fn == cbseq.FinFn {
+				n, plural := c.EffectiveContextSwitches(), "es"
+				if n == 1 {
+					plural = ""
+				}
+				out.Message = fmt.Sprintf(
+					"assertion failure reachable within %d context switch%s", n, plural)
+			}
+		} else {
+			out.Trace = trace.Reconstruct(out.SeqEvents)
+		}
+	}
+	col.End(stats.PhaseCheck)
+	col.Finalize(&out.Stats)
+	return out, nil
+}
+
+// search starts PhaseCheck, compiles prog and runs the explicit-state
+// search on it at context bound bound: 0 for the sequential check of a
+// translated program, Config.ContextBound for Explore. It returns the
+// Result with its verdict, failure, raw trace and search Stats filled in,
+// and the failure itself (nil unless the verdict is Error). The caller
+// ends PhaseCheck and finalizes the Stats.
+func (c *Config) search(prog *ast.Program, bound int, col *stats.Collector) (*Result, *sem.Failure, error) {
 	compactVis, err := c.visitedCompact()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	frontierBytes, filterBytes := c.memoryBudget(compactVis)
-
 	col.Start(stats.PhaseCheck)
-	compiled, err := sem.Compile(seq.ast)
+	compiled, err := sem.Compile(prog)
 	if err != nil {
 		col.End(stats.PhaseCheck)
-		return nil, err
+		return nil, nil, err
 	}
-	r := seqcheck.Check(compiled, seqcheck.Options{
+	r := concheck.Check(compiled, concheck.Options{
 		MaxStates:         c.MaxStates,
 		MaxSteps:          c.MaxSteps,
 		MaxDepth:          c.MaxDepth,
+		ContextBound:      bound,
 		BFS:               c.BFS,
 		DisableMacroSteps: c.DisableMacroSteps,
 		SearchWorkers:     c.SearchWorkers,
@@ -683,42 +707,21 @@ func (c *Config) Check(p *Program) (*Result, error) {
 		Context:           c.Context,
 		Collector:         col,
 	})
-
 	out := &Result{Verdict: Verdict(r.Verdict), States: r.States, Steps: r.Steps}
-	if r.Verdict == seqcheck.Error {
+	if r.Verdict == concheck.Error {
 		out.Message = r.Failure.Msg
 		out.Pos = r.Failure.Pos
-		// A failing assert inside the generated check_r/check_w bodies is
-		// the race monitor firing (Section 5): report it as a race on the
-		// distinguished variable rather than as a raw assertion.
-		if t := seq.ast.RaceTarget; t != nil &&
-			(r.Failure.Fn == ikiss.CheckRFn || r.Failure.Fn == ikiss.CheckWFn) {
-			kind := "read/write"
-			if r.Failure.Fn == ikiss.CheckWFn {
-				kind = "write/write or read/write"
-			}
-			out.Message = fmt.Sprintf("race condition on %s (%s conflict)", t, kind)
-		}
 		out.SeqEvents = r.Trace
-		if cb {
-			// CB failures surface at the deferred assert in __cb_fin,
-			// after the linking assumes validated the guessed snapshots.
-			// Trace reconstruction assumes KISS-shaped events, so the raw
-			// sequential counterexample is all the CB pipeline reports.
-			if r.Failure.Fn == cbseq.FinFn {
-				n, plural := c.EffectiveContextSwitches(), "es"
-				if n == 1 {
-					plural = ""
-				}
-				out.Message = fmt.Sprintf(
-					"assertion failure reachable within %d context switch%s", n, plural)
-			}
-		} else {
-			out.Trace = trace.Reconstruct(r.Trace)
-		}
 	}
-	col.End(stats.PhaseCheck)
-	stepped, ratio := compression(r.States, r.StatesStepped)
+	// The per-statement engines leave StatesStepped at zero, meaning
+	// "equal to States".
+	stepped, ratio := r.StatesStepped, 1.0
+	if stepped <= 0 {
+		stepped = r.States
+	}
+	if r.States > 0 {
+		ratio = float64(stepped) / float64(r.States)
+	}
 	out.Stats = Stats{
 		States:           r.States,
 		Steps:            r.Steps,
@@ -732,22 +735,7 @@ func (c *Config) Check(p *Program) (*Result, error) {
 		Parallel:         r.Parallel,
 		Memory:           r.Memory,
 	}
-	col.Finalize(&out.Stats)
-	return out, nil
-}
-
-// compression derives the (StatesStepped, CompressionRatio) pair from a
-// checker result; the per-statement engines leave their stepped counter
-// at zero, meaning "equal to stored".
-func compression(states, stepped int) (int, float64) {
-	if stepped <= 0 {
-		stepped = states
-	}
-	ratio := 1.0
-	if states > 0 {
-		ratio = float64(stepped) / float64(states)
-	}
-	return stepped, ratio
+	return out, r.Failure, nil
 }
 
 // checkSummaries is the Summaries engine path of Check.
@@ -784,52 +772,11 @@ func (c *Config) checkSummaries(seq *Program, col *stats.Collector) (*Result, er
 func (c *Config) Explore(p *Program) (*Result, error) {
 	col := c.collector()
 	col.AddPhase(stats.PhaseParse, p.parseTime)
-	compactVis, err := c.visitedCompact()
+	out, _, err := c.search(p.ast, c.ContextBound, col)
 	if err != nil {
 		return nil, err
 	}
-	frontierBytes, filterBytes := c.memoryBudget(compactVis)
-	col.Start(stats.PhaseCheck)
-	compiled, err := sem.Compile(p.ast)
-	if err != nil {
-		col.End(stats.PhaseCheck)
-		return nil, err
-	}
-	r := concheck.Check(compiled, concheck.Options{
-		MaxStates:         c.MaxStates,
-		MaxSteps:          c.MaxSteps,
-		MaxDepth:          c.MaxDepth,
-		ContextBound:      c.ContextBound,
-		BFS:               c.BFS,
-		DisableMacroSteps: c.DisableMacroSteps,
-		SearchWorkers:     c.SearchWorkers,
-		VisitedCompact:    compactVis,
-		VisitedBytes:      filterBytes,
-		FrontierBudget:    frontierBytes,
-		Context:           c.Context,
-		Collector:         col,
-	})
 	col.End(stats.PhaseCheck)
-	out := &Result{Verdict: Verdict(r.Verdict), States: r.States, Steps: r.Steps}
-	if r.Verdict == concheck.Error {
-		out.Message = r.Failure.Msg
-		out.Pos = r.Failure.Pos
-		out.SeqEvents = r.Trace
-	}
-	stepped, ratio := compression(r.States, r.StatesStepped)
-	out.Stats = Stats{
-		States:           r.States,
-		Steps:            r.Steps,
-		StatesStepped:    stepped,
-		CompressionRatio: ratio,
-		Visited:          r.Visited,
-		PeakFrontier:     r.PeakFrontier,
-		PeakDepth:        r.PeakDepth,
-		HashCollisions:   r.HashCollisions,
-		Reason:           r.Reason,
-		Parallel:         r.Parallel,
-		Memory:           r.Memory,
-	}
 	col.Finalize(&out.Stats)
 	return out, nil
 }
