@@ -5,7 +5,7 @@ GO ?= go
 VERSION ?= $(shell git describe --tags --always --dirty 2>/dev/null || echo dev)
 LDFLAGS := -ldflags "-X main.version=$(VERSION)"
 
-.PHONY: build test vet fmt bench-test race verify bench bench-smoke bench-ab serve-smoke cluster-smoke benchall
+.PHONY: build test vet fmt bench-test race verify bench bench-smoke bench-ab outputs-ab serve-smoke cluster-smoke benchall
 
 build:
 	$(GO) build $(LDFLAGS) ./...
@@ -92,6 +92,16 @@ bench-smoke:
 # or CI.
 bench-ab:
 	$(GO) run ./cmd/benchab -o "$(AB_OUT)" $(if $(AB_BASE),-base $(AB_BASE)) $(if $(AB_HEAD),-head $(AB_HEAD)) $(if $(PAIRS),-pairs $(PAIRS)) $(if $(AB_SEED),-seed $(AB_SEED))
+
+# outputs-ab checks that a change leaves every printed byte alone: it
+# extracts AB_BASE and AB_HEAD with git archive (defaults HEAD~1 and
+# HEAD), builds kissbench in each, runs `-table1` (text), `-table1 -json
+# -strip-timing`, `-table2 -json -strip-timing` and `-seqbench -json` on
+# both, and exits non-zero if any stdout differs. A perf change runs it
+# next to bench-ab; it takes a few minutes on 2 CPUs and, like bench-ab,
+# runs committed trees only and is not part of verify or CI.
+outputs-ab:
+	$(GO) run ./cmd/benchab -outputs $(if $(AB_BASE),-base $(AB_BASE)) $(if $(AB_HEAD),-head $(AB_HEAD))
 
 # serve-smoke is the kissd acceptance loop: start the daemon on a
 # loopback port, run a two-driver corpus slice through it twice, require

@@ -13,6 +13,12 @@
 // as soon as it finishes. The summary (per metric: each side's median
 // and quartiles, the ratio of medians, and the pairs the head wins) is
 // printed at the end, and -summary reprints it from such a file.
+//
+//	go run ./cmd/benchab -outputs -base HEAD~1 -head HEAD
+//
+// -outputs checks instead that a change leaves every printed byte alone:
+// it builds kissbench in both extracted trees, runs each invocation of
+// outputRuns on both, and exits non-zero if any output differs.
 package main
 
 import (
@@ -70,7 +76,15 @@ func main() {
 	seed := flag.Int64("seed", 1, "seed of the first pair; pair i runs seed+i")
 	out := flag.String("o", "", "artifact to create: one JSON line per run (required unless -summary)")
 	summary := flag.String("summary", "", "only print the summary of an existing artifact")
+	outputs := flag.Bool("outputs", false, "check that kissbench's outputs are byte-identical at -base and -head instead of timing them")
 	flag.Parse()
+
+	if *outputs {
+		if err := compareOutputs(*base, *head); err != nil {
+			fatal(err)
+		}
+		return
+	}
 
 	spec, err := readSpec("BENCHMARK.json")
 	if err != nil {
@@ -114,15 +128,9 @@ func compare(spec *benchSpec, base, head, out string, pairs int, seed int64) err
 		return err
 	}
 	defer os.RemoveAll(tmp)
-	revs, dirs := map[string]string{}, map[string]string{}
-	for arm, rev := range map[string]string{"base": base, "head": head} {
-		if revs[arm], err = gitOutput("rev-parse", rev); err != nil {
-			return fmt.Errorf("resolving %s: %w", rev, err)
-		}
-		dirs[arm] = filepath.Join(tmp, arm)
-		if err := extract(revs[arm], dirs[arm]); err != nil {
-			return err
-		}
+	revs, dirs, err := extractArms(tmp, base, head)
+	if err != nil {
+		return err
 	}
 
 	var recs []record
@@ -197,6 +205,22 @@ func gitOutput(args ...string) (string, error) {
 	return strings.TrimSpace(string(out)), err
 }
 
+// extractArms resolves base and head and extracts each tree into a
+// directory of its own under tmp, returning both keyed by arm.
+func extractArms(tmp, base, head string) (revs, dirs map[string]string, err error) {
+	revs, dirs = map[string]string{}, map[string]string{}
+	for arm, rev := range map[string]string{"base": base, "head": head} {
+		if revs[arm], err = gitOutput("rev-parse", rev); err != nil {
+			return nil, nil, fmt.Errorf("resolving %s: %w", rev, err)
+		}
+		dirs[arm] = filepath.Join(tmp, arm)
+		if err := extract(revs[arm], dirs[arm]); err != nil {
+			return nil, nil, err
+		}
+	}
+	return revs, dirs, nil
+}
+
 // extract writes the tree of rev into dir with git archive.
 func extract(rev, dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -217,6 +241,77 @@ func extract(rev, dir string) error {
 		return err
 	}
 	return untar.Wait()
+}
+
+// outputRuns are the kissbench invocations whose stdout a change that
+// claims only performance must leave byte-identical: the Table 1 text,
+// the per-field Table 1 and Table 2 records without wall-clock fields,
+// and the sequentialization ablation.
+var outputRuns = [][]string{
+	{"-table1"},
+	{"-table1", "-json", "-strip-timing"},
+	{"-table2", "-json", "-strip-timing"},
+	{"-seqbench", "-json"},
+}
+
+// compareOutputs extracts both revisions, builds kissbench in each, runs
+// every outputRuns invocation on both and fails if any stdout differs.
+func compareOutputs(base, head string) error {
+	tmp, err := os.MkdirTemp("", "outputs-ab-")
+	if err != nil {
+		return err
+	}
+	defer os.RemoveAll(tmp)
+	revs, dirs, err := extractArms(tmp, base, head)
+	if err != nil {
+		return err
+	}
+	bins := map[string]string{}
+	for _, arm := range []string{"base", "head"} {
+		bins[arm] = filepath.Join(tmp, arm+"-kissbench")
+		build := exec.Command("go", "build", "-o", bins[arm], "./cmd/kissbench")
+		build.Dir, build.Stderr = dirs[arm], os.Stderr
+		if err := build.Run(); err != nil {
+			return fmt.Errorf("building kissbench at %s: %w", revs[arm], err)
+		}
+	}
+	differ := 0
+	for _, args := range outputRuns {
+		outs := map[string][]byte{}
+		for _, arm := range []string{"base", "head"} {
+			fmt.Fprintf(os.Stderr, "benchab: kissbench %s at %s\n", strings.Join(args, " "), arm)
+			cmd := exec.Command(bins[arm], args...)
+			cmd.Dir = dirs[arm]
+			if outs[arm], err = cmd.Output(); err != nil {
+				return fmt.Errorf("kissbench %s at %s: %w", strings.Join(args, " "), revs[arm], err)
+			}
+		}
+		if line, same := firstDiff(outs["base"], outs["head"]); same {
+			fmt.Printf("same    kissbench %s (%d bytes)\n", strings.Join(args, " "), len(outs["head"]))
+		} else {
+			differ++
+			fmt.Printf("DIFFERS kissbench %s: first at line %d\n", strings.Join(args, " "), line)
+		}
+	}
+	if differ > 0 {
+		return fmt.Errorf("%d of %d outputs differ between %s and %s", differ, len(outputRuns), revs["base"], revs["head"])
+	}
+	return nil
+}
+
+// firstDiff reports whether a and b are equal and, if not, the 1-based
+// number of the first line where they differ.
+func firstDiff(a, b []byte) (line int, same bool) {
+	if bytes.Equal(a, b) {
+		return 0, true
+	}
+	al, bl := bytes.Split(a, []byte("\n")), bytes.Split(b, []byte("\n"))
+	for i := range min(len(al), len(bl)) {
+		if !bytes.Equal(al[i], bl[i]) {
+			return i + 1, false
+		}
+	}
+	return min(len(al), len(bl)) + 1, false
 }
 
 // runBench runs one benchmark in dir and returns its JSON result line.

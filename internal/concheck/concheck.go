@@ -409,7 +409,7 @@ func checkDFS(c *sem.Compiled, opts Options) *Result {
 			}
 			anyProgress = anyProgress || cProgressed(&mr, perStmt)
 			for k, out := range mr.Outcomes {
-				if seen(out.State, ti, switches) {
+				if seen(out, ti, switches) {
 					continue
 				}
 				res.States++
@@ -420,7 +420,7 @@ func checkDFS(c *sem.Compiled, opts Options) *Result {
 					return res
 				}
 				stack = append(stack, searchState{
-					st: out.State,
+					st: out,
 					nd: &node{
 						parent:    cur.nd,
 						prefixIdx: mr.PrefixIdx,

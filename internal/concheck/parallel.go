@@ -52,11 +52,11 @@ const minParallelLevel = 4
 // polls.
 const workerPollStride = 64
 
-// cexpansion is one prefiltered successor: the outcome plus its visited
+// cexpansion is one prefiltered successor: the state plus its visited
 // key (see visitKey), hashed worker-side so the commit loop never
 // hashes, and its raw index in the unpruned outcome list.
 type cexpansion struct {
-	out sem.Outcome
+	st  *sem.State
 	fp  uint64
 	idx int32
 }
@@ -254,11 +254,11 @@ func checkLevel(c *sem.Compiled, opts Options) *Result {
 						th.progressed = cProgressed(&mr, perStmt)
 						exps := cexpGet()
 						for k, out := range mr.Outcomes {
-							fp := hash(w, out.State, ti, switches)
+							fp := hash(w, out, ti, switches)
 							if vis.Contains(fp) {
 								continue
 							}
-							exps = append(exps, cexpansion{out: out, fp: fp, idx: mr.OutIdx[k]})
+							exps = append(exps, cexpansion{st: out, fp: fp, idx: mr.OutIdx[k]})
 						}
 						th.exps = exps
 					}
@@ -366,7 +366,7 @@ func checkLevel(c *sem.Compiled, opts Options) *Result {
 							switches:  int32(th.switches),
 							depth:     depth + len(th.prefixIdx) + 1,
 						}
-						q.Push(nd.depth, searchState{st: ex.out.State, nd: nd})
+						q.Push(nd.depth, searchState{st: ex.st, nd: nd})
 						if perStmt {
 							// The per-statement search measures its frontier
 							// after every push: the level's uncommitted items

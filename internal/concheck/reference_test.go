@@ -74,16 +74,16 @@ func refCheck(c *sem.Compiled, bound int, bfs bool) (*sem.Failure, []sem.Event) 
 					continue
 				}
 			}
-			sr := sem.Step(cur.st, ti)
+			sr, evs := sem.StepEvents(cur.st, ti)
 			if f := sr.Failure; f != nil {
 				return f, append(cur.nd.trace(), sem.Event{
 					Kind: sem.EvStmt, ThreadID: f.ThreadID, Fn: f.Fn, Pos: f.Pos, Text: f.Msg,
 				})
 			}
-			for _, out := range sr.Outcomes {
-				if fp := key(out.State, ti, switches); !visited[fp] {
+			for k, out := range sr.Outcomes {
+				if fp := key(out, ti, switches); !visited[fp] {
 					visited[fp] = true
-					stack = append(stack, frame{out.State, &refNode{cur.nd, out.Event}, ti, switches})
+					stack = append(stack, frame{out, &refNode{cur.nd, evs[k]}, ti, switches})
 				}
 			}
 		}
@@ -277,18 +277,18 @@ func TestFailAtReplaysFoldingThread(t *testing.T) {
 	st := sem.NewState(c)
 	var want []sem.Event
 	for _, ti := range []int{0, 0} {
-		out := sem.Step(st, ti).Outcomes[0]
-		want = append(want, out.Event)
-		st = out.State
+		sr, evs := sem.StepEvents(st, ti)
+		want = append(want, evs[0])
+		st = sr.Outcomes[0]
 	}
 	mr := sem.MacroStep(st, 1, 0)
 	if mr.Failure == nil || len(mr.PrefixIdx) != 2 {
 		t.Fatalf("thread 1 did not fail after a fold of two steps: %+v", mr)
 	}
 	for _, idx := range mr.PrefixIdx {
-		out := sem.Step(st, 1).Outcomes[idx]
-		want = append(want, out.Event)
-		st = out.State
+		sr, evs := sem.StepEvents(st, 1)
+		want = append(want, evs[idx])
+		st = sr.Outcomes[idx]
 	}
 	f := mr.Failure
 	want = append(want, sem.Event{Kind: sem.EvStmt, ThreadID: f.ThreadID, Fn: f.Fn, Pos: f.Pos, Text: f.Msg})

@@ -134,20 +134,20 @@ func cNewQueue(c *sem.Compiled, opts Options) *frontier.Queue[searchState] {
 // cReplayPath re-executes the (thread, successor-index) entries of a
 // padded path from the initial state, returning the event sequence it
 // spells. It is how every counterexample trace is built: nodes keep only
-// indices, so the events are rebuilt once per reported failure, O(depth).
+// indices and steps keep only states, so the events are built here alone,
+// once per reported failure, O(depth).
 func cReplayPath(c *sem.Compiled, path []int32) []sem.Event {
 	st := sem.NewState(c)
 	evs := make([]sem.Event, 0, len(path)+1)
 	for _, entry := range path {
 		ti, idx := int(entry>>16), int(entry&0xffff)
-		sr := sem.Step(st, ti)
+		sr, stepEvs := sem.StepEvents(st, ti)
 		if sr.Failure != nil || idx >= len(sr.Outcomes) {
 			panic(fmt.Sprintf("concheck: path does not replay (thread %d idx %d of %d outcomes)",
 				ti, idx, len(sr.Outcomes)))
 		}
-		out := sr.Outcomes[idx]
-		evs = append(evs, out.Event)
-		st = out.State
+		evs = append(evs, stepEvs[idx])
+		st = sr.Outcomes[idx]
 	}
 	return evs
 }

@@ -412,7 +412,7 @@ func explore(init *sem.State, limit int, visit func(*sem.State)) bool {
 		visit(s)
 		for ti := range s.Threads {
 			for _, o := range sem.Step(s, ti).Outcomes {
-				h := o.State.FingerprintHash()
+				h := o.FingerprintHash()
 				if seen[h] {
 					continue
 				}
@@ -420,7 +420,7 @@ func explore(init *sem.State, limit int, visit func(*sem.State)) bool {
 					return false
 				}
 				seen[h] = true
-				queue = append(queue, o.State)
+				queue = append(queue, o)
 			}
 		}
 	}

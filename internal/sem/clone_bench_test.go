@@ -57,7 +57,7 @@ func benchState(tb testing.TB, n int) *State {
 		if sr.Blocked || len(sr.Outcomes) == 0 {
 			break
 		}
-		s = sr.Outcomes[0].State
+		s = sr.Outcomes[0]
 		if len(s.Heap) >= n {
 			return s
 		}
@@ -121,7 +121,7 @@ func outcomeKey(sr StepResult) string {
 	}
 	fps := make([]string, len(sr.Outcomes))
 	for i, out := range sr.Outcomes {
-		fps[i] = out.State.FingerprintString()
+		fps[i] = out.FingerprintString()
 	}
 	sort.Strings(fps)
 	b.WriteString(strings.Join(fps, ","))
@@ -160,7 +160,7 @@ func TestQuickCOWStepMatchesDeepClone(t *testing.T) {
 				return true
 			}
 			x = x*6364136223846793005 + 1442695040888963407
-			s = sr.Outcomes[int(x>>33)%len(sr.Outcomes)].State
+			s = sr.Outcomes[int(x>>33)%len(sr.Outcomes)]
 		}
 		return true
 	}

@@ -40,21 +40,12 @@ type Instr struct {
 	Targets []int      // OpJump (1), OpNondetJump (>=2)
 	Atomic  []Instr    // OpAtomic: sub-program; jump targets index into it
 	Pos     ast.Pos
-	text    string // rendering cache, filled once after compilation
 }
 
-// Text returns a short human-readable rendering for traces. Compiled
-// programs carry the rendering precomputed (Step builds an event per
-// executed instruction; rendering there would put fmt on the hot path);
-// hand-built instructions fall back to rendering on demand.
+// Text returns a short human-readable rendering for traces and dot
+// graphs. It renders on every call: only trace replay and Dot ask, never
+// the search.
 func (in *Instr) Text() string {
-	if in.text != "" {
-		return in.text
-	}
-	return in.render()
-}
-
-func (in *Instr) render() string {
 	switch in.Op {
 	case OpAssign:
 		return ast.PrintExpr(in.Lhs) + " = " + ast.PrintExpr(in.Rhs)
@@ -228,17 +219,7 @@ func compileFunc(f *ast.Func) (*CompiledFunc, error) {
 	fc := &funcCompiler{cf: cf}
 	fc.block(f.Body)
 	cf.Code = fc.code
-	cacheText(cf.Code)
 	return cf, nil
-}
-
-// cacheText fills the rendering cache. Must run after jump targets are
-// patched — OpJump/OpNondetJump render their targets.
-func cacheText(code []Instr) {
-	for i := range code {
-		cacheText(code[i].Atomic)
-		code[i].text = code[i].render()
-	}
 }
 
 type funcCompiler struct {

@@ -28,7 +28,7 @@ func randomWalk(c *Compiled, seed int64, steps int) *State {
 			break
 		}
 		x = x*6364136223846793005 + 1442695040888963407
-		s = sr.Outcomes[int(x>>33)%len(sr.Outcomes)].State
+		s = sr.Outcomes[int(x>>33)%len(sr.Outcomes)]
 	}
 	return s
 }
@@ -148,10 +148,10 @@ func harnessStates(c *Compiled, n int) []*State {
 				outs, _ = pruneInfeasible(outs, ti)
 			}
 			for _, o := range outs {
-				all = append(all, o.State)
-				if k := o.State.FingerprintString(); !seen[k] {
+				all = append(all, o)
+				if k := o.FingerprintString(); !seen[k] {
 					seen[k] = true
-					queue = append(queue, o.State)
+					queue = append(queue, o)
 				}
 			}
 		}

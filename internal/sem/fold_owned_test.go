@@ -161,10 +161,10 @@ func TestFoldOwnedMatchesReference(t *testing.T) {
 					continue
 				}
 				for _, out := range g.Outcomes {
-					keep(out.State)
-					if fp := out.State.FingerprintHash(); !seen[fp] {
+					keep(out)
+					if fp := out.FingerprintHash(); !seen[fp] {
 						seen[fp] = true
-						stack = append(stack, out.State)
+						stack = append(stack, out)
 					}
 				}
 			}
@@ -186,12 +186,12 @@ func replayIdx(t *testing.T, s *State, ti int, idx []int32) []Event {
 	t.Helper()
 	var evs []Event
 	for _, i := range idx {
-		sr := Step(s, ti)
+		sr, stepEvs := StepEvents(s, ti)
 		if sr.Failure != nil || int(i) >= len(sr.Outcomes) {
 			t.Fatalf("path does not replay: index %d of %d outcomes", i, len(sr.Outcomes))
 		}
-		evs = append(evs, sr.Outcomes[i].Event)
-		s = sr.Outcomes[i].State
+		evs = append(evs, stepEvs[i])
+		s = sr.Outcomes[i]
 	}
 	return evs
 }
@@ -215,9 +215,10 @@ func TestStepOwnedMatchesStep(t *testing.T) {
 					continue
 				}
 				before := s.DeepClone()
-				want := Step(s, ti)
-				got := step(s.Clone(), ti, true)
-				if !stepResultsEqual(got, want) {
+				want, wantEvs := StepEvents(s, ti)
+				var gotEvs eventSink
+				got := step(s.Clone(), ti, true, nil, &gotEvs)
+				if !stepResultsEqual(got, want) || !reflect.DeepEqual(gotEvs.evs[:len(got.Outcomes)], wantEvs) {
 					t.Fatalf("%s: owned step differs from Step", sub.name)
 				}
 				if fr := s.Threads[ti].Top(); fr.PC < len(fr.CF.Code) && fr.CF.Code[fr.PC].Op == OpNondetJump && len(fr.CF.Code[fr.PC].Targets) > 1 {
@@ -228,7 +229,7 @@ func TestStepOwnedMatchesStep(t *testing.T) {
 						if owned {
 							in = s.Clone()
 						}
-						gOuts, gIdx := stepNondetPruned(in, ti, owned)
+						gOuts, gIdx := stepNondetPruned(in, ti, owned, nil, nil)
 						if !reflect.DeepEqual(gIdx, wIdx) || !outcomesEqual(gOuts, wOuts) {
 							t.Fatalf("%s: stepNondetPruned(owned=%v) = %v, Step+pruneInfeasible = %v", sub.name, owned, gIdx, wIdx)
 						}
@@ -238,9 +239,9 @@ func TestStepOwnedMatchesStep(t *testing.T) {
 					t.Fatalf("%s: stepping changed the input state", sub.name)
 				}
 				for _, out := range want.Outcomes {
-					if fp := out.State.FingerprintHash(); !seen[fp] {
+					if fp := out.FingerprintHash(); !seen[fp] {
 						seen[fp] = true
-						stack = append(stack, out.State)
+						stack = append(stack, out)
 					}
 				}
 			}
@@ -248,6 +249,53 @@ func TestStepOwnedMatchesStep(t *testing.T) {
 	}
 	if jumps == 0 {
 		t.Fatal("the walks met no nondeterministic jump")
+	}
+}
+
+// TestStepEventsMatchStep: at every state reached by a walk of each
+// subject and every live thread, StepEvents yields the successors Step
+// yields, fingerprint for fingerprint and in order, and exactly one event
+// per outcome, of the stepped thread.
+func TestStepEventsMatchStep(t *testing.T) {
+	steps := 0
+	for _, sub := range foldSubjects(t) {
+		init := NewState(sub.c)
+		seen := map[uint64]bool{init.FingerprintHash(): true}
+		stack := []*State{init}
+		for len(stack) > 0 && len(seen) < 400 {
+			s := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			for ti := range s.Threads {
+				if s.Threads[ti].Done() {
+					continue
+				}
+				steps++
+				want := Step(s, ti)
+				got, evs := StepEvents(s, ti)
+				if got.Blocked != want.Blocked || (got.Failure == nil) != (want.Failure == nil) ||
+					len(got.Outcomes) != len(want.Outcomes) || len(evs) != len(got.Outcomes) {
+					t.Fatalf("%s: StepEvents gives %d outcomes and %d events, Step %d outcomes",
+						sub.name, len(got.Outcomes), len(evs), len(want.Outcomes))
+				}
+				for k, out := range got.Outcomes {
+					if out.FingerprintHash() != want.Outcomes[k].FingerprintHash() {
+						t.Fatalf("%s: outcome %d of thread %d differs from Step's", sub.name, k, ti)
+					}
+					if evs[k].ThreadID != s.Threads[ti].ID {
+						t.Fatalf("%s: event %d names thread %d, stepped thread %d", sub.name, k, evs[k].ThreadID, s.Threads[ti].ID)
+					}
+				}
+				for _, out := range want.Outcomes {
+					if fp := out.FingerprintHash(); !seen[fp] {
+						seen[fp] = true
+						stack = append(stack, out)
+					}
+				}
+			}
+		}
+	}
+	if steps == 0 {
+		t.Fatal("the walks stepped nothing")
 	}
 }
 
@@ -261,12 +309,12 @@ func stepResultsEqual(a, b StepResult) bool {
 	return outcomesEqual(a.Outcomes, b.Outcomes)
 }
 
-func outcomesEqual(a, b []Outcome) bool {
+func outcomesEqual(a, b []*State) bool {
 	if len(a) != len(b) {
 		return false
 	}
 	for i := range a {
-		if a[i].Event != b[i].Event || !rawStateEqual(a[i].State, b[i].State) {
+		if !rawStateEqual(a[i], b[i]) {
 			return false
 		}
 	}

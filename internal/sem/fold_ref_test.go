@@ -18,7 +18,7 @@ func refMacroStep(s *State, ti, limit int) (MacroResult, []Event) {
 	var evs []Event
 	cur := s
 	for {
-		sr := Step(cur, ti)
+		sr, stepEvs := StepEvents(cur, ti)
 		mr.Stepped++
 		if sr.Failure != nil || sr.Blocked {
 			mr.StepResult = sr
@@ -33,7 +33,7 @@ func refMacroStep(s *State, ti, limit int) (MacroResult, []Event) {
 			// exactly as in the per-statement search.
 			outs, idxs = pruneInfeasible(sr.Outcomes, ti)
 		}
-		if len(outs) != 1 || !soleLive(outs[0].State, ti) || mr.Stepped >= limit {
+		if len(outs) != 1 || !soleLive(outs[0], ti) || mr.Stepped >= limit {
 			if idxs == nil {
 				idxs = identityIdx(len(outs))
 			}
@@ -47,8 +47,8 @@ func refMacroStep(s *State, ti, limit int) (MacroResult, []Event) {
 			idx0 = idxs[0]
 		}
 		pidx = append(pidx, idx0)
-		evs = append(evs, outs[0].Event)
-		cur = outs[0].State
+		evs = append(evs, stepEvs[idx0])
+		cur = outs[0]
 	}
 	mr.PrefixIdx = pidx
 	return mr, evs

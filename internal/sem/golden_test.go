@@ -77,16 +77,16 @@ func goldenDigest(t *testing.T, c *Compiled, limit int) (string, int) {
 		s := queue[0]
 		queue = queue[1:]
 		for ti := range s.Threads {
-			sr := Step(s, ti)
+			sr, evs := StepEvents(s, ti)
 			if sr.Failure != nil {
 				fmt.Fprintf(sum, "fail %s\n", sr.Failure.Error())
 			}
-			for _, o := range sr.Outcomes {
-				fmt.Fprintf(sum, "ev %d %s %s\n", o.Event.Kind, o.Event.String(), o.Event.Callee)
-				if k := o.State.FingerprintString(); !seen[k] {
+			for k, o := range sr.Outcomes {
+				fmt.Fprintf(sum, "ev %d %s %s\n", evs[k].Kind, evs[k].String(), evs[k].Callee)
+				if k := o.FingerprintString(); !seen[k] {
 					seen[k] = true
-					record(o.State)
-					queue = append(queue, o.State)
+					record(o)
+					queue = append(queue, o)
 				}
 			}
 		}

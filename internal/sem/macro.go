@@ -1,6 +1,9 @@
 package sem
 
-import "sync"
+import (
+	"slices"
+	"sync"
+)
 
 // Macro-step compression: the SPIN-style statement-merging optimization.
 //
@@ -66,11 +69,20 @@ type MacroResult struct {
 	Stepped   int
 }
 
-// idxPool recycles a fold's successor-index accumulator. The growth
-// reallocations of a long run land in the pooled buffer; the
-// caller-visible PrefixIdx is an exact-size copy, so ownership passes to
-// the search (which retains it in trace nodes) without aliasing.
-var idxPool = sync.Pool{New: func() any { return new([]int32) }}
+// foldBuf is a fold's reusable scratch: the outcome buffer every micro
+// step appends into, the surviving branches' indices of a pruned jump,
+// and the successor-index accumulator. A micro step with one successor
+// thus allocates no slice, and the growth of a long run lands in the
+// pooled buffers. The caller-visible Outcomes, OutIdx and PrefixIdx are
+// exact-size copies, so ownership passes to the search (which retains
+// PrefixIdx in trace nodes) without aliasing.
+type foldBuf struct {
+	outs []*State
+	keep []int32
+	pidx []int32
+}
+
+var foldPool = sync.Pool{New: func() any { return new(foldBuf) }}
 
 // MacroStep folds a maximal deterministic run of thread ti starting at s
 // into one transition. limit bounds the number of micro steps taken
@@ -82,26 +94,28 @@ func MacroStep(s *State, ti, limit int) MacroResult {
 		limit = MaxMacroRun
 	}
 	var mr MacroResult
-	buf := idxPool.Get().(*[]int32)
-	pidx := (*buf)[:0]
+	fb := foldPool.Get().(*foldBuf)
+	pidx := fb.pidx[:0]
 	cur := s
 	// owned reports that the fold owns cur outright (see step): true
 	// for every state after the first step, never for the caller's base.
 	owned := false
 	for {
-		sr, outs, idxs := foldStep(cur, ti, owned)
+		sr, outs, idxs := foldStep(fb, cur, ti, owned)
 		mr.Stepped++
 		if sr.Failure != nil || sr.Blocked {
 			mr.StepResult = sr
+			mr.Outcomes = slices.Clone(sr.Outcomes)
 			break
 		}
-		if len(outs) != 1 || !soleLive(outs[0].State, ti) || mr.Stepped >= limit {
-			if idxs == nil {
-				idxs = identityIdx(len(outs))
-			}
+		if len(outs) != 1 || !soleLive(outs[0], ti) || mr.Stepped >= limit {
 			mr.StepResult = sr
-			mr.Outcomes = outs
-			mr.OutIdx = idxs
+			mr.Outcomes = slices.Clone(outs)
+			if idxs == nil {
+				mr.OutIdx = identityIdx(len(outs))
+			} else {
+				mr.OutIdx = slices.Clone(idxs)
+			}
 			break
 		}
 		idx0 := int32(0)
@@ -109,15 +123,16 @@ func MacroStep(s *State, ti, limit int) MacroResult {
 			idx0 = idxs[0]
 		}
 		pidx = append(pidx, idx0)
-		cur = outs[0].State
+		cur = outs[0]
 		owned = true
 	}
 	if len(pidx) > 0 {
-		mr.PrefixIdx = make([]int32, len(pidx))
-		copy(mr.PrefixIdx, pidx)
+		mr.PrefixIdx = slices.Clone(pidx)
 	}
-	*buf = pidx
-	idxPool.Put(buf)
+	// Drop the buffer's state pointers so the pool pins no dead states.
+	clear(fb.outs[:cap(fb.outs)])
+	fb.pidx = pidx
+	foldPool.Put(fb)
 	return mr
 }
 
@@ -125,20 +140,25 @@ func MacroStep(s *State, ti, limit int) MacroResult {
 // several successors, reduces them to the live branches exactly as
 // pruneInfeasible does. idxs maps the surviving outcomes to their
 // unpruned indices; it is nil when no pruning ran. With owned set the
-// fold owns cur (see step) and a single successor reuses it.
+// fold owns cur (see step) and a single successor reuses it. The
+// outcomes and indices may live in fb's buffers, valid until the next
+// foldStep.
 //
 // Only choice branches are pruned: a deterministic continuation into a
 // dead assume instead folds to its blocked endpoint, so the block (and
 // concheck's deadlock accounting) surfaces exactly as in the
 // per-statement search.
-func foldStep(cur *State, ti int, owned bool) (sr StepResult, outs []Outcome, idxs []int32) {
+func foldStep(fb *foldBuf, cur *State, ti int, owned bool) (sr StepResult, outs []*State, idxs []int32) {
 	if fr := cur.Threads[ti].Top(); fr != nil && fr.PC < len(fr.CF.Code) {
 		if in := &fr.CF.Code[fr.PC]; in.Op == OpNondetJump && len(in.Targets) > 1 {
-			outs, idxs = stepNondetPruned(cur, ti, owned)
-			return StepResult{Outcomes: outs}, outs, idxs
+			fb.outs, fb.keep = stepNondetPruned(cur, ti, owned, fb.outs[:0], fb.keep[:0])
+			return StepResult{Outcomes: fb.outs}, fb.outs, fb.keep
 		}
 	}
-	sr = step(cur, ti, owned)
+	sr = step(cur, ti, owned, fb.outs[:0], nil)
+	if sr.Outcomes != nil {
+		fb.outs = sr.Outcomes // keep the buffer as a failed or blocked step drops it
+	}
 	outs = sr.Outcomes
 	if sr.Failure == nil && !sr.Blocked && len(outs) > 1 {
 		outs, idxs = pruneInfeasible(outs, ti)
@@ -151,30 +171,27 @@ func foldStep(cur *State, ti int, owned bool) (sr StepResult, outs []Outcome, id
 // pruning drops. A jump changes only the stepped frame's PC, so each
 // branch's assume is evaluated on s itself, in branch order. Survivors
 // are cloned, except that when the fold owns s the last survivor reuses
-// s itself.
-func stepNondetPruned(s *State, ti int, owned bool) ([]Outcome, []int32) {
-	t := s.Threads[ti]
-	fr := t.Top()
+// s itself. The survivors and their indices are appended to the empty
+// slices outs and keep.
+func stepNondetPruned(s *State, ti int, owned bool, outs []*State, keep []int32) ([]*State, []int32) {
+	fr := s.Threads[ti].Top()
 	in := &fr.CF.Code[fr.PC]
-	ev := Event{Kind: EvStmt, ThreadID: t.ID, Fn: fr.CF.Fn.Name, Pos: in.Pos, Text: in.Text()}
 	// Liveness is untouched by a jump, so the successors are sole-live
 	// exactly when s is.
 	sole := soleLive(s, ti)
-	keep := make([]int32, 0, len(in.Targets))
 	for i, target := range in.Targets {
 		if sole && falseAssumeAt(s, fr, resolvePC(fr.CF.Code, target)) {
 			continue
 		}
 		keep = append(keep, int32(i))
 	}
-	outs := make([]Outcome, len(keep))
 	for k, i := range keep {
 		ns := s
 		if !owned || k < len(keep)-1 {
 			ns = s.Clone()
 		}
 		ns.MutableTopFrame(ti).PC = resolvePC(fr.CF.Code, in.Targets[i])
-		outs[k] = Outcome{State: ns, Event: ev}
+		outs = append(outs, ns)
 	}
 	return outs, keep
 }
@@ -192,11 +209,11 @@ func identityIdx(n int) []int32 {
 // thread is the sole live thread and sits at an assume whose condition
 // cleanly evaluates to false. The returned index slice maps survivors to
 // their original positions.
-func pruneInfeasible(outs []Outcome, ti int) ([]Outcome, []int32) {
+func pruneInfeasible(outs []*State, ti int) ([]*State, []int32) {
 	live := outs[:0:0]
 	idxs := make([]int32, 0, len(outs))
 	for i, out := range outs {
-		if soleLive(out.State, ti) && nextIsFalseAssume(out.State, ti) {
+		if soleLive(out, ti) && nextIsFalseAssume(out, ti) {
 			continue
 		}
 		live = append(live, out)

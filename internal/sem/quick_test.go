@@ -31,7 +31,7 @@ func TestQuickCloneFingerprintIdentity(t *testing.T) {
 				break
 			}
 			x = x*6364136223846793005 + 1442695040888963407
-			s = sr.Outcomes[int(x>>33)%len(sr.Outcomes)].State
+			s = sr.Outcomes[int(x>>33)%len(sr.Outcomes)]
 		}
 		return s.Clone().FingerprintString() == s.FingerprintString()
 	}
@@ -61,7 +61,7 @@ func TestQuickStepDoesNotMutateInput(t *testing.T) {
 			if sr.Failure != nil || sr.Blocked || len(sr.Outcomes) == 0 {
 				break
 			}
-			s = sr.Outcomes[0].State
+			s = sr.Outcomes[0]
 		}
 		return true
 	}

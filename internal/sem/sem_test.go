@@ -57,10 +57,10 @@ func run(t *testing.T, c *Compiled) (*Failure, map[string]bool) {
 				return sr.Failure, finals
 			}
 			for _, o := range sr.Outcomes {
-				fp := o.State.FingerprintString()
+				fp := o.FingerprintString()
 				if !seen[fp] {
 					seen[fp] = true
-					stack = append(stack, o.State)
+					stack = append(stack, o)
 				}
 			}
 			if len(sr.Outcomes) > 0 {
@@ -299,7 +299,7 @@ func main() {
 	if len(sr.Outcomes) != 1 {
 		t.Fatalf("setup step: %+v", sr)
 	}
-	sr = Step(sr.Outcomes[0].State, 0)
+	sr = Step(sr.Outcomes[0], 0)
 	if !sr.Blocked {
 		t.Fatalf("atomic with false assume should block, got %+v", sr)
 	}
@@ -315,7 +315,7 @@ func main() { async f(); }
 	if len(sr.Outcomes) != 1 {
 		t.Fatalf("async step: %+v", sr)
 	}
-	ns := sr.Outcomes[0].State
+	ns := sr.Outcomes[0]
 	if len(ns.Threads) != 2 {
 		t.Fatalf("got %d threads after async, want 2", len(ns.Threads))
 	}
@@ -362,7 +362,12 @@ func main() {
 }
 
 func TestTsDispatchDeduplicatesEqualEntries(t *testing.T) {
-	c := compileTS(t, `
+	for _, tc := range []struct {
+		src     string
+		entries int // ts size at the dispatch
+		want    int // distinct entries: the dispatch's successors
+	}{
+		{`
 var r;
 func f() { r = r + 1; }
 func main() {
@@ -370,39 +375,49 @@ func main() {
   __ts_put(@f);
   __ts_dispatch();
 }
-`, 2)
-	s := NewState(c)
-	// run until the dispatch instruction
-	var disp *State
-	stack := []*State{s}
-	for len(stack) > 0 && disp == nil {
-		cur := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if len(cur.Ts) == 2 {
-			fr := cur.Threads[0].Top()
-			if fr != nil && fr.PC < len(fr.CF.Code) && fr.CF.Code[fr.PC].Op == OpTsDispatch {
-				disp = cur
-				break
-			}
-		}
-		sr := Step(cur, 0)
-		stack = append(stack, statesOf(sr)...)
-	}
-	if disp == nil {
-		t.Fatal("never reached dispatch with full ts")
-	}
-	sr := Step(disp, 0)
-	if len(sr.Outcomes) != 1 {
-		t.Errorf("dispatch of two identical entries produced %d successors, want 1 (deduplicated)", len(sr.Outcomes))
-	}
+`, 2, 1},
+		// Two equal entries, and two that differ only in the frame id of
+		// a pointer argument: each call of g makes a new frame.
+		{`
+var r;
+func f(p) { r = r + 1; }
+func g() { var l; __ts_put(@f, &l); }
+func main() {
+  __ts_put(@f, 1);
+  __ts_put(@f, 1);
+  g();
+  g();
+  __ts_dispatch();
 }
-
-func statesOf(sr StepResult) []*State {
-	out := make([]*State, 0, len(sr.Outcomes))
-	for _, o := range sr.Outcomes {
-		out = append(out, o.State)
+`, 4, 3},
+	} {
+		c := compileTS(t, tc.src, tc.entries)
+		s := NewState(c)
+		// run until the dispatch instruction
+		var disp *State
+		stack := []*State{s}
+		for len(stack) > 0 && disp == nil {
+			cur := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			if len(cur.Ts) == tc.entries {
+				fr := cur.Threads[0].Top()
+				if fr != nil && fr.PC < len(fr.CF.Code) && fr.CF.Code[fr.PC].Op == OpTsDispatch {
+					disp = cur
+					break
+				}
+			}
+			sr := Step(cur, 0)
+			stack = append(stack, sr.Outcomes...)
+		}
+		if disp == nil {
+			t.Fatal("never reached dispatch with full ts")
+		}
+		sr := Step(disp, 0)
+		if len(sr.Outcomes) != tc.want {
+			t.Errorf("dispatch of %d entries produced %d successors, want %d (equal entries deduplicated)",
+				tc.entries, len(sr.Outcomes), tc.want)
+		}
 	}
-	return out
 }
 
 // TestFingerprintCanonicalHeap: states that differ only in allocation
@@ -491,7 +506,7 @@ func main() { var p; p = new R; p->f = 1; g = 2; }
 	// advance two steps so there is heap content
 	for i := 0; i < 2; i++ {
 		sr := Step(s, 0)
-		s = sr.Outcomes[0].State
+		s = sr.Outcomes[0]
 	}
 	clone := s.Clone()
 	// Mutations go through the COW accessors (as Step's do); the clone

@@ -28,7 +28,7 @@ func TestQuickSnapshotRoundTrip(t *testing.T) {
 				break
 			}
 			x = x*6364136223846793005 + 1442695040888963407
-			s = sr.Outcomes[int(x>>33)%len(sr.Outcomes)].State
+			s = sr.Outcomes[int(x>>33)%len(sr.Outcomes)]
 		}
 
 		enc := AppendSnapshot(nil, s)
@@ -45,7 +45,8 @@ func TestQuickSnapshotRoundTrip(t *testing.T) {
 			return true
 		}
 		// Successor-for-successor identity, including failure/block shape.
-		srA, srB := Step(s.Clone(), 0), Step(d, 0)
+		srA, evsA := StepEvents(s.Clone(), 0)
+		srB, evsB := StepEvents(d, 0)
 		if (srA.Failure == nil) != (srB.Failure == nil) ||
 			srA.Blocked != srB.Blocked ||
 			len(srA.Outcomes) != len(srB.Outcomes) {
@@ -53,11 +54,11 @@ func TestQuickSnapshotRoundTrip(t *testing.T) {
 			return false
 		}
 		for i := range srA.Outcomes {
-			if srA.Outcomes[i].State.FingerprintString() != srB.Outcomes[i].State.FingerprintString() {
+			if srA.Outcomes[i].FingerprintString() != srB.Outcomes[i].FingerprintString() {
 				t.Logf("seed %d: successor %d fingerprint mismatch", seed, i)
 				return false
 			}
-			if srA.Outcomes[i].Event != srB.Outcomes[i].Event {
+			if evsA[i] != evsB[i] {
 				t.Logf("seed %d: successor %d event mismatch", seed, i)
 				return false
 			}

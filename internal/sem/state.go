@@ -2,6 +2,7 @@ package sem
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -25,14 +26,20 @@ type Pending struct {
 	Args []Value
 }
 
-// Text renders p as the canonical ts multiset order sorts and
-// deduplicates entries, naming function values through c's table.
+// Text renders p as the canonical ts multiset order sorts entries,
+// naming function values through c's table.
 func (p Pending) Text(c *Compiled) string {
 	parts := make([]string, len(p.Args))
 	for i, a := range p.Args {
 		parts[i] = a.Text(c)
 	}
 	return p.Fn + "(" + strings.Join(parts, ",") + ")"
+}
+
+// equal reports whether p and q are the same pending thread: the same
+// function and word-equal arguments.
+func (p Pending) equal(q Pending) bool {
+	return p.Fn == q.Fn && slices.EqualFunc(p.Args, q.Args, Value.Equal)
 }
 
 // Frame is one activation record.

@@ -57,16 +57,16 @@ func refCheck(c *sem.Compiled, bfs bool) (*sem.Failure, []sem.Event) {
 		if cur.st.Threads[0].Done() {
 			continue
 		}
-		sr := sem.Step(cur.st, 0)
+		sr, evs := sem.StepEvents(cur.st, 0)
 		if f := sr.Failure; f != nil {
 			return f, append(cur.nd.trace(), sem.Event{
 				Kind: sem.EvStmt, ThreadID: f.ThreadID, Fn: f.Fn, Pos: f.Pos, Text: f.Msg,
 			})
 		}
-		for _, out := range sr.Outcomes {
-			if fp := hasher.Hash(out.State); !visited[fp] {
+		for k, out := range sr.Outcomes {
+			if fp := hasher.Hash(out); !visited[fp] {
 				visited[fp] = true
-				stack = append(stack, frame{out.State, &refNode{cur.nd, out.Event}})
+				stack = append(stack, frame{out, &refNode{cur.nd, evs[k]}})
 			}
 		}
 	}

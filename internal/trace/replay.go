@@ -86,7 +86,7 @@ func Replay(c *sem.Compiled, schedule []int, maxStates int) *ReplayResult {
 				return res
 			}
 			for _, out := range sr.Outcomes {
-				key := out.State.FingerprintString()
+				key := out.FingerprintString()
 				// The same state may recur at different schedule
 				// positions; key on both.
 				key = key + "#" + itoa(blk)
@@ -98,7 +98,7 @@ func Replay(c *sem.Compiled, schedule []int, maxStates int) *ReplayResult {
 				if maxStates > 0 && res.States > maxStates {
 					return res
 				}
-				stack = append(stack, node{st: out.State, blk: blk})
+				stack = append(stack, node{st: out, blk: blk})
 			}
 		}
 	}

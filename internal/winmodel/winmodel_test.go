@@ -49,10 +49,10 @@ func explore(t *testing.T, c *sem.Compiled) *sem.Failure {
 				return sr.Failure
 			}
 			for _, o := range sr.Outcomes {
-				fp := o.State.FingerprintString()
+				fp := o.FingerprintString()
 				if !seen[fp] {
 					seen[fp] = true
-					stack = append(stack, o.State)
+					stack = append(stack, o)
 				}
 			}
 		}
