@@ -5,7 +5,7 @@ GO ?= go
 VERSION ?= $(shell git describe --tags --always --dirty 2>/dev/null || echo dev)
 LDFLAGS := -ldflags "-X main.version=$(VERSION)"
 
-.PHONY: build test vet fmt bench-test race verify bench bench-smoke bench-ab outputs-ab serve-smoke cluster-smoke benchall
+.PHONY: build test vet fmt bench-test race examples verify bench bench-smoke bench-ab outputs-ab serve-smoke cluster-smoke benchall
 
 build:
 	$(GO) build $(LDFLAGS) ./...
@@ -44,9 +44,15 @@ race:
 	$(GO) test -race -short ./internal/eval/... ./internal/seqcheck/... ./internal/concheck/... ./internal/sem/... ./internal/visited/... ./internal/frontier/... ./internal/coord/...
 	$(GO) test -race ./internal/service/...
 
+# examples builds and runs every examples/* main (about 1.5 s on 2 CPUs).
+# An example exits non-zero on an unexpected verdict; examples/recursion
+# is the only end-to-end run of the summary engine through the facade.
+examples:
+	@set -e; for d in examples/*/; do echo "== $$d"; $(GO) run ./$$d >/dev/null; done
+
 # verify is the tier-1 gate: formatting, build, vet, full tests, the
-# benchmark's own tests, and the race check.
-verify: fmt build vet test bench-test race
+# benchmark's own tests, the examples, and the race check.
+verify: fmt build vet test bench-test examples race
 
 # bench regenerates the sequentialization ablation's artifact: KISS vs
 # CB(K) vs the concurrent ground truth on the assertion scenarios and

@@ -12,6 +12,8 @@
 //   - the explicit-state engine, which fingerprints whole configurations
 //     (stack included), can only exhaust its budget.
 //
+// The run exits non-zero unless both engines behave so.
+//
 // Run:
 //
 //	go run ./examples/recursion
@@ -69,6 +71,9 @@ func main() {
 	}
 	fmt.Printf("  verdict: %v (%d path edges) — terminates despite unbounded recursion\n",
 		sres.Verdict, sres.States)
+	if sres.Verdict != kiss.Safe {
+		log.Fatal("expected the summary engine to prove the program safe")
+	}
 
 	fmt.Println("\nexplicit-state engine (whole-configuration fingerprints):")
 	eres, err := kiss.Check(prog, kiss.WithMaxTS(1), kiss.WithMaxStates(20000))
@@ -77,4 +82,7 @@ func main() {
 	}
 	fmt.Printf("  verdict: %v (%d states) — every recursion depth is a distinct configuration\n",
 		eres.Verdict, eres.States)
+	if eres.Verdict != kiss.ResourceBound {
+		log.Fatal("expected the explicit-state engine to exhaust its budget")
+	}
 }

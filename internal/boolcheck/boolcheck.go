@@ -14,6 +14,12 @@
 // value). Recursive programs with finite data terminate — the
 // decidability result the paper leans on.
 //
+// boolcheck has no interpreter of its own: every instruction but a
+// return is executed by sem.Step, the explicit-state search's step
+// function, so failures, blocking and the ts invariants are sem's. Only
+// calls, dispatches and returns are interprocedural edges of the
+// tabulation.
+//
 // Supported fragment: no heap (new/records), no pointers (&v, *p, p->f),
 // no async/atomic (i.e. KISS-transformed programs in assertion mode whose
 // source is pointer-free — for example every program produced by
@@ -30,29 +36,17 @@ import (
 	"strings"
 
 	"repro/internal/ast"
+	"repro/internal/concheck"
 	"repro/internal/sem"
 	"repro/internal/stats"
 )
 
-// Verdict mirrors concheck's verdicts.
-type Verdict int
-
+// The verdicts are concheck's, so both sequential engines report one type.
 const (
-	Safe Verdict = iota
-	Error
-	ResourceBound
+	Safe          = concheck.Safe
+	Error         = concheck.Error
+	ResourceBound = concheck.ResourceBound
 )
-
-func (v Verdict) String() string {
-	switch v {
-	case Safe:
-		return "safe"
-	case Error:
-		return "error"
-	default:
-		return "resource-bound"
-	}
-}
 
 // Options bound the tabulation. Zero means unlimited.
 type Options struct {
@@ -76,7 +70,7 @@ const ctxPollStride = 512
 // conflates all call stacks reaching it); use the explicit-state check
 // (concheck) when a trace is needed.
 type Result struct {
-	Verdict   Verdict
+	Verdict   concheck.Verdict
 	Failure   *sem.Failure
 	PathEdges int
 	Summaries int
@@ -94,38 +88,8 @@ func (r *Result) String() string {
 	case Safe:
 		return fmt.Sprintf("safe (path edges=%d summaries=%d)", r.PathEdges, r.Summaries)
 	default:
-		return fmt.Sprintf("resource bound exhausted (%s; path edges=%d)", boundName(r.Reason), r.PathEdges)
+		return fmt.Sprintf("resource bound exhausted (%s; path edges=%d)", stats.BoundName(r.Reason), r.PathEdges)
 	}
-}
-
-// boundName renders the tripped bound; zero falls back to the generic word.
-func boundName(r stats.Reason) string {
-	if r == stats.ReasonNone {
-		return "budget"
-	}
-	return r.String()
-}
-
-// env is a valuation of the shared state (globals + ts) and the current
-// procedure's locals. Values are scalars only.
-type env struct {
-	globals []sem.Value
-	ts      []sem.Pending
-	locals  []sem.Value
-}
-
-func (e *env) clone() *env {
-	n := &env{
-		globals: append([]sem.Value(nil), e.globals...),
-		locals:  append([]sem.Value(nil), e.locals...),
-	}
-	if len(e.ts) > 0 {
-		n.ts = make([]sem.Pending, len(e.ts))
-		for i, p := range e.ts {
-			n.ts[i] = sem.Pending{Fn: p.Fn, Args: append([]sem.Value(nil), p.Args...)}
-		}
-	}
-	return n
 }
 
 func encodeVal(b *strings.Builder, v sem.Value) {
@@ -185,36 +149,39 @@ type entryKey struct {
 	args   string
 }
 
-// exit is one summarized outcome of a procedure instance.
+// exit is one summarized outcome of a procedure instance: the state at
+// its return, whose globals and ts are the exit's, and the return value.
 type exit struct {
-	globals []sem.Value
-	ts      []sem.Pending
-	ret     sem.Value
+	s   *sem.State
+	ret sem.Value
 }
 
 func exitKey(x exit) string {
 	var b strings.Builder
-	b.WriteString(sharedKey(x.globals, x.ts))
+	b.WriteString(sharedKey(x.s.Globals, x.s.Ts))
 	b.WriteString("R:")
 	encodeVal(&b, x.ret)
 	return b.String()
 }
 
-// pathEdge is a tabulated reachability fact.
+// pathEdge is a tabulated reachability fact: a procedure instance and a
+// one-thread, one-frame state of it (globals, ts, and the procedure's
+// frame at its PC).
 type pathEdge struct {
 	entry entryKey
-	pc    int
-	e     *env
+	s     *sem.State
 }
+
+// frame returns the edge's procedure frame.
+func (pe pathEdge) frame() *sem.Frame { return pe.s.Threads[0].Frames[0] }
 
 // callSite records a suspended caller waiting on a callee summary.
 type callSite struct {
-	caller pathEdge // the edge *at* the call instruction
+	caller pathEdge // the caller's resume site, its PC past the call
 	result string   // variable receiving the return value ("" if none)
 }
 
 type checker struct {
-	c    *sem.Compiled
 	opts Options
 	res  *Result
 
@@ -235,21 +202,16 @@ func Check(c *sem.Compiled, opts Options) (*Result, error) {
 		return nil, err
 	}
 	ck := &checker{
-		c: c, opts: opts,
+		opts:      opts,
 		res:       &Result{},
 		visited:   map[entryKey]map[string]bool{},
 		summaries: map[entryKey]map[string]exit{},
 		callers:   map[entryKey][]callSite{},
 	}
 
-	main := c.Funcs["main"]
-	globals := make([]sem.Value, len(c.Globals))
-	for i := range globals {
-		globals[i] = sem.IntV(0)
-	}
-	entryEnv := &env{globals: globals, locals: zeroLocals(main, nil)}
-	entry := entryKey{fn: "main", shared: sharedKey(globals, nil), args: ""}
-	ck.enqueue(pathEdge{entry: entry, pc: 0, e: entryEnv})
+	init := sem.NewState(c)
+	entry := entryKey{fn: "main", shared: sharedKey(init.Globals, nil), args: ""}
+	ck.enqueue(pathEdge{entry: entry, s: init})
 
 	ctxCountdown := 1 // poll the context on the first iteration
 	for len(ck.work) > 0 {
@@ -324,20 +286,9 @@ func supported(c *sem.Compiled) error {
 	return nil
 }
 
-func zeroLocals(cf *sem.CompiledFunc, args []sem.Value) []sem.Value {
-	locals := make([]sem.Value, len(cf.Vars))
-	for i := range locals {
-		if i < len(args) {
-			locals[i] = args[i]
-		} else {
-			locals[i] = sem.IntV(0)
-		}
-	}
-	return locals
-}
-
 func (ck *checker) enqueue(pe pathEdge) {
-	key := fmt.Sprintf("%d|%s|%s", pe.pc, localsKey(pe.e.locals), sharedKey(pe.e.globals, pe.e.ts))
+	fr := pe.frame()
+	key := fmt.Sprintf("%d|%s|%s", fr.PC, localsKey(fr.Locals), sharedKey(pe.s.Globals, pe.s.Ts))
 	m := ck.visited[pe.entry]
 	if m == nil {
 		m = map[string]bool{}
@@ -351,207 +302,71 @@ func (ck *checker) enqueue(pe pathEdge) {
 	ck.work = append(ck.work, pe)
 }
 
-// failf builds a failure.
-func failf(kind sem.FailKind, fn string, pos ast.Pos, msg string) *sem.Failure {
-	return &sem.Failure{Kind: kind, Pos: pos, Msg: msg, Fn: fn}
-}
-
-// step processes one path edge.
+// step processes one path edge. A return ends the procedure instance in
+// a summary; every other instruction is sem.Step's, whose outcomes either
+// stay in the procedure or, after a call or dispatch, hold the callee's
+// frame on top of the caller's.
 func (ck *checker) step(pe pathEdge) *sem.Failure {
-	cf := ck.c.Funcs[pe.entry.fn]
-	if pe.pc >= len(cf.Code) {
-		// implicit bare return
-		ck.addSummary(pe, sem.UnitV())
-		return nil
+	fr := pe.frame()
+	if fr.PC >= len(fr.CF.Code) {
+		return ck.addSummary(pe, sem.UnitV()) // implicit bare return
 	}
-	in := &cf.Code[pe.pc]
-	switch in.Op {
-	case sem.OpSkip:
-		ck.advance(pe, 1)
-	case sem.OpJump:
-		ck.jump(pe, in.Targets[0])
-	case sem.OpNondetJump:
-		for _, t := range in.Targets {
-			ck.jump(pe, t)
-		}
-	case sem.OpAssign:
-		ne := pe.e.clone()
-		v, err := ck.eval(cf, ne, in.Rhs)
-		if err != nil {
-			return failf(sem.RuntimeFail, pe.entry.fn, err.pos, err.msg)
-		}
-		if err := ck.store(cf, ne, in.Lhs, v); err != nil {
-			return failf(sem.RuntimeFail, pe.entry.fn, err.pos, err.msg)
-		}
-		ck.enqueue(pathEdge{entry: pe.entry, pc: pe.pc + 1, e: ne})
-	case sem.OpAssert:
-		ok, err := ck.evalBool(cf, pe.e, in.Cond)
-		if err != nil {
-			return failf(sem.RuntimeFail, pe.entry.fn, err.pos, err.msg)
-		}
-		if !ok {
-			return failf(sem.AssertFail, pe.entry.fn, in.Pos,
-				"assertion violated: "+ast.PrintExpr(in.Cond))
-		}
-		ck.advance(pe, 1)
-	case sem.OpAssume:
-		ok, err := ck.evalBool(cf, pe.e, in.Cond)
-		if err != nil {
-			return failf(sem.RuntimeFail, pe.entry.fn, err.pos, err.msg)
-		}
-		if ok {
-			ck.advance(pe, 1)
-		}
-	case sem.OpReturn:
+	if in := &fr.CF.Code[fr.PC]; in.Op == sem.OpReturn {
 		rv := sem.UnitV()
 		if in.Value != nil {
-			v, err := ck.eval(cf, pe.e, in.Value)
+			v, err := pe.s.Eval(fr, in.Value)
 			if err != nil {
-				return failf(sem.RuntimeFail, pe.entry.fn, err.pos, err.msg)
+				return &sem.Failure{Kind: sem.RuntimeFail, Pos: err.Pos, Msg: err.Msg, Fn: pe.entry.fn}
 			}
 			rv = v
 		}
-		ck.addSummary(pe, rv)
-	case sem.OpCall:
-		return ck.call(pe, cf, in)
-	case sem.OpTsPut:
-		ne := pe.e.clone()
-		fv, err := ck.eval(cf, ne, in.Fn)
-		if err != nil {
-			return failf(sem.RuntimeFail, pe.entry.fn, err.pos, err.msg)
+		return ck.addSummary(pe, rv)
+	}
+	sr := sem.Step(pe.s, 0)
+	if sr.Failure != nil {
+		return sr.Failure
+	}
+	for _, ns := range sr.Outcomes {
+		if len(ns.Threads[0].Frames) == 1 {
+			ck.enqueue(pathEdge{entry: pe.entry, s: ns})
+			continue
 		}
-		args := make([]sem.Value, len(in.Args))
-		for i, a := range in.Args {
-			av, err := ck.eval(cf, ne, a)
-			if err != nil {
-				return failf(sem.RuntimeFail, pe.entry.fn, err.pos, err.msg)
-			}
-			args[i] = av
+		if f := ck.call(pe.entry, ns); f != nil {
+			return f
 		}
-		name := ""
-		if fv.Kind == sem.KFunc {
-			name = fv.Fn(ck.c)
-		}
-		ne.ts = append(ne.ts, sem.Pending{Fn: name, Args: args})
-		ck.enqueue(pathEdge{entry: pe.entry, pc: pe.pc + 1, e: ne})
-	case sem.OpTsDispatch:
-		// One call edge per distinct pending entry.
-		seen := map[string]bool{}
-		for i := range pe.e.ts {
-			p := pe.e.ts[i]
-			var kb strings.Builder
-			kb.WriteString(p.Fn)
-			for _, a := range p.Args {
-				encodeVal(&kb, a)
-			}
-			if seen[kb.String()] {
-				continue
-			}
-			seen[kb.String()] = true
-			ne := pe.e.clone()
-			ne.ts = append(ne.ts[:i:i], ne.ts[i+1:]...)
-			if f := ck.callInto(pe, ne, p.Fn, p.Args, ""); f != nil {
-				return f
-			}
-		}
-	default:
-		return failf(sem.RuntimeFail, pe.entry.fn, in.Pos,
-			fmt.Sprintf("boolcheck: unsupported opcode %d", in.Op))
 	}
 	return nil
 }
 
-func (ck *checker) advance(pe pathEdge, delta int) {
-	ck.enqueue(pathEdge{entry: pe.entry, pc: pe.pc + delta, e: pe.e})
-}
-
-func (ck *checker) jump(pe pathEdge, target int) {
-	ck.enqueue(pathEdge{entry: pe.entry, pc: target, e: pe.e})
-}
-
-// call handles OpCall.
-func (ck *checker) call(pe pathEdge, cf *sem.CompiledFunc, in *sem.Instr) *sem.Failure {
-	fv, err := ck.eval(cf, pe.e, in.Fn)
-	if err != nil {
-		return failf(sem.RuntimeFail, pe.entry.fn, err.pos, err.msg)
-	}
-	if fv.Kind != sem.KFunc {
-		return failf(sem.RuntimeFail, pe.entry.fn, in.Pos, "call of non-function value "+fv.Text(ck.c))
-	}
-	args := make([]sem.Value, len(in.Args))
-	for i, a := range in.Args {
-		av, err := ck.eval(cf, pe.e, a)
-		if err != nil {
-			return failf(sem.RuntimeFail, pe.entry.fn, err.pos, err.msg)
-		}
-		args[i] = av
-	}
-	return ck.callInto(pe, pe.e, fv.Fn(ck.c), args, in.Result)
-}
-
-// callInto creates the interprocedural edge: suspend the caller at pe,
-// start (or reuse) the callee instance, and apply any already-computed
-// summaries.
-func (ck *checker) callInto(pe pathEdge, callerEnv *env, callee string, args []sem.Value, result string) *sem.Failure {
-	ccf, ok := ck.c.Funcs[callee]
-	if !ok {
-		return failf(sem.RuntimeFail, pe.entry.fn, ast.Pos{}, "call of undefined function "+callee)
-	}
-	if len(args) != ccf.NumParam {
-		return failf(sem.RuntimeFail, pe.entry.fn, ast.Pos{},
-			fmt.Sprintf("call of %q with %d arguments, want %d", callee, len(args), ccf.NumParam))
-	}
-	var ab strings.Builder
-	for _, a := range args {
-		encodeVal(&ab, a)
-	}
+// call creates the interprocedural edge of ns, a successor that has just
+// entered a callee: suspend the caller at its resume site, start (or
+// reuse) the callee instance, and apply any already-computed summaries.
+func (ck *checker) call(caller entryKey, ns *sem.State) *sem.Failure {
+	resume, entry := ns.SplitCall()
+	cfr := entry.Threads[0].Frames[0]
 	calleeEntry := entryKey{
-		fn:     callee,
-		shared: sharedKey(callerEnv.globals, callerEnv.ts),
-		args:   ab.String(),
+		fn:     cfr.CF.Fn.Name,
+		shared: sharedKey(entry.Globals, entry.Ts),
+		args:   localsKey(cfr.Locals[:cfr.CF.NumParam]),
 	}
-	site := callSite{
-		caller: pathEdge{entry: pe.entry, pc: pe.pc, e: callerEnv},
-		result: result,
-	}
+	site := callSite{caller: pathEdge{entry: caller, s: resume}, result: cfr.Result}
 	ck.callers[calleeEntry] = append(ck.callers[calleeEntry], site)
 
 	// Start the callee instance if new.
-	ck.enqueue(pathEdge{
-		entry: calleeEntry,
-		pc:    0,
-		e: &env{
-			globals: append([]sem.Value(nil), callerEnv.globals...),
-			ts:      cloneTs(callerEnv.ts),
-			locals:  zeroLocals(ccf, args),
-		},
-	})
+	ck.enqueue(pathEdge{entry: calleeEntry, s: entry})
 
 	// Apply existing summaries.
 	for _, x := range ck.summaries[calleeEntry] {
-		ck.applySummary(site, x)
+		if f := ck.applySummary(site, x); f != nil {
+			return f
+		}
 	}
 	return nil
 }
 
-func cloneTs(ts []sem.Pending) []sem.Pending {
-	if len(ts) == 0 {
-		return nil
-	}
-	out := make([]sem.Pending, len(ts))
-	for i, p := range ts {
-		out[i] = sem.Pending{Fn: p.Fn, Args: append([]sem.Value(nil), p.Args...)}
-	}
-	return out
-}
-
 // addSummary records a procedure exit and resumes every suspended caller.
-func (ck *checker) addSummary(pe pathEdge, ret sem.Value) {
-	x := exit{
-		globals: append([]sem.Value(nil), pe.e.globals...),
-		ts:      cloneTs(pe.e.ts),
-		ret:     ret,
-	}
+func (ck *checker) addSummary(pe pathEdge, ret sem.Value) *sem.Failure {
+	x := exit{s: pe.s, ret: ret}
 	key := exitKey(x)
 	m := ck.summaries[pe.entry]
 	if m == nil {
@@ -559,159 +374,24 @@ func (ck *checker) addSummary(pe pathEdge, ret sem.Value) {
 		ck.summaries[pe.entry] = m
 	}
 	if _, dup := m[key]; dup {
-		return
+		return nil
 	}
 	m[key] = x
 	for _, site := range ck.callers[pe.entry] {
-		ck.applySummary(site, x)
+		if f := ck.applySummary(site, x); f != nil {
+			return f
+		}
 	}
+	return nil
 }
 
 // applySummary resumes a caller after the call with the callee's exit
 // effect applied.
-func (ck *checker) applySummary(site callSite, x exit) {
-	ne := site.caller.e.clone()
-	ne.globals = append([]sem.Value(nil), x.globals...)
-	ne.ts = cloneTs(x.ts)
-	if site.result != "" {
-		cf := ck.c.Funcs[site.caller.entry.fn]
-		if idx, ok := cf.VarIdx[site.result]; ok {
-			ne.locals[idx] = x.ret
-		} else if gidx, ok := ck.c.GlobalIdx[site.result]; ok {
-			ne.globals[gidx] = x.ret
-		}
-	}
-	ck.enqueue(pathEdge{entry: site.caller.entry, pc: site.caller.pc + 1, e: ne})
-}
-
-// ---------------------------------------------------------------------------
-// Expression evaluation over env (pointer-free)
-// ---------------------------------------------------------------------------
-
-type evalErr struct {
-	pos ast.Pos
-	msg string
-}
-
-func (ck *checker) eval(cf *sem.CompiledFunc, e *env, x ast.Expr) (sem.Value, *evalErr) {
-	switch x := x.(type) {
-	case *ast.IntLit:
-		return sem.IntV(x.Value), nil
-	case *ast.BoolLit:
-		return sem.BoolV(x.Value), nil
-	case *ast.FuncLit:
-		return ck.c.FuncV(x.Name), nil
-	case *ast.VarExpr:
-		if idx, ok := cf.VarIdx[x.Name]; ok {
-			return e.locals[idx], nil
-		}
-		if gidx, ok := ck.c.GlobalIdx[x.Name]; ok {
-			return e.globals[gidx], nil
-		}
-		return sem.Value{}, &evalErr{x.Pos, "undefined variable " + x.Name}
-	case *ast.UnaryExpr:
-		v, err := ck.eval(cf, e, x.X)
-		if err != nil {
-			return sem.Value{}, err
-		}
-		switch x.Op {
-		case "!":
-			if v.Kind != sem.KBool {
-				return sem.Value{}, &evalErr{x.Pos, "'!' on non-boolean"}
-			}
-			return sem.BoolV(!v.Bool()), nil
-		case "-":
-			if v.Kind != sem.KInt {
-				return sem.Value{}, &evalErr{x.Pos, "unary '-' on non-integer"}
-			}
-			return sem.IntV(-v.I), nil
-		}
-		return sem.Value{}, &evalErr{x.Pos, "unknown unary op"}
-	case *ast.BinaryExpr:
-		a, err := ck.eval(cf, e, x.X)
-		if err != nil {
-			return sem.Value{}, err
-		}
-		b, err := ck.eval(cf, e, x.Y)
-		if err != nil {
-			return sem.Value{}, err
-		}
-		return binop(x.Op, a, b, x.Pos)
-	case *ast.TsSizeExpr:
-		return sem.IntV(int64(len(e.ts))), nil
-	}
-	return sem.Value{}, &evalErr{x.ExprPos(), fmt.Sprintf("unsupported expression %T", x)}
-}
-
-func binop(op string, a, b sem.Value, pos ast.Pos) (sem.Value, *evalErr) {
-	bothInt := a.Kind == sem.KInt && b.Kind == sem.KInt
-	bothBool := a.Kind == sem.KBool && b.Kind == sem.KBool
-	switch op {
-	case "+", "-", "*":
-		if !bothInt {
-			return sem.Value{}, &evalErr{pos, "arithmetic on non-integers"}
-		}
-		switch op {
-		case "+":
-			return sem.IntV(a.I + b.I), nil
-		case "-":
-			return sem.IntV(a.I - b.I), nil
-		default:
-			return sem.IntV(a.I * b.I), nil
-		}
-	case "==":
-		return sem.BoolV(a.Equal(b)), nil
-	case "!=":
-		return sem.BoolV(!a.Equal(b)), nil
-	case "<", "<=", ">", ">=":
-		if !bothInt {
-			return sem.Value{}, &evalErr{pos, "comparison on non-integers"}
-		}
-		switch op {
-		case "<":
-			return sem.BoolV(a.I < b.I), nil
-		case "<=":
-			return sem.BoolV(a.I <= b.I), nil
-		case ">":
-			return sem.BoolV(a.I > b.I), nil
-		default:
-			return sem.BoolV(a.I >= b.I), nil
-		}
-	case "&&", "||":
-		if !bothBool {
-			return sem.Value{}, &evalErr{pos, "boolean op on non-booleans"}
-		}
-		if op == "&&" {
-			return sem.BoolV(a.Bool() && b.Bool()), nil
-		}
-		return sem.BoolV(a.Bool() || b.Bool()), nil
-	}
-	return sem.Value{}, &evalErr{pos, "unknown binary op " + op}
-}
-
-func (ck *checker) evalBool(cf *sem.CompiledFunc, e *env, x ast.Expr) (bool, *evalErr) {
-	v, err := ck.eval(cf, e, x)
+func (ck *checker) applySummary(site callSite, x exit) *sem.Failure {
+	ns, err := site.caller.s.Resume(x.s, site.result, x.ret)
 	if err != nil {
-		return false, err
+		return &sem.Failure{Kind: sem.RuntimeFail, Pos: err.Pos, Msg: err.Msg, Fn: site.caller.entry.fn}
 	}
-	if v.Kind != sem.KBool {
-		return false, &evalErr{x.ExprPos(), "condition is not boolean"}
-	}
-	return v.Bool(), nil
-}
-
-func (ck *checker) store(cf *sem.CompiledFunc, e *env, lhs ast.Expr, v sem.Value) *evalErr {
-	l, ok := lhs.(*ast.VarExpr)
-	if !ok {
-		return &evalErr{lhs.ExprPos(), "only variable assignment targets supported"}
-	}
-	if idx, ok := cf.VarIdx[l.Name]; ok {
-		e.locals[idx] = v
-		return nil
-	}
-	if gidx, ok := ck.c.GlobalIdx[l.Name]; ok {
-		e.globals[gidx] = v
-		return nil
-	}
-	return &evalErr{l.Pos, "undefined variable " + l.Name}
+	ck.enqueue(pathEdge{entry: site.caller.entry, s: ns})
+	return nil
 }

@@ -241,10 +241,19 @@ func main() {
 	}
 }
 
+// sameFailure reports whether two failures agree on everything but the
+// thread: kind, message, position and function.
+func sameFailure(a, b *sem.Failure) bool {
+	if a == nil || b == nil {
+		return a == b
+	}
+	return a.Kind == b.Kind && a.Msg == b.Msg && a.Pos == b.Pos && a.Fn == b.Fn
+}
+
 // TestAgreesWithSeqcheckOnKissOutputs: on KISS-transformed random
 // programs (pointer-free by construction), the summary checker and the
-// explicit-state checker reach the same verdict — two independent
-// implementations of the sequential analysis role.
+// explicit-state checker reach the same verdict and the same failure —
+// two tabulations over one semantics.
 func TestAgreesWithSeqcheckOnKissOutputs(t *testing.T) {
 	agreeErrors := 0
 	for seed := int64(0); seed < 60; seed++ {
@@ -267,17 +276,74 @@ func TestAgreesWithSeqcheckOnKissOutputs(t *testing.T) {
 			t.Fatalf("seed %d: unexpectedly out of fragment: %v", seed, err)
 		}
 		sr := concheck.Check(c, concheck.Options{})
-		want := Safe
 		if sr.Verdict == concheck.Error {
-			want = Error
 			agreeErrors++
 		}
-		if br.Verdict != want {
+		if br.Verdict != sr.Verdict {
 			t.Errorf("seed %d: boolcheck %v, explicit-state %v\n%s", seed, br.Verdict, sr.Verdict, src)
+		} else if !sameFailure(br.Failure, sr.Failure) {
+			t.Errorf("seed %d: boolcheck fails with %v, explicit-state with %v\n%s", seed, br.Failure, sr.Failure, src)
 		}
 	}
 	if agreeErrors == 0 {
 		t.Error("no erroring programs among seeds; agreement tested vacuously")
 	}
 	t.Logf("agreed on %d error verdicts", agreeErrors)
+}
+
+// TestFailuresAreSemsFailures runs programs on which a summary engine
+// with its own interpreter once disagreed with sem: each must fail
+// exactly as the explicit-state check at context bound 0 fails, with
+// sem's message at the statement's position.
+func TestFailuresAreSemsFailures(t *testing.T) {
+	cases := []struct {
+		name  string
+		maxTS int
+		src   string
+	}{
+		{"ts overflow", 1, `
+var x;
+func f() { x = 1; }
+func main() {
+  __ts_put(@f);
+  __ts_put(@f);
+}
+`},
+		{"ts_put of a non-function", 1, `
+var x;
+func main() {
+  __ts_put(x, 2);
+  __ts_dispatch();
+}
+`},
+		{"boolean arithmetic", 0, `
+var g;
+func main() {
+  g = true + 1;
+}
+`},
+		{"wrong argument count", 0, `
+var g;
+func f(a) { g = a; }
+func main() {
+  f(1, 2);
+}
+`},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			br, err := Check(compile(t, tc.src, tc.maxTS), Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sr := concheck.Check(compile(t, tc.src, tc.maxTS), concheck.Options{})
+			if sr.Verdict != concheck.Error {
+				t.Fatalf("explicit-state check: want error, got %v", sr)
+			}
+			if br.Verdict != sr.Verdict || !sameFailure(br.Failure, sr.Failure) {
+				t.Errorf("boolcheck %v, failure %v; explicit-state %v, failure %v",
+					br.Verdict, br.Failure, sr.Verdict, sr.Failure)
+			}
+		})
+	}
 }

@@ -172,8 +172,9 @@ func Compile(p *ast.Program) (*Compiled, error) {
 			c.RaceGlobalIdx = idx
 		}
 	}
+	fc := &funcCompiler{}
 	for _, f := range p.Funcs {
-		cf, err := compileFunc(f)
+		cf, err := fc.compileFunc(f)
 		if err != nil {
 			return nil, err
 		}
@@ -198,7 +199,7 @@ func Compile(p *ast.Program) (*Compiled, error) {
 	return c, nil
 }
 
-func compileFunc(f *ast.Func) (*CompiledFunc, error) {
+func (fc *funcCompiler) compileFunc(f *ast.Func) (*CompiledFunc, error) {
 	cf := &CompiledFunc{
 		Fn:       f,
 		VarIdx:   map[string]int{},
@@ -216,20 +217,40 @@ func compileFunc(f *ast.Func) (*CompiledFunc, error) {
 		cf.VarIdx[l.Name] = len(cf.Vars)
 		cf.Vars = append(cf.Vars, l.Name)
 	}
-	fc := &funcCompiler{cf: cf}
-	fc.block(f.Body)
-	cf.Code = fc.code
+	cf.Code = fc.body(f.Body)
 	return cf, nil
 }
 
+// funcCompiler emits instructions into one scratch buffer that a whole
+// program's compilation reuses. The body being compiled occupies
+// code[base:], and its jump targets index into that suffix.
 type funcCompiler struct {
-	cf   *CompiledFunc
 	code []Instr
+	base int
 }
+
+// body compiles b and returns its code as an exact-size copy, leaving the
+// scratch as it found it. An atomic body nests: it is compiled past the
+// enclosing body's code, then removed from the scratch.
+func (fc *funcCompiler) body(b *ast.Block) []Instr {
+	outer := fc.base
+	fc.base = len(fc.code)
+	fc.block(b)
+	code := make([]Instr, len(fc.code)-fc.base)
+	copy(code, fc.code[fc.base:])
+	fc.code, fc.base = fc.code[:fc.base], outer
+	return code
+}
+
+// pc returns the index the next emitted instruction gets.
+func (fc *funcCompiler) pc() int { return len(fc.code) - fc.base }
+
+// at returns the instruction at index i of the body being compiled.
+func (fc *funcCompiler) at(i int) *Instr { return &fc.code[fc.base+i] }
 
 func (fc *funcCompiler) emit(in Instr) int {
 	fc.code = append(fc.code, in)
-	return len(fc.code) - 1
+	return fc.pc() - 1
 }
 
 func (fc *funcCompiler) block(b *ast.Block) {
@@ -249,9 +270,7 @@ func (fc *funcCompiler) stmt(s ast.Stmt) {
 	case *ast.AssumeStmt:
 		fc.emit(Instr{Op: OpAssume, Cond: s.Cond, Pos: s.Pos})
 	case *ast.AtomicStmt:
-		sub := &funcCompiler{cf: fc.cf}
-		sub.block(s.Body)
-		fc.emit(Instr{Op: OpAtomic, Atomic: sub.code, Pos: s.Pos})
+		fc.emit(Instr{Op: OpAtomic, Atomic: fc.body(s.Body), Pos: s.Pos})
 	case *ast.BenignStmt:
 		// The benign annotation affects only race instrumentation; at
 		// execution level it is its body.
@@ -268,23 +287,23 @@ func (fc *funcCompiler) stmt(s ast.Stmt) {
 		starts := make([]int, len(s.Branches))
 		var exits []int
 		for i, b := range s.Branches {
-			starts[i] = len(fc.code)
+			starts[i] = fc.pc()
 			fc.block(b)
 			exits = append(exits, fc.emit(Instr{Op: OpJump, Pos: s.Pos}))
 		}
-		join := len(fc.code)
-		fc.code[nd].Targets = starts
+		join := fc.pc()
+		fc.at(nd).Targets = starts
 		for _, e := range exits {
-			fc.code[e].Targets = []int{join}
+			fc.at(e).Targets = []int{join}
 		}
 	case *ast.IterStmt:
 		// L: nondet {body, join}; body; jump L; join:
 		nd := fc.emit(Instr{Op: OpNondetJump, Pos: s.Pos})
-		bodyStart := len(fc.code)
+		bodyStart := fc.pc()
 		fc.block(s.Body)
 		fc.emit(Instr{Op: OpJump, Targets: []int{nd}, Pos: s.Pos})
-		join := len(fc.code)
-		fc.code[nd].Targets = []int{bodyStart, join}
+		join := fc.pc()
+		fc.at(nd).Targets = []int{bodyStart, join}
 	case *ast.SkipStmt:
 		fc.emit(Instr{Op: OpSkip, Pos: s.Pos})
 	case *ast.TsPutStmt:

@@ -5,6 +5,8 @@ import (
 	"slices"
 	"sort"
 	"strings"
+
+	"repro/internal/ast"
 )
 
 // Object is a heap-allocated record instance.
@@ -376,15 +378,40 @@ func (s *State) findFrame(id int) *Frame {
 	return nil
 }
 
-// AllDone reports whether every thread has terminated and (in the
-// sequential semantics) ts has been drained.
-func (s *State) AllDone() bool {
-	for _, t := range s.Threads {
-		if !t.Done() {
-			return false
-		}
+// SplitCall splits s, a one-thread state that has just entered a call or
+// dispatch (thread 0 holds the caller's frame, its PC past the call, and
+// the callee's frame at entry), into two one-frame states sharing s's
+// globals and ts: the caller's resume site and the callee's entry. The
+// summary engine (internal/boolcheck) tabulates the two apart.
+func (s *State) SplitCall() (caller, callee *State) {
+	frames := s.Threads[0].Frames
+	return s.withFrame(frames[0]), s.withFrame(frames[1])
+}
+
+// withFrame returns a clone of s whose single thread holds only fr. The
+// frame stays shared, stamped older than the clone, so the clone copies
+// it before its first write.
+func (s *State) withFrame(fr *Frame) *State {
+	n := s.Clone()
+	n.Threads = []*Thread{{ID: 0, Frames: []*Frame{fr}, gen: n.gen}}
+	n.threadsGen = n.gen
+	return n
+}
+
+// Resume continues s, a heap-free one-frame state at a call's resume
+// site, with the callee's exit state: it returns a copy of s holding
+// exit's globals and ts, and rv stored into the variable result ("" drops
+// it) as a return stores it. This applies a summary edge of
+// internal/boolcheck.
+func (s *State) Resume(exit *State, result string, rv Value) (*State, *RuntimeError) {
+	n := s.Clone()
+	// n keeps s's ownership stamps for both slices, which predate n's gen,
+	// so n copies either slice before writing it: exit is never written.
+	n.Globals, n.Ts = exit.Globals, exit.Ts
+	if result == "" {
+		return n, nil
 	}
-	return len(s.Ts) == 0
+	return n, n.deliver(n.Threads[0].Top(), result, rv, ast.Pos{})
 }
 
 // fpEncoder canonicalizes a state into a string key. Heap objects are

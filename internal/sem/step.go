@@ -261,28 +261,9 @@ func step(s *State, ti int, owned bool, outs []*State, evs *eventSink) StepResul
 
 	case OpCall:
 		ns, nfr := clone()
-		fv, err := ns.Eval(nfr, in.Fn)
+		_, callee, args, err := ns.evalCall(nfr, in)
 		if err != nil {
 			return fail(RuntimeFail, err.Pos, err.Msg)
-		}
-		if fv.Kind != KFunc {
-			return fail(RuntimeFail, in.Pos, fmt.Sprintf("call of non-function value %s", fv.Text(ns.C)))
-		}
-		callee := ns.C.funcDef[fv.I]
-		if callee == nil {
-			return fail(RuntimeFail, in.Pos, fmt.Sprintf("call of undefined function %q", fv.Fn(ns.C)))
-		}
-		if len(in.Args) != callee.NumParam {
-			return fail(RuntimeFail, in.Pos,
-				fmt.Sprintf("call of %q with %d arguments, want %d", fv.Fn(ns.C), len(in.Args), callee.NumParam))
-		}
-		args := make([]Value, len(in.Args))
-		for i, a := range in.Args {
-			av, err := ns.Eval(nfr, a)
-			if err != nil {
-				return fail(RuntimeFail, err.Pos, err.Msg)
-			}
-			args[i] = av
 		}
 		nfr.PC++ // resume after the call on return
 		resolveJumps(nfr)
@@ -291,28 +272,9 @@ func step(s *State, ti int, owned bool, outs []*State, evs *eventSink) StepResul
 
 	case OpAsync:
 		ns, nfr := clone()
-		fv, err := ns.Eval(nfr, in.Fn)
+		_, callee, args, err := ns.evalCall(nfr, in)
 		if err != nil {
 			return fail(RuntimeFail, err.Pos, err.Msg)
-		}
-		if fv.Kind != KFunc {
-			return fail(RuntimeFail, in.Pos, fmt.Sprintf("async call of non-function value %s", fv.Text(ns.C)))
-		}
-		callee := ns.C.funcDef[fv.I]
-		if callee == nil {
-			return fail(RuntimeFail, in.Pos, fmt.Sprintf("async call of undefined function %q", fv.Fn(ns.C)))
-		}
-		if len(in.Args) != callee.NumParam {
-			return fail(RuntimeFail, in.Pos,
-				fmt.Sprintf("async call of %q with %d arguments, want %d", fv.Fn(ns.C), len(in.Args), callee.NumParam))
-		}
-		args := make([]Value, len(in.Args))
-		for i, a := range in.Args {
-			av, err := ns.Eval(nfr, a)
-			if err != nil {
-				return fail(RuntimeFail, err.Pos, err.Msg)
-			}
-			args[i] = av
 		}
 		nfr.PC++
 		resolveJumps(nfr)
@@ -337,20 +299,9 @@ func step(s *State, ti int, owned bool, outs []*State, evs *eventSink) StepResul
 
 	case OpTsPut:
 		ns, nfr := clone()
-		fv, err := ns.Eval(nfr, in.Fn)
+		fv, _, args, err := ns.evalCall(nfr, in)
 		if err != nil {
 			return fail(RuntimeFail, err.Pos, err.Msg)
-		}
-		if fv.Kind != KFunc {
-			return fail(RuntimeFail, in.Pos, fmt.Sprintf("__ts_put of non-function value %s", fv.Text(ns.C)))
-		}
-		args := make([]Value, len(in.Args))
-		for i, a := range in.Args {
-			av, err := ns.Eval(nfr, a)
-			if err != nil {
-				return fail(RuntimeFail, err.Pos, err.Msg)
-			}
-			args[i] = av
 		}
 		if len(ns.Ts) >= ns.C.Prog.MaxTS {
 			return fail(RuntimeFail, in.Pos, "__ts_put on full ts (transformation invariant violated)")
@@ -392,6 +343,47 @@ func step(s *State, ti int, owned bool, outs []*State, evs *eventSink) StepResul
 	return fail(RuntimeFail, in.Pos, fmt.Sprintf("unknown opcode %d", in.Op))
 }
 
+// evalCall evaluates the callee and the arguments of a call, async or
+// __ts_put in frame fr. A call or async must name a defined function that
+// takes len(in.Args) parameters; __ts_put needs only a function value, and
+// its dispatch resolves the name. The callee is nil for an undefined
+// __ts_put target.
+func (s *State) evalCall(fr *Frame, in *Instr) (Value, *CompiledFunc, []Value, *RuntimeError) {
+	what := "call"
+	switch in.Op {
+	case OpAsync:
+		what = "async call"
+	case OpTsPut:
+		what = "__ts_put"
+	}
+	fv, err := s.Eval(fr, in.Fn)
+	if err != nil {
+		return Value{}, nil, nil, err
+	}
+	if fv.Kind != KFunc {
+		return Value{}, nil, nil, rterrf(in.Pos, "%s of non-function value %s", what, fv.Text(s.C))
+	}
+	callee := s.C.funcDef[fv.I]
+	if in.Op != OpTsPut {
+		if callee == nil {
+			return Value{}, nil, nil, rterrf(in.Pos, "%s of undefined function %q", what, fv.Fn(s.C))
+		}
+		if len(in.Args) != callee.NumParam {
+			return Value{}, nil, nil, rterrf(in.Pos, "%s of %q with %d arguments, want %d",
+				what, fv.Fn(s.C), len(in.Args), callee.NumParam)
+		}
+	}
+	args := make([]Value, len(in.Args))
+	for i, a := range in.Args {
+		av, err := s.Eval(fr, a)
+		if err != nil {
+			return Value{}, nil, nil, err
+		}
+		args[i] = av
+	}
+	return fv, callee, args, nil
+}
+
 // doReturn pops the top frame of thread ti, delivering the return value to
 // the caller's result variable if any. An owned s is updated in place.
 func doReturn(s *State, ti int, rv Value, pos ast.Pos, fnName string, owned bool, outs []*State, evs *eventSink) StepResult {
@@ -403,16 +395,22 @@ func doReturn(s *State, ti int, rv Value, pos ast.Pos, fnName string, owned bool
 	top := ns.popFrame(ti)
 	result := top.Result
 	if caller := ns.Threads[ti].Top(); caller != nil && result != "" {
-		cell, err := ns.lookupVar(caller, result, pos)
-		if err != nil {
-			return StepResult{Failure: &Failure{Kind: RuntimeFail, Pos: pos, Msg: err.Msg, ThreadID: tid, Fn: fnName}}
-		}
-		if err := ns.Store(cell, rv, pos); err != nil {
+		if err := ns.deliver(caller, result, rv, pos); err != nil {
 			return StepResult{Failure: &Failure{Kind: RuntimeFail, Pos: pos, Msg: err.Msg, ThreadID: tid, Fn: fnName}}
 		}
 	}
 	evs.ret(tid, fnName, pos, rv, s.C)
 	return StepResult{Outcomes: append(outs, ns)}
+}
+
+// deliver stores the return value rv into the variable result of the
+// caller frame fr: a local of fr if it has one, else a global.
+func (s *State) deliver(fr *Frame, result string, rv Value, pos ast.Pos) *RuntimeError {
+	cell, err := s.lookupVar(fr, result, pos)
+	if err != nil {
+		return err
+	}
+	return s.Store(cell, rv, pos)
 }
 
 // stepAtomic executes an atomic block as a single step: all internal paths

@@ -53,7 +53,11 @@ func Replay(c *sem.Compiled, schedule []int, maxStates int) *ReplayResult {
 	}
 	init := sem.NewState(c)
 	stack := []node{{st: init, blk: 0}}
-	visited := map[string]bool{}
+	// The same state may recur at different schedule positions; key on
+	// both, as the searches key theirs: the 64-bit fingerprint mixed with
+	// the block.
+	visited := map[uint64]bool{}
+	hasher := sem.NewFPHasher()
 
 	threadIndex := func(s *sem.State, id int) int {
 		for i, th := range s.Threads {
@@ -86,10 +90,7 @@ func Replay(c *sem.Compiled, schedule []int, maxStates int) *ReplayResult {
 				return res
 			}
 			for _, out := range sr.Outcomes {
-				key := out.FingerprintString()
-				// The same state may recur at different schedule
-				// positions; key on both.
-				key = key + "#" + itoa(blk)
+				key := sem.Mix64(hasher.Hash(out), uint64(blk))
 				if visited[key] {
 					continue
 				}
@@ -103,18 +104,4 @@ func Replay(c *sem.Compiled, schedule []int, maxStates int) *ReplayResult {
 		}
 	}
 	return res
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var buf [20]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(buf[i:])
 }

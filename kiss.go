@@ -756,7 +756,7 @@ func (c *Config) checkSummaries(seq *Program, col *stats.Collector) (*Result, er
 		return nil, err
 	}
 	out := &Result{Verdict: Verdict(r.Verdict), States: r.PathEdges}
-	if r.Verdict == boolcheck.Error {
+	if r.Verdict == concheck.Error {
 		out.Message = r.Failure.Msg
 		out.Pos = r.Failure.Pos
 	}
