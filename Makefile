@@ -35,7 +35,8 @@ bench-test:
 # TestParallelIdenticalAcrossWorkerCounts and TestSpillIdenticalToResident)
 # — which seqcheck's tests drive too, since every sequential check runs
 # on them, and the copy-on-write state representation their workers
-# share, plus the kissd service layer (queue admission vs. drain, the
+# share: a worker steps each sole-live item it is handed in place, while
+# items of one bucket still share their older components, plus the kissd service layer (queue admission vs. drain, the
 # worker scheduler, and the result cache) and the kiss-coord cluster
 # coordinator (ring swaps, health transitions, batch fan-out, tenant
 # buckets). -short skips the full-corpus reproductions and the chaos

@@ -189,12 +189,9 @@ func BenchmarkContextBound(b *testing.B) {
 	}
 }
 
-// BenchmarkSummaryVsExplicit compares the two sequential engines on the
-// same KISS-transformed program: the explicit-state explorer (concheck
-// at context bound 0) and the summary-based tabulation (boolcheck, the
-// Bebop/RHS architecture).
-func BenchmarkSummaryVsExplicit(b *testing.B) {
-	src := `
+// deferredForkSrc is BenchmarkSummaryVsExplicit's program: four deferred
+// forks whose fourth increment fails the assertion.
+const deferredForkSrc = `
 var x;
 var y;
 func f() {
@@ -208,6 +205,13 @@ func main() {
   y = 1;
 }
 `
+
+// BenchmarkSummaryVsExplicit compares the two sequential engines on the
+// same KISS-transformed program: the explicit-state explorer (concheck
+// at context bound 0) and the summary-based tabulation (boolcheck, the
+// Bebop/RHS architecture).
+func BenchmarkSummaryVsExplicit(b *testing.B) {
+	src := deferredForkSrc
 	b.Run("explicit", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			prog, err := kiss.Parse(src)

@@ -156,6 +156,15 @@ type exit struct {
 	ret sem.Value
 }
 
+// exits are one procedure instance's summarized exits: a dedupe set on
+// exitKey, and the exits in discovery order, which is the order call
+// applies them in, so the worklist order and every result are the same
+// on every run.
+type exits struct {
+	seen map[string]bool
+	list []exit
+}
+
 func exitKey(x exit) string {
 	var b strings.Builder
 	b.WriteString(sharedKey(x.s.Globals, x.s.Ts))
@@ -187,8 +196,8 @@ type checker struct {
 
 	// visited path edges: entry -> "pc|locals|shared" set
 	visited map[entryKey]map[string]bool
-	// summaries: entry -> exitKey -> exit
-	summaries map[entryKey]map[string]exit
+	// summaries: entry -> its exits
+	summaries map[entryKey]*exits
 	// callers: callee entry -> suspended call sites
 	callers map[entryKey][]callSite
 
@@ -205,7 +214,7 @@ func Check(c *sem.Compiled, opts Options) (*Result, error) {
 		opts:      opts,
 		res:       &Result{},
 		visited:   map[entryKey]map[string]bool{},
-		summaries: map[entryKey]map[string]exit{},
+		summaries: map[entryKey]*exits{},
 		callers:   map[entryKey][]callSite{},
 	}
 
@@ -244,8 +253,8 @@ func Check(c *sem.Compiled, opts Options) (*Result, error) {
 		}
 	}
 	ck.res.Verdict = Safe
-	for _, m := range ck.summaries {
-		ck.res.Summaries += len(m)
+	for _, xs := range ck.summaries {
+		ck.res.Summaries += len(xs.list)
 	}
 	return ck.res, nil
 }
@@ -355,10 +364,12 @@ func (ck *checker) call(caller entryKey, ns *sem.State) *sem.Failure {
 	// Start the callee instance if new.
 	ck.enqueue(pathEdge{entry: calleeEntry, s: entry})
 
-	// Apply existing summaries.
-	for _, x := range ck.summaries[calleeEntry] {
-		if f := ck.applySummary(site, x); f != nil {
-			return f
+	// Apply existing summaries, in discovery order.
+	if xs := ck.summaries[calleeEntry]; xs != nil {
+		for _, x := range xs.list {
+			if f := ck.applySummary(site, x); f != nil {
+				return f
+			}
 		}
 	}
 	return nil
@@ -368,15 +379,16 @@ func (ck *checker) call(caller entryKey, ns *sem.State) *sem.Failure {
 func (ck *checker) addSummary(pe pathEdge, ret sem.Value) *sem.Failure {
 	x := exit{s: pe.s, ret: ret}
 	key := exitKey(x)
-	m := ck.summaries[pe.entry]
-	if m == nil {
-		m = map[string]exit{}
-		ck.summaries[pe.entry] = m
+	xs := ck.summaries[pe.entry]
+	if xs == nil {
+		xs = &exits{seen: map[string]bool{}}
+		ck.summaries[pe.entry] = xs
 	}
-	if _, dup := m[key]; dup {
+	if xs.seen[key] {
 		return nil
 	}
-	m[key] = x
+	xs.seen[key] = true
+	xs.list = append(xs.list, x)
 	for _, site := range ck.callers[pe.entry] {
 		if f := ck.applySummary(site, x); f != nil {
 			return f

@@ -200,21 +200,20 @@ var raceEnabled bool
 
 // TestFoldAllocsIndependentOfRunLength: a fold's single-successor micro
 // steps allocate nothing, so folding a straight run of local
-// assignments costs the same number of allocations at any length.
+// assignments through one reused Folder costs the same number of
+// allocations at any length.
 func TestFoldAllocsIndependentOfRunLength(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector makes sync.Pool drop buffers at random, so the fold's buffers regrow")
-	}
 	allocs := func(pairs int) float64 {
 		c := compile(t, straightLocals(pairs))
 		s := NewState(c)
-		mr := MacroStep(s, 0, 0)
+		var f Folder
+		mr := f.Fold(s, 0, 0)
 		if mr.Failure != nil || mr.Blocked || len(mr.PrefixIdx) < 2*pairs {
 			t.Fatalf("%d pairs: fold stopped early: %+v", pairs, mr)
 		}
-		return testing.AllocsPerRun(20, func() { MacroStep(s, 0, 0) })
+		return testing.AllocsPerRun(20, func() { f.Fold(s, 0, 0) })
 	}
 	if short, long := allocs(8), allocs(64); short != long {
-		t.Errorf("MacroStep allocates %v times over 8 assignment pairs but %v over 64", short, long)
+		t.Errorf("Fold allocates %v times over 8 assignment pairs but %v over 64", short, long)
 	}
 }

@@ -140,7 +140,8 @@ func (k *eventSink) ret(tid int, fn string, pos ast.Pos, rv Value, c *Compiled) 
 }
 
 // step is Step, except that with owned set the caller owns s outright: a
-// fold's own intermediate state, which no search references. An
+// fold's own intermediate state, or a base a search handed to
+// Folder.FoldOwned, which nothing else references. An
 // instruction with one successor then updates s in place and returns s
 // itself as the outcome, saving the clone and the path-copies of every
 // component the previous step already owned.

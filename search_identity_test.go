@@ -198,3 +198,30 @@ func TestMacroMatchesPerStatement(t *testing.T) {
 	}
 	t.Logf("%d races; %d completed fields: per-statement stored %d states, macro steps %d", races, completed, stored[false], stored[true])
 }
+
+// TestSummariesDeterministic: the summary engine is a pure function of
+// its input. Fifty checks of BenchmarkSummaryVsExplicit's program in one
+// process must give identical results: verdict, failure, path edges and
+// every deterministic counter.
+func TestSummariesDeterministic(t *testing.T) {
+	var first stripped
+	for i := 0; i < 50; i++ {
+		p, err := kiss.Parse(deferredForkSrc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := kiss.Check(p, kiss.WithMaxTS(4), kiss.WithSummaries())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Verdict != kiss.Error {
+			t.Fatalf("run %d: verdict %v, want error", i, res.Verdict)
+		}
+		got := strip(res)
+		if i == 0 {
+			first = got
+		} else if !reflect.DeepEqual(got, first) {
+			t.Fatalf("run %d differs from run 0:\n got %+v\nwant %+v", i, got, first)
+		}
+	}
+}
