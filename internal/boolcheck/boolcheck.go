@@ -321,13 +321,9 @@ func (ck *checker) step(pe pathEdge) *sem.Failure {
 		return ck.addSummary(pe, sem.UnitV()) // implicit bare return
 	}
 	if in := &fr.CF.Code[fr.PC]; in.Op == sem.OpReturn {
-		rv := sem.UnitV()
-		if in.Value != nil {
-			v, err := pe.s.Eval(fr, in.Value)
-			if err != nil {
-				return &sem.Failure{Kind: sem.RuntimeFail, Pos: err.Pos, Msg: err.Msg, Fn: pe.entry.fn}
-			}
-			rv = v
+		rv, err := pe.s.ReturnValue(fr, in)
+		if err != nil {
+			return &sem.Failure{Kind: sem.RuntimeFail, Pos: err.Pos, Msg: err.Msg, Fn: pe.entry.fn}
 		}
 		return ck.addSummary(pe, rv)
 	}

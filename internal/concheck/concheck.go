@@ -307,18 +307,18 @@ func checkDFS(c *sem.Compiled, opts Options) *Result {
 	var folder sem.Folder
 	perStmt := opts.DisableMacroSteps
 	audit := newAudit(opts)
-	// Exact mode keeps a plain map (one goroutine needs no shards);
-	// compact mode swaps in the Bloom-filter store.
+	// Exact mode keeps a bare flat table (one goroutine needs no
+	// shards); compact mode swaps in the Bloom-filter store.
 	var vis visited.Store
 	if opts.VisitedCompact {
 		vis = cNewVisited(opts)
 	}
-	visitedSet := map[uint64]struct{}{}
+	var exact visited.Table
 	visLen := func() int {
 		if vis != nil {
 			return vis.Len()
 		}
-		return len(visitedSet)
+		return exact.Len()
 	}
 	// seen records (state, search context) as visited, reporting whether it
 	// already was.
@@ -330,11 +330,7 @@ func checkDFS(c *sem.Compiled, opts Options) *Result {
 		if vis != nil {
 			return vis.Seen(fp)
 		}
-		if _, ok := visitedSet[fp]; ok {
-			return true
-		}
-		visitedSet[fp] = struct{}{}
-		return false
+		return exact.Seen(fp)
 	}
 	seen(init, -1, 0)
 	res.States = 1

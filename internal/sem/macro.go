@@ -277,6 +277,6 @@ func falseAssumeAt(s *State, fr *Frame, pc int) bool {
 	if in.Op != OpAssume {
 		return false
 	}
-	ok, err := s.evalBool(fr, in.Cond)
+	ok, err := s.cond(fr, in.x)
 	return err == nil && !ok
 }

@@ -201,15 +201,7 @@ func step(s *State, ti int, owned bool, outs []*State, evs *eventSink) StepResul
 
 	case OpAssign:
 		ns, nfr := clone()
-		v, err := ns.Eval(nfr, in.Rhs)
-		if err != nil {
-			return fail(RuntimeFail, err.Pos, err.Msg)
-		}
-		cell, err := ns.lvalueCell(nfr, in.Lhs)
-		if err != nil {
-			return fail(RuntimeFail, err.Pos, err.Msg)
-		}
-		if err := ns.Store(cell, v, in.Pos); err != nil {
+		if err := ns.assign(nfr, in); err != nil {
 			return fail(RuntimeFail, err.Pos, err.Msg)
 		}
 		nfr.PC++
@@ -217,12 +209,12 @@ func step(s *State, ti int, owned bool, outs []*State, evs *eventSink) StepResul
 		return one(ns, EvStmt, "")
 
 	case OpAssert:
-		ok, err := s.evalBool(fr, in.Cond)
+		ok, err := s.cond(fr, in.x)
 		if err != nil {
 			return fail(RuntimeFail, err.Pos, err.Msg)
 		}
 		if !ok {
-			return fail(AssertFail, in.Pos, "assertion violated: "+ast.PrintExpr(in.Cond))
+			return fail(AssertFail, in.Pos, in.violation())
 		}
 		ns, nfr := clone()
 		nfr.PC++
@@ -230,7 +222,7 @@ func step(s *State, ti int, owned bool, outs []*State, evs *eventSink) StepResul
 		return one(ns, EvStmt, "")
 
 	case OpAssume:
-		ok, err := s.evalBool(fr, in.Cond)
+		ok, err := s.cond(fr, in.x)
 		if err != nil {
 			return fail(RuntimeFail, err.Pos, err.Msg)
 		}
@@ -285,13 +277,9 @@ func step(s *State, ti int, owned bool, outs []*State, evs *eventSink) StepResul
 		return one(ns, EvAsync, callee.Fn.Name)
 
 	case OpReturn:
-		var rv Value = UnitV()
-		if in.Value != nil {
-			v, err := s.Eval(fr, in.Value)
-			if err != nil {
-				return fail(RuntimeFail, err.Pos, err.Msg)
-			}
-			rv = v
+		rv, err := s.ReturnValue(fr, in)
+		if err != nil {
+			return fail(RuntimeFail, err.Pos, err.Msg)
 		}
 		return doReturn(s, ti, rv, in.Pos, fn, owned, outs, evs)
 
@@ -346,7 +334,7 @@ func step(s *State, ti int, owned bool, outs []*State, evs *eventSink) StepResul
 
 // evalCall evaluates the callee and the arguments of a call, async or
 // __ts_put in frame fr. A call or async must name a defined function that
-// takes len(in.Args) parameters; __ts_put needs only a function value, and
+// takes in.nargs parameters; __ts_put needs only a function value, and
 // its dispatch resolves the name. The callee is nil for an undefined
 // __ts_put target.
 func (s *State) evalCall(fr *Frame, in *Instr) (Value, *CompiledFunc, []Value, *RuntimeError) {
@@ -357,7 +345,7 @@ func (s *State) evalCall(fr *Frame, in *Instr) (Value, *CompiledFunc, []Value, *
 	case OpTsPut:
 		what = "__ts_put"
 	}
-	fv, err := s.Eval(fr, in.Fn)
+	fv, err := s.eval(fr, in.x)
 	if err != nil {
 		return Value{}, nil, nil, err
 	}
@@ -369,14 +357,14 @@ func (s *State) evalCall(fr *Frame, in *Instr) (Value, *CompiledFunc, []Value, *
 		if callee == nil {
 			return Value{}, nil, nil, rterrf(in.Pos, "%s of undefined function %q", what, fv.Fn(s.C))
 		}
-		if len(in.Args) != callee.NumParam {
+		if int(in.nargs) != callee.NumParam {
 			return Value{}, nil, nil, rterrf(in.Pos, "%s of %q with %d arguments, want %d",
-				what, fv.Fn(s.C), len(in.Args), callee.NumParam)
+				what, fv.Fn(s.C), in.nargs, callee.NumParam)
 		}
 	}
-	args := make([]Value, len(in.Args))
-	for i, a := range in.Args {
-		av, err := s.Eval(fr, a)
+	args := make([]Value, in.nargs)
+	for i := range args {
+		av, err := s.eval(fr, in.args+int32(i))
 		if err != nil {
 			return Value{}, nil, nil, err
 		}
@@ -405,13 +393,18 @@ func doReturn(s *State, ti int, rv Value, pos ast.Pos, fnName string, owned bool
 }
 
 // deliver stores the return value rv into the variable result of the
-// caller frame fr: a local of fr if it has one, else a global.
+// caller frame fr: a local of fr if it has one, else a global. It is the
+// one name lookup left at run time: a frame carries its result variable
+// by name (see Frame.Result).
 func (s *State) deliver(fr *Frame, result string, rv Value, pos ast.Pos) *RuntimeError {
-	cell, err := s.lookupVar(fr, result, pos)
-	if err != nil {
-		return err
+	if idx, ok := fr.CF.VarIdx[result]; ok {
+		return s.Store(Cell{Kind: CLocal, FrameID: fr.ID, Field: idx}, rv, pos)
 	}
-	return s.Store(cell, rv, pos)
+	if idx, ok := s.C.GlobalIdx[result]; ok {
+		s.mutableGlobals()[idx] = rv
+		return nil
+	}
+	return rterrf(pos, "undefined variable %q", result)
 }
 
 // stepAtomic executes an atomic block as a single step: all internal paths
@@ -474,30 +467,25 @@ func stepAtomic(s *State, ti int, in *Instr, owned bool, outs []*State, evs *eve
 				pc = sub.Targets[0]
 				continue
 			case OpAssign:
-				v, err := st.Eval(fr, sub.Rhs)
-				if err != nil {
-					failure = &Failure{Kind: RuntimeFail, Pos: err.Pos, Msg: err.Msg, ThreadID: tid, Fn: fnName}
-				} else if cell, err := st.lvalueCell(fr, sub.Lhs); err != nil {
-					failure = &Failure{Kind: RuntimeFail, Pos: err.Pos, Msg: err.Msg, ThreadID: tid, Fn: fnName}
-				} else if err := st.Store(cell, v, sub.Pos); err != nil {
+				if err := st.assign(fr, sub); err != nil {
 					failure = &Failure{Kind: RuntimeFail, Pos: err.Pos, Msg: err.Msg, ThreadID: tid, Fn: fnName}
 				} else {
 					pc++
 					continue
 				}
 			case OpAssert:
-				ok, err := st.evalBool(fr, sub.Cond)
+				ok, err := st.cond(fr, sub.x)
 				if err != nil {
 					failure = &Failure{Kind: RuntimeFail, Pos: err.Pos, Msg: err.Msg, ThreadID: tid, Fn: fnName}
 				} else if !ok {
 					failure = &Failure{Kind: AssertFail, Pos: sub.Pos,
-						Msg: "assertion violated: " + ast.PrintExpr(sub.Cond), ThreadID: tid, Fn: fnName}
+						Msg: sub.violation(), ThreadID: tid, Fn: fnName}
 				} else {
 					pc++
 					continue
 				}
 			case OpAssume:
-				ok, err := st.evalBool(fr, sub.Cond)
+				ok, err := st.cond(fr, sub.x)
 				if err != nil {
 					failure = &Failure{Kind: RuntimeFail, Pos: err.Pos, Msg: err.Msg, ThreadID: tid, Fn: fnName}
 				} else if !ok {

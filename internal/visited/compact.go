@@ -208,16 +208,16 @@ func (c *Compact) EstFPRate() float64 {
 // small calibration runs — it restores the exact set's full memory cost.
 type Audited struct {
 	c     *Compact
-	exact map[uint64]struct{}
+	exact Table
 	// fps is atomic: Contains runs on parallel expansion workers (the
-	// shadow map is frozen then, but the counter is not).
+	// shadow table is frozen then, but the counter is not).
 	fps atomic.Int64
 }
 
 // NewAudited returns an audited compact set of approximately `bytes`
 // bytes.
 func NewAudited(bytes int64) *Audited {
-	return &Audited{c: NewCompact(bytes), exact: map[uint64]struct{}{}}
+	return &Audited{c: NewCompact(bytes)}
 }
 
 // Seen behaves exactly like the underlying Compact filter's Seen,
@@ -225,11 +225,7 @@ func NewAudited(bytes int64) *Audited {
 // differently.
 func (a *Audited) Seen(fp uint64) bool {
 	hit := a.c.Seen(fp)
-	_, truth := a.exact[fp]
-	if !truth {
-		a.exact[fp] = struct{}{}
-	}
-	if hit && !truth {
+	if truth := a.exact.Seen(fp); hit && !truth {
 		a.fps.Add(1)
 	}
 	return hit
@@ -239,7 +235,7 @@ func (a *Audited) Seen(fp uint64) bool {
 func (a *Audited) Contains(fp uint64) bool {
 	hit := a.c.Contains(fp)
 	if hit {
-		if _, truth := a.exact[fp]; !truth {
+		if !a.exact.Contains(fp) {
 			a.fps.Add(1)
 		}
 	}

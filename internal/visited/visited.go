@@ -4,8 +4,10 @@
 // The set maps 64-bit state fingerprints to "seen". Sharding by fingerprint
 // bits lets N workers deduplicate concurrently with contention limited to
 // workers that happen to land on the same shard at the same instant; each
-// shard is an ordinary map[uint64]struct{} behind its own mutex, so the
-// single-worker fast path costs one uncontended lock more than a plain map.
+// shard is a Table, the flat open-addressed fingerprint set that the
+// depth-first search uses on its own, behind its own mutex, so the
+// single-worker fast path costs one uncontended lock more than a bare
+// Table.
 package visited
 
 import (
@@ -15,14 +17,15 @@ import (
 
 // DefaultShards is the shard count used when New is given n <= 0. 64 keeps
 // per-shard collision probability negligible for worker counts up to the
-// tens while costing only ~64 empty maps on small searches.
+// tens while costing only 64 empty tables, which allocate nothing until
+// their first insert, on small searches.
 const DefaultShards = 64
 
 type shard struct {
 	mu sync.Mutex
-	m  map[uint64]struct{}
+	m  Table
 	// Pad to a cache line so neighbouring shard locks do not false-share.
-	_ [40]byte
+	_ [16]byte
 }
 
 // Set is a concurrency-safe set of uint64 fingerprints, sharded to reduce
@@ -43,11 +46,7 @@ func New(n int) *Set {
 	for size < n {
 		size <<= 1
 	}
-	s := &Set{shards: make([]shard, size), mask: uint64(size - 1)}
-	for i := range s.shards {
-		s.shards[i].m = make(map[uint64]struct{})
-	}
-	return s
+	return &Set{shards: make([]shard, size), mask: uint64(size - 1)}
 }
 
 // shardFor folds the high fingerprint bits into the low ones before
@@ -66,10 +65,7 @@ func (s *Set) Seen(fp uint64) bool {
 		s.contention.Add(1)
 		sh.mu.Lock()
 	}
-	_, ok := sh.m[fp]
-	if !ok {
-		sh.m[fp] = struct{}{}
-	}
+	ok := sh.m.Seen(fp)
 	sh.mu.Unlock()
 	return ok
 }
@@ -84,7 +80,7 @@ func (s *Set) Contains(fp uint64) bool {
 		s.contention.Add(1)
 		sh.mu.Lock()
 	}
-	_, ok := sh.m[fp]
+	ok := sh.m.Contains(fp)
 	sh.mu.Unlock()
 	return ok
 }
@@ -96,7 +92,7 @@ func (s *Set) Len() int {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
-		n += len(sh.m)
+		n += sh.m.Len()
 		sh.mu.Unlock()
 	}
 	return n

@@ -75,7 +75,7 @@ func TestShardSpread(t *testing.T) {
 	// Every shard should hold something for a well-mixed input.
 	for i := range s.shards {
 		s.shards[i].mu.Lock()
-		n := len(s.shards[i].m)
+		n := s.shards[i].m.Len()
 		s.shards[i].mu.Unlock()
 		if n == 0 {
 			t.Errorf("shard %d empty after 4096 well-mixed inserts", i)
