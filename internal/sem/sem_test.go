@@ -144,6 +144,36 @@ func main() { r = twice(21); assert(r == 42); }
 	}
 }
 
+// TestLocalShadowsGlobal: a local named like a global takes every read,
+// write, address and returned value in its function, and the global in
+// every other function.
+func TestLocalShadowsGlobal(t *testing.T) {
+	c := compile(t, `
+var g; var r; var q;
+func five() { return 5; }
+func other() { g = g + 7; }
+func main() {
+  var g; var p;
+  g = 1;
+  p = &g;
+  *p = 2;
+  assert(g == 2);
+  g = five();
+  r = g + 1;
+  q = &g;
+  other();
+}
+`)
+	fail, finals := run(t, c)
+	if fail != nil {
+		t.Fatalf("unexpected failure: %v", fail)
+	}
+	want := "g=7;r=6;q=&frame0.l0;"
+	if len(finals) != 1 || !finals[want] {
+		t.Errorf("final globals %v, want only %q", finals, want)
+	}
+}
+
 func TestImplicitReturnYieldsUnit(t *testing.T) {
 	c := compile(t, `
 var r;
