@@ -5,7 +5,7 @@ GO ?= go
 VERSION ?= $(shell git describe --tags --always --dirty 2>/dev/null || echo dev)
 LDFLAGS := -ldflags "-X main.version=$(VERSION)"
 
-.PHONY: build test vet fmt bench-test race examples verify bench bench-smoke bench-ab outputs-ab serve-smoke cluster-smoke benchall
+.PHONY: build test vet fmt bench-test bench-once race examples verify bench bench-smoke bench-ab outputs-ab serve-smoke cluster-smoke benchall
 
 build:
 	$(GO) build $(LDFLAGS) ./...
@@ -25,6 +25,13 @@ fmt:
 # every metric BENCHMARK.json names is still emitted.
 bench-test:
 	cd bench && $(GO) vet . && $(GO) test .
+
+# bench-once runs every Go benchmark of the module for one iteration.
+# `go test ./...` compiles benchmarks but never runs them, so a benchmark
+# whose b.Fatal fires (a bug no longer found, a verdict that moved) would
+# otherwise go unnoticed. About 30 s on 2 CPUs.
+bench-once:
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
 # race runs the race detector over the packages that own concurrency:
 # the eval worker pool (and, transitively, the shared parsed-harness and
@@ -52,8 +59,9 @@ examples:
 	@set -e; for d in examples/*/; do echo "== $$d"; $(GO) run ./$$d >/dev/null; done
 
 # verify is the tier-1 gate: formatting, build, vet, full tests, the
-# benchmark's own tests, the examples, and the race check.
-verify: fmt build vet test bench-test examples race
+# benchmark's own tests, one run of every Go benchmark, the examples, and
+# the race check.
+verify: fmt build vet test bench-test bench-once examples race
 
 # bench regenerates the sequentialization ablation's artifact: KISS vs
 # CB(K) vs the concurrent ground truth on the assertion scenarios and

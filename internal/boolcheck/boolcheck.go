@@ -20,6 +20,13 @@
 // calls, dispatches and returns are interprocedural edges of the
 // tabulation.
 //
+// Every key is a 64-bit sem fingerprint, as in the explicit-state
+// searches: a procedure instance is named by the fingerprint of its entry
+// state, a path edge by that mixed with its state's, and an exit by the
+// fingerprint of its globals and ts mixed with the return value. A
+// collision merges two facts, so it can only lose a path edge or an exit:
+// a missed state, never a false alarm.
+//
 // Supported fragment: no heap (new/records), no pointers (&v, *p, p->f),
 // no async/atomic (i.e. KISS-transformed programs in assertion mode whose
 // source is pointer-free — for example every program produced by
@@ -32,13 +39,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
-	"strings"
 
 	"repro/internal/ast"
 	"repro/internal/concheck"
 	"repro/internal/sem"
 	"repro/internal/stats"
+	"repro/internal/visited"
 )
 
 // The verdicts are concheck's, so both sequential engines report one type.
@@ -92,63 +98,6 @@ func (r *Result) String() string {
 	}
 }
 
-func encodeVal(b *strings.Builder, v sem.Value) {
-	switch v.Kind {
-	case sem.KInt:
-		fmt.Fprintf(b, "i%d,", v.I)
-	case sem.KBool:
-		fmt.Fprintf(b, "b%d,", v.I)
-	case sem.KFunc:
-		fmt.Fprintf(b, "f%d,", v.I) // an index into the program's name table
-	case sem.KNull:
-		b.WriteString("n,")
-	case sem.KUnit:
-		b.WriteString("u,")
-	default:
-		b.WriteString("?,")
-	}
-}
-
-// sharedKey encodes globals+ts (the interprocedurally shared part).
-func sharedKey(globals []sem.Value, ts []sem.Pending) string {
-	var b strings.Builder
-	for _, v := range globals {
-		encodeVal(&b, v)
-	}
-	if len(ts) > 0 {
-		entries := make([]string, len(ts))
-		for i, p := range ts {
-			var eb strings.Builder
-			eb.WriteString(p.Fn)
-			eb.WriteString("(")
-			for _, a := range p.Args {
-				encodeVal(&eb, a)
-			}
-			eb.WriteString(")")
-			entries[i] = eb.String()
-		}
-		sort.Strings(entries)
-		b.WriteString("T:")
-		b.WriteString(strings.Join(entries, "|"))
-	}
-	return b.String()
-}
-
-func localsKey(locals []sem.Value) string {
-	var b strings.Builder
-	for _, v := range locals {
-		encodeVal(&b, v)
-	}
-	return b.String()
-}
-
-// entryKey identifies a procedure instance: name + shared state + actuals.
-type entryKey struct {
-	fn     string
-	shared string
-	args   string
-}
-
 // exit is one summarized outcome of a procedure instance: the state at
 // its return, whose globals and ts are the exit's, and the return value.
 type exit struct {
@@ -156,29 +105,25 @@ type exit struct {
 	ret sem.Value
 }
 
-// exits are one procedure instance's summarized exits: a dedupe set on
-// exitKey, and the exits in discovery order, which is the order call
-// applies them in, so the worklist order and every result are the same
-// on every run.
-type exits struct {
-	seen map[string]bool
-	list []exit
-}
-
-func exitKey(x exit) string {
-	var b strings.Builder
-	b.WriteString(sharedKey(x.s.Globals, x.s.Ts))
-	b.WriteString("R:")
-	encodeVal(&b, x.ret)
-	return b.String()
+// instance is a procedure instance: a procedure entered at one state,
+// named by the fingerprint of that entry state (function, globals, ts and
+// actuals). It holds its exits in discovery order, which is the order
+// call applies them in, so the worklist order and every result are the
+// same on every run; the set of their keys; and the call sites suspended
+// on it.
+type instance struct {
+	fp      uint64
+	exits   []exit
+	seen    visited.Table
+	callers []callSite
 }
 
 // pathEdge is a tabulated reachability fact: a procedure instance and a
 // one-thread, one-frame state of it (globals, ts, and the procedure's
 // frame at its PC).
 type pathEdge struct {
-	entry entryKey
-	s     *sem.State
+	inst *instance
+	s    *sem.State
 }
 
 // frame returns the edge's procedure frame.
@@ -191,15 +136,12 @@ type callSite struct {
 }
 
 type checker struct {
-	opts Options
-	res  *Result
+	opts   Options
+	res    *Result
+	hasher *sem.FPHasher
 
-	// visited path edges: entry -> "pc|locals|shared" set
-	visited map[entryKey]map[string]bool
-	// summaries: entry -> its exits
-	summaries map[entryKey]*exits
-	// callers: callee entry -> suspended call sites
-	callers map[entryKey][]callSite
+	instances map[uint64]*instance // by entry-state fingerprint
+	edges     visited.Table        // path-edge keys (see enqueue)
 
 	work []pathEdge
 }
@@ -213,14 +155,12 @@ func Check(c *sem.Compiled, opts Options) (*Result, error) {
 	ck := &checker{
 		opts:      opts,
 		res:       &Result{},
-		visited:   map[entryKey]map[string]bool{},
-		summaries: map[entryKey]*exits{},
-		callers:   map[entryKey][]callSite{},
+		hasher:    sem.NewFPHasher(),
+		instances: map[uint64]*instance{},
 	}
 
 	init := sem.NewState(c)
-	entry := entryKey{fn: "main", shared: sharedKey(init.Globals, nil), args: ""}
-	ck.enqueue(pathEdge{entry: entry, s: init})
+	ck.enqueue(pathEdge{inst: ck.instance(init), s: init})
 
 	ctxCountdown := 1 // poll the context on the first iteration
 	for len(ck.work) > 0 {
@@ -253,8 +193,8 @@ func Check(c *sem.Compiled, opts Options) (*Result, error) {
 		}
 	}
 	ck.res.Verdict = Safe
-	for _, xs := range ck.summaries {
-		ck.res.Summaries += len(xs.list)
+	for _, inst := range ck.instances {
+		ck.res.Summaries += len(inst.exits)
 	}
 	return ck.res, nil
 }
@@ -295,18 +235,26 @@ func supported(c *sem.Compiled) error {
 	return nil
 }
 
-func (ck *checker) enqueue(pe pathEdge) {
-	fr := pe.frame()
-	key := fmt.Sprintf("%d|%s|%s", fr.PC, localsKey(fr.Locals), sharedKey(pe.s.Globals, pe.s.Ts))
-	m := ck.visited[pe.entry]
-	if m == nil {
-		m = map[string]bool{}
-		ck.visited[pe.entry] = m
+// instance returns the procedure instance entered at the one-frame state
+// entry, creating it on first sight.
+func (ck *checker) instance(entry *sem.State) *instance {
+	fp := ck.hasher.Hash(entry)
+	inst := ck.instances[fp]
+	if inst == nil {
+		inst = &instance{fp: fp}
+		ck.instances[fp] = inst
 	}
-	if m[key] {
+	return inst
+}
+
+// enqueue adds pe to the worklist unless it is tabulated already. Its key
+// mixes the instance's fingerprint, tagged first, with the state's: the
+// untagged Mix64(fp, fp) of an instance's entry edge would be one
+// constant for every instance (see sem.Mix64).
+func (ck *checker) enqueue(pe pathEdge) {
+	if ck.edges.Seen(sem.Mix64(sem.Mix64(pe.inst.fp, 'E'), ck.hasher.Hash(pe.s))) {
 		return
 	}
-	m[key] = true
 	ck.res.PathEdges++
 	ck.work = append(ck.work, pe)
 }
@@ -323,7 +271,7 @@ func (ck *checker) step(pe pathEdge) *sem.Failure {
 	if in := &fr.CF.Code[fr.PC]; in.Op == sem.OpReturn {
 		rv, err := pe.s.ReturnValue(fr, in)
 		if err != nil {
-			return &sem.Failure{Kind: sem.RuntimeFail, Pos: err.Pos, Msg: err.Msg, Fn: pe.entry.fn}
+			return &sem.Failure{Kind: sem.RuntimeFail, Pos: err.Pos, Msg: err.Msg, Fn: fr.CF.Fn.Name}
 		}
 		return ck.addSummary(pe, rv)
 	}
@@ -333,10 +281,10 @@ func (ck *checker) step(pe pathEdge) *sem.Failure {
 	}
 	for _, ns := range sr.Outcomes {
 		if len(ns.Threads[0].Frames) == 1 {
-			ck.enqueue(pathEdge{entry: pe.entry, s: ns})
+			ck.enqueue(pathEdge{inst: pe.inst, s: ns})
 			continue
 		}
-		if f := ck.call(pe.entry, ns); f != nil {
+		if f := ck.call(pe.inst, ns); f != nil {
 			return f
 		}
 	}
@@ -346,46 +294,35 @@ func (ck *checker) step(pe pathEdge) *sem.Failure {
 // call creates the interprocedural edge of ns, a successor that has just
 // entered a callee: suspend the caller at its resume site, start (or
 // reuse) the callee instance, and apply any already-computed summaries.
-func (ck *checker) call(caller entryKey, ns *sem.State) *sem.Failure {
-	resume, entry := ns.SplitCall()
-	cfr := entry.Threads[0].Frames[0]
-	calleeEntry := entryKey{
-		fn:     cfr.CF.Fn.Name,
-		shared: sharedKey(entry.Globals, entry.Ts),
-		args:   localsKey(cfr.Locals[:cfr.CF.NumParam]),
-	}
-	site := callSite{caller: pathEdge{entry: caller, s: resume}, result: cfr.Result}
-	ck.callers[calleeEntry] = append(ck.callers[calleeEntry], site)
+func (ck *checker) call(caller *instance, ns *sem.State) *sem.Failure {
+	resume, entry, result := ns.SplitCall()
+	callee := ck.instance(entry)
+	site := callSite{caller: pathEdge{inst: caller, s: resume}, result: result}
+	callee.callers = append(callee.callers, site)
 
 	// Start the callee instance if new.
-	ck.enqueue(pathEdge{entry: calleeEntry, s: entry})
+	ck.enqueue(pathEdge{inst: callee, s: entry})
 
 	// Apply existing summaries, in discovery order.
-	if xs := ck.summaries[calleeEntry]; xs != nil {
-		for _, x := range xs.list {
-			if f := ck.applySummary(site, x); f != nil {
-				return f
-			}
+	for _, x := range callee.exits {
+		if f := ck.applySummary(site, x); f != nil {
+			return f
 		}
 	}
 	return nil
 }
 
 // addSummary records a procedure exit and resumes every suspended caller.
+// An exit is keyed by its globals and ts alone, mixed with the return
+// value: the exit state's locals are the callee's and no caller sees them.
 func (ck *checker) addSummary(pe pathEdge, ret sem.Value) *sem.Failure {
-	x := exit{s: pe.s, ret: ret}
-	key := exitKey(x)
-	xs := ck.summaries[pe.entry]
-	if xs == nil {
-		xs = &exits{seen: map[string]bool{}}
-		ck.summaries[pe.entry] = xs
-	}
-	if xs.seen[key] {
+	shared := ck.hasher.Hash(&sem.State{C: pe.s.C, Globals: pe.s.Globals, Ts: pe.s.Ts})
+	if pe.inst.seen.Seen(sem.Mix64(sem.Mix64(shared, uint64(ret.Kind)), uint64(ret.I))) {
 		return nil
 	}
-	xs.seen[key] = true
-	xs.list = append(xs.list, x)
-	for _, site := range ck.callers[pe.entry] {
+	x := exit{s: pe.s, ret: ret}
+	pe.inst.exits = append(pe.inst.exits, x)
+	for _, site := range pe.inst.callers {
 		if f := ck.applySummary(site, x); f != nil {
 			return f
 		}
@@ -398,8 +335,8 @@ func (ck *checker) addSummary(pe pathEdge, ret sem.Value) *sem.Failure {
 func (ck *checker) applySummary(site callSite, x exit) *sem.Failure {
 	ns, err := site.caller.s.Resume(x.s, site.result, x.ret)
 	if err != nil {
-		return &sem.Failure{Kind: sem.RuntimeFail, Pos: err.Pos, Msg: err.Msg, Fn: site.caller.entry.fn}
+		return &sem.Failure{Kind: sem.RuntimeFail, Pos: err.Pos, Msg: err.Msg, Fn: site.caller.frame().CF.Fn.Name}
 	}
-	ck.enqueue(pathEdge{entry: site.caller.entry, s: ns})
+	ck.enqueue(pathEdge{inst: site.caller.inst, s: ns})
 	return nil
 }

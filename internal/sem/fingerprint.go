@@ -71,10 +71,17 @@ func hashString(s string) uint64 {
 }
 
 // Mix64 folds v into the running hash h with one mixing round and
-// finalizes the result, so it is well distributed as a visited-set key.
-// Exported so searches that key their visited sets on (state, extra
-// context) — e.g. concheck's context-bounded mode — can extend a state
-// hash without re-encoding.
+// finalizes the result. Exported so searches that key their visited sets
+// on (state, extra context) — e.g. concheck's context-bounded mode — can
+// extend a state hash without re-encoding.
+//
+// The result is a function of h^v alone: Mix64(x, x) is the same
+// constant for every x, and Mix64(h, v) == Mix64(h^d, v^d) for any d.
+// Mixing a fingerprint with a small context number (a block, a switch
+// count) is safe, since two fingerprints rarely differ by exactly such a
+// number; mixing two fingerprints that can be equal or related is not.
+// Tag one operand first, as in Mix64(Mix64(a, 'E'), b), which is no
+// longer symmetric in a and b and no longer constant when a == b.
 func Mix64(h, v uint64) uint64 {
 	return finalize64(mixWord(h, v))
 }

@@ -381,11 +381,18 @@ func (s *State) findFrame(id int) *Frame {
 // SplitCall splits s, a one-thread state that has just entered a call or
 // dispatch (thread 0 holds the caller's frame, its PC past the call, and
 // the callee's frame at entry), into two one-frame states sharing s's
-// globals and ts: the caller's resume site and the callee's entry. The
+// globals and ts: the caller's resume site and the callee's entry. It
+// also returns the variable receiving the callee's return value ("" if
+// none), which it clears in the callee's frame, so the callee's entry
+// state is the same whichever variable the call site assigns. The
 // summary engine (internal/boolcheck) tabulates the two apart.
-func (s *State) SplitCall() (caller, callee *State) {
+func (s *State) SplitCall() (caller, callee *State, result string) {
 	frames := s.Threads[0].Frames
-	return s.withFrame(frames[0]), s.withFrame(frames[1])
+	caller, callee = s.withFrame(frames[0]), s.withFrame(frames[1])
+	if result = frames[1].Result; result != "" {
+		callee.mutableFrame(0, 0).Result = ""
+	}
+	return caller, callee, result
 }
 
 // withFrame returns a clone of s whose single thread holds only fr. The

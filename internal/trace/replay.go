@@ -2,6 +2,7 @@ package trace
 
 import (
 	"repro/internal/sem"
+	"repro/internal/visited"
 )
 
 // Schedule returns the trace's thread sequence with adjacent repeats
@@ -56,7 +57,7 @@ func Replay(c *sem.Compiled, schedule []int, maxStates int) *ReplayResult {
 	// The same state may recur at different schedule positions; key on
 	// both, as the searches key theirs: the 64-bit fingerprint mixed with
 	// the block.
-	visited := map[uint64]bool{}
+	var visited visited.Table
 	hasher := sem.NewFPHasher()
 
 	threadIndex := func(s *sem.State, id int) int {
@@ -90,11 +91,9 @@ func Replay(c *sem.Compiled, schedule []int, maxStates int) *ReplayResult {
 				return res
 			}
 			for _, out := range sr.Outcomes {
-				key := sem.Mix64(hasher.Hash(out), uint64(blk))
-				if visited[key] {
+				if visited.Seen(sem.Mix64(hasher.Hash(out), uint64(blk))) {
 					continue
 				}
-				visited[key] = true
 				res.States++
 				if maxStates > 0 && res.States > maxStates {
 					return res
