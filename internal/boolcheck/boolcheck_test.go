@@ -1,6 +1,7 @@
 package boolcheck
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/concheck"
@@ -345,5 +346,43 @@ func main() {
 					br.Verdict, br.Failure, sr.Verdict, sr.Failure)
 			}
 		})
+	}
+}
+
+// TestExitsKeyedOnReturnValue: two exits of one instance that leave the
+// globals alike but return different values, of one kind or of two, are
+// two summaries. A callee that picks its return value must deliver each
+// to its caller, whichever order the choice lists them in.
+func TestExitsKeyedOnReturnValue(t *testing.T) {
+	const pick = `
+var g;
+func pick() {
+  choice { { return %s; } [] { return %s; } }
+}
+func main() {
+  var r;
+  r = pick();
+  assert(r != %s);
+}
+`
+	for _, vals := range [][2]string{{"1", "2"}, {"1", "true"}} {
+		for _, order := range [][2]string{{vals[0], vals[1]}, {vals[1], vals[0]}} {
+			for _, bad := range vals {
+				r, err := Check(compile(t, fmt.Sprintf(pick, order[0], order[1], bad), 0), Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if r.Verdict != Error {
+					t.Errorf("pick returning %s or %s: %s never delivered: %v", order[0], order[1], bad, r)
+				}
+			}
+		}
+	}
+	r, err := Check(compile(t, fmt.Sprintf(pick, "1", "2", "3"), 0), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Verdict != Safe || r.Summaries != 3 {
+		t.Errorf("want safe with 3 summaries (pick's two exits, main's one), got %v", r)
 	}
 }
