@@ -29,7 +29,7 @@ bench-test:
 # bench-once runs every Go benchmark of the module for one iteration.
 # `go test ./...` compiles benchmarks but never runs them, so a benchmark
 # whose b.Fatal fires (a bug no longer found, a verdict that moved) would
-# otherwise go unnoticed. About 30 s on 2 CPUs.
+# otherwise go unnoticed. About 40 s on 2 CPUs.
 bench-once:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 

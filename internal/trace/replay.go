@@ -57,7 +57,7 @@ func Replay(c *sem.Compiled, schedule []int, maxStates int) *ReplayResult {
 	// The same state may recur at different schedule positions; key on
 	// both, as the searches key theirs: the 64-bit fingerprint mixed with
 	// the block.
-	var visited visited.Table
+	var seen visited.Table
 	hasher := sem.NewFPHasher()
 
 	threadIndex := func(s *sem.State, id int) int {
@@ -91,7 +91,7 @@ func Replay(c *sem.Compiled, schedule []int, maxStates int) *ReplayResult {
 				return res
 			}
 			for _, out := range sr.Outcomes {
-				if visited.Seen(sem.Mix64(hasher.Hash(out), uint64(blk))) {
+				if seen.Seen(sem.Mix64(hasher.Hash(out), uint64(blk))) {
 					continue
 				}
 				res.States++
